@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: tier1 build vet test race race-wire race-guard soak-short chaos byzantine bench bench-runner bench-short bench-all bench-diff fuzz fuzz-short trace-demo
+.PHONY: tier1 build vet test race race-repeat chaos bench bench-runner bench-short bench-all bench-diff fuzz fuzz-short trace-demo
 
 # tier1 is the merge gate: everything must pass before a change lands.
-tier1: build vet test race byzantine soak-short bench-short fuzz-short bench-diff
+tier1: build vet test race bench-short fuzz-short bench-diff
 
 build:
 	$(GO) build ./...
@@ -15,45 +15,20 @@ test:
 	$(GO) test ./...
 
 # race is the unified race pass over every package — the live peer and its
-# journal, the fault injectors, the orchestrator, and the observability-
-# instrumented layers included. It subsumes the former race-obs /
-# race-runner focused targets.
+# journal, the concurrent-serving soak, the adversarial sweep, the fault
+# injectors, the orchestrator, and the observability-instrumented layers
+# included.
 race:
 	$(GO) test -race ./...
 
-# race-wire is the focused repeat over the chunked-transfer stack: the wire
-# codec/handshake and the reassembly store, plus the peer transfer suites
-# (pipelined sender, mid-chunk kill sweeps). -count=2 gives the pipelined
-# ack-reader and the cross-contact fragment store a second chance to trip
-# the detector under different schedules.
-race-wire:
-	$(GO) test -race -count=2 ./internal/wire/ ./internal/transfer/
-	$(GO) test -race -count=1 -run 'Transfer|Chunk|Resume' ./internal/peer/
-
-# byzantine is the adversarial-peer property harness: every ByzantinePeer
-# strategy (replay, flood, absurd claims, phase desync, poisoned metadata,
-# oversized claims), clean and under 30% frame loss, against a guarded
-# honest node — whose durable state must come out identical to an
-# adversary-free run, with quarantines surviving restart via the journal.
-byzantine:
-	$(GO) test -race -count=1 -run 'Byzantine|Guard|Quarantine' ./internal/peer/
-	$(GO) test -race -count=1 ./internal/guard/ ./internal/peer/session/
-
-# race-guard is the focused repeat over the guard and adversarial suites:
-# the guard's per-peer accounting is its own lock domain crossed by every
-# concurrent contact, so -count=2 gives scheduling-dependent interleavings
-# (admission vs. report vs. quarantine restore) a second chance to trip the
-# detector.
-race-guard:
-	$(GO) test -race -count=2 ./internal/guard/ ./internal/peer/session/
-	$(GO) test -race -count=2 -run 'Byzantine|Guard|Quarantine' ./internal/peer/
-
-# soak-short is the concurrent-serving soak: one serving peer versus N
-# simultaneous dialers under the race detector — admission limiting, no
-# head-of-line blocking, digest convergence against a serialized reference,
-# and the fault-injection invariants (no duplicate or lost deliveries).
-soak-short:
-	$(GO) test -race -count=1 -run '^TestSoak' ./internal/peer/
+# race-repeat reruns the concurrency-heavy packages under the race detector
+# with -count=2: the live peer (commit races, the pipelined chunk-ack
+# reader, admission), the wire codec and reassembly store, the guard's
+# per-peer accounting, and selection session reuse get a second schedule in
+# which to trip the detector.
+race-repeat:
+	$(GO) test -race -count=2 ./internal/peer/ ./internal/peer/session/ ./internal/wire/ \
+		./internal/transfer/ ./internal/guard/ ./internal/selection/ ./internal/coverage/
 
 # chaos is the crash-recovery harness: it sweeps a kill across every
 # mutating disk operation of a durable peer's write sequence (clean and

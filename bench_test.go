@@ -412,8 +412,8 @@ func (c *slowConn) SetWriteDeadline(t time.Time) error { return c.conn.SetWriteD
 // BenchmarkTransferSlowLink measures recovery after a mid-chunk link death
 // on a 1 ms/frame slow link: an 8-chunk (256 KiB) photo upload is killed at
 // 150 KiB, then a second, clean-but-slow contact completes it. "resume" is
-// the wire-v2 cross-contact path — only the missing chunks are re-sent;
-// "discard" pins the v1-style baseline that re-sends everything. The
+// the cross-contact path — only the missing chunks are re-sent; "discard"
+// pins the resume-off baseline that re-sends everything. The
 // wasted-B/op metric is receiver bytes that never contributed to a
 // delivered photo (the README quotes these numbers).
 func BenchmarkTransferSlowLink(b *testing.B) {

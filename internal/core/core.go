@@ -98,7 +98,6 @@ func (s *Scheme) Unconstrained() bool { return false }
 // Init implements sim.Scheme.
 func (s *Scheme) Init(w *sim.World) {
 	s.w = w
-	s.cfg.Selection.Parallel = s.cfg.Selection.Parallel || w.ParallelSelection
 	s.solo = make(map[model.PhotoID]coverage.Coverage)
 	s.fpc = coverage.NewFootprintCache(w.Map)
 	s.sel = selection.NewSession()

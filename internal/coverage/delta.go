@@ -23,11 +23,8 @@ import (
 // Scenario weights are the outcome probabilities; Gain and Expected reduce
 // over scenarios in insertion order, so results are deterministic.
 //
-// A DeltaSet is not safe for concurrent mutation (AddScenario, AddResidual,
-// AddToScenario, Commit, Release). Between mutations, any number of
-// goroutines may call GainWith/GainResidual/CompileResidual concurrently
-// provided each uses its own GainScratch — the contract the parallel gain
-// scan relies on.
+// A DeltaSet is not safe for concurrent use: selection drives it from one
+// goroutine per contact.
 type DeltaSet struct {
 	base  *State
 	scens []scenOverlay
@@ -51,8 +48,8 @@ type scenOverlay struct {
 	extra Coverage
 }
 
-// GainScratch holds the per-caller buffers of a fused gain query. Mint one
-// per goroutine with NewScratch.
+// GainScratch holds the per-caller buffers of a fused gain query. The zero
+// value is ready for use; buffers grow on demand.
 type GainScratch struct {
 	buf   []geo.Arc // residual pieces minus a scenario overlay (profile path)
 	pt    []float64 // per-scenario point-gain accumulators
@@ -111,15 +108,6 @@ func (d *DeltaSet) Base() *State { return d.base }
 // Scenarios returns the number of delivery outcomes tracked.
 func (d *DeltaSet) Scenarios() int { return len(d.scens) }
 
-// NewScratch mints a scratch sized for the current scenario count, for use
-// with GainWith/GainResidual from a dedicated goroutine.
-func (d *DeltaSet) NewScratch() *GainScratch {
-	return &GainScratch{
-		pt: make([]float64, len(d.scens)),
-		as: make([]float64, len(d.scens)),
-	}
-}
-
 // Reserve pre-sizes the scenario list for n outcomes, avoiding growth
 // reallocations during construction.
 func (d *DeltaSet) Reserve(n int) {
@@ -139,7 +127,7 @@ func (d *DeltaSet) AddScenario(w float64) int {
 
 // CompileResidual subtracts the base from the footprint into r, reusing
 // r's storage. Entries the base fully covers are dropped. Read-only on the
-// DeltaSet, so concurrent compilations are safe.
+// DeltaSet.
 func (d *DeltaSet) CompileResidual(fp Footprint, r *Residual) {
 	m := d.base.m
 	r.arcs = r.arcs[:0]
@@ -229,15 +217,13 @@ func (d *DeltaSet) Commit(fp Footprint) {
 }
 
 // Gain returns the scenario-weighted expected marginal gain of the
-// footprint. Serial entry point; see GainWith for the concurrent form and
-// GainResidual for the cached-residual fast path.
+// footprint. See GainResidual for the cached-residual fast path.
 func (d *DeltaSet) Gain(fp Footprint) Coverage {
 	return d.GainWith(fp, &d.sc)
 }
 
 // GainWith is Gain with caller-supplied scratch: one base subtraction,
-// fused over all scenarios. Safe for concurrent callers (one scratch each)
-// as long as no mutation is in flight.
+// fused over all scenarios.
 func (d *DeltaSet) GainWith(fp Footprint, sc *GainScratch) Coverage {
 	d.CompileResidual(fp, &sc.resid)
 	return d.GainResidual(&sc.resid, sc)
@@ -326,13 +312,7 @@ func (gc *GainCache) Reset() {
 // contributions of clean entries are reused bit-for-bit and the summation
 // order is fixed, the result is identical whether zero or all entries were
 // dirty — incremental equals from-scratch exactly, not approximately.
-//
-// A nil scratch selects the DeltaSet's own serial scratch; concurrent
-// callers must pass their own (and own their GainCache exclusively).
-func (d *DeltaSet) GainResidualCached(r *Residual, gc *GainCache, sc *GainScratch) Coverage {
-	if sc == nil {
-		sc = &d.sc
-	}
+func (d *DeltaSet) GainResidualCached(r *Residual, gc *GainCache) Coverage {
 	n := len(r.entries)
 	fresh := len(gc.epoch) != n
 	if fresh {
@@ -347,7 +327,7 @@ func (d *DeltaSet) GainResidualCached(r *Residual, gc *GainCache, sc *GainScratc
 	for i := range r.entries {
 		re := &r.entries[i]
 		if fresh || d.poiEpoch[re.poi] > gc.epoch[i] {
-			gc.pt[i], gc.as[i] = d.entryGain(re, r.arcs[re.lo:re.hi], sc)
+			gc.pt[i], gc.as[i] = d.entryGain(re, r.arcs[re.lo:re.hi], &d.sc)
 			gc.epoch[i] = d.epoch
 		}
 		g.Point += gc.pt[i]

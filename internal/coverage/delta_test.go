@@ -132,7 +132,7 @@ func TestDeltaSetMatchesMaterializedClones(t *testing.T) {
 func TestDeltaSetResidualReuse(t *testing.T) {
 	di := newDeltaInstance(t, 42, 40, 6, 4)
 	defer di.ds.Release()
-	sc := di.ds.NewScratch()
+	sc := &GainScratch{}
 	var rs []Residual
 	for _, fp := range di.probes {
 		var r Residual
@@ -167,40 +167,6 @@ func TestDeltaSetResidualReuse(t *testing.T) {
 		if g := di.ds.GainResidual(&r, sc); !g.IsZero() {
 			t.Fatalf("base-covered footprint gain = %+v", g)
 		}
-	}
-}
-
-// TestDeltaSetGainConcurrent exercises the parallel-scan contract: between
-// mutations, concurrent GainWith callers with private scratches agree with
-// the serial path. Run under -race this also proves the absence of data
-// races on the frozen base/overlays.
-func TestDeltaSetGainConcurrent(t *testing.T) {
-	di := newDeltaInstance(t, 7, 60, 8, 6)
-	defer di.ds.Release()
-	want := make([]Coverage, len(di.probes))
-	for i, fp := range di.probes {
-		want[i] = di.ds.Gain(fp)
-	}
-	const workers = 8
-	var wg sync.WaitGroup
-	errs := make(chan string, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := di.ds.NewScratch()
-			for i, fp := range di.probes {
-				if got := di.ds.GainWith(fp, sc); !coverageClose(got, want[i], eps) {
-					errs <- "concurrent gain mismatch"
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	if msg, open := <-errs; open {
-		t.Fatal(msg)
 	}
 }
 

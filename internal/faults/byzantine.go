@@ -41,6 +41,11 @@ const (
 	// abandons the contact; the harness dials it in rapid succession so
 	// the per-peer contact bucket runs dry.
 	ByzFlood
+	// ByzUnrequestedChunk advertises an empty collection, so the honest
+	// node's reallocation requests nothing from it, then pushes the first
+	// chunk of a multi-chunk photo anyway — baiting a resuming receiver
+	// into storing (and journaling) a partial it never asked for.
+	ByzUnrequestedChunk
 
 	numByzStrategies
 )
@@ -69,6 +74,8 @@ func (s ByzStrategy) String() string {
 		return "phase-desync"
 	case ByzFlood:
 		return "flood"
+	case ByzUnrequestedChunk:
+		return "unrequested-chunk"
 	default:
 		return fmt.Sprintf("ByzStrategy(%d)", int(s))
 	}
@@ -122,7 +129,9 @@ func (b *ByzantinePeer) Contact(conn io.ReadWriter) error {
 		hello.DeliveryProb = 42
 		hello.Lambda = -3
 	}
-	wc, _, err := wire.Negotiate(conn, hello, wire.Params{}, true)
+	// Advertise resume like a default honest peer, so a chunk that slips
+	// through lands in the receiver's shared fragment store.
+	params, _, err := wire.Negotiate(conn, hello, wire.Params{Resume: true}, true)
 	if err != nil {
 		return err
 	}
@@ -134,31 +143,68 @@ func (b *ByzantinePeer) Contact(conn io.ReadWriter) error {
 		return nil
 	case ByzPhaseDesync:
 		// A plan-phase message where the metadata round is due.
-		return wc.Write(wire.PhotoRequest{IDs: []model.PhotoID{1}})
+		return wire.Write(conn, wire.PhotoRequest{IDs: []model.PhotoID{1}})
 	case ByzPoisonedMetadata:
-		return wc.Write(wire.Metadata{Entries: []wire.MetaEntry{
+		return wire.Write(conn, wire.Metadata{Entries: []wire.MetaEntry{
 			b.entry(0),
 			{Node: b.Node + 1, Lambda: 0.1, P: 0.5, Timestamp: b.Time + 1e9,
 				Photos: model.PhotoList{b.photo(1, 4<<20, math.NaN())}},
 		}})
 	case ByzReplay:
 		e := b.entry(0)
-		return wc.Write(wire.Metadata{Entries: []wire.MetaEntry{e, e}})
+		return wire.Write(conn, wire.Metadata{Entries: []wire.MetaEntry{e, e}})
 	case ByzOversizedClaim:
 		e := b.entry(0)
 		e.Photos = model.PhotoList{b.photo(0, 1<<60, 0)}
-		return wc.Write(wire.Metadata{Entries: []wire.MetaEntry{e}})
+		return wire.Write(conn, wire.Metadata{Entries: []wire.MetaEntry{e}})
 	case ByzFlood:
 		// Well-formed up to the metadata exchange, then walk away; the
 		// damage is in how often the harness redials.
-		if err := wc.Write(wire.Metadata{Entries: []wire.MetaEntry{b.entry(0)}}); err != nil {
+		if err := wire.Write(conn, wire.Metadata{Entries: []wire.MetaEntry{b.entry(0)}}); err != nil {
 			return err
 		}
-		_, err := wc.Read()
+		_, err := wire.Read(conn)
 		return err
+	case ByzUnrequestedChunk:
+		return b.unrequestedChunk(conn, params)
 	default:
 		return fmt.Errorf("unknown byzantine strategy %v", b.Strategy)
 	}
+}
+
+// unrequestedChunk plays an honest initiator through the plan round with
+// an empty collection and an empty request, then sends chunk 0 of a
+// two-chunk photo the honest side never requested, at the negotiated chunk
+// size so only the want-set pin can catch it.
+func (b *ByzantinePeer) unrequestedChunk(conn io.ReadWriter, params wire.Params) error {
+	own := b.entry(0)
+	own.Photos = nil
+	if err := wire.Write(conn, wire.Metadata{Entries: []wire.MetaEntry{own}}); err != nil {
+		return err
+	}
+	if _, err := wire.Read(conn); err != nil { // the honest side's metadata
+		return err
+	}
+	if err := wire.Write(conn, wire.PhotoRequest{}); err != nil {
+		return err
+	}
+	if err := wire.Write(conn, wire.ResumeOffer{}); err != nil {
+		return err
+	}
+	for i := 0; i < 2; i++ { // its request and resume offer
+		if _, err := wire.Read(conn); err != nil {
+			return err
+		}
+	}
+	size := params.ChunkSize
+	if err := wire.Write(conn, wire.Chunk{
+		Photo: b.photo(0, 4<<20, 0), Index: 0, Count: 2, ChunkSize: size,
+		Total: 2 * uint64(size), Data: make([]byte, size),
+	}); err != nil {
+		return err
+	}
+	_, err := wire.Read(conn)
+	return err
 }
 
 // entry builds a well-formed metadata entry for the adversary's claimed

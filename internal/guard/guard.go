@@ -72,8 +72,8 @@ const (
 	ReasonBadGeometry
 	// ReasonOversized: a declared size or count above the negotiated caps.
 	ReasonOversized
-	// ReasonBadTransfer: a ChunkAck or ResumeOffer inconsistent with the
-	// pinned transfer plan.
+	// ReasonBadTransfer: a Chunk, ChunkAck or ResumeOffer inconsistent with
+	// the pinned transfer plan.
 	ReasonBadTransfer
 	// ReasonFlood: a token bucket shed the peer (counted as a soft
 	// violation so sustained flooding eventually quarantines).

@@ -316,7 +316,7 @@ func TestCheckMetadata(t *testing.T) {
 			wire.Metadata{Entries: []wire.MetaEntry{{Node: 1, Lambda: -1, P: 0.5, Timestamp: 1}}},
 			ReasonBadProphet},
 		{"far-future timestamp",
-			wire.Metadata{Entries: []wire.MetaEntry{entry(1, 1000 + c.MaxClockSkew + 1)}},
+			wire.Metadata{Entries: []wire.MetaEntry{entry(1, 1000+c.MaxClockSkew+1)}},
 			ReasonBadTimestamp},
 		{"NaN timestamp",
 			wire.Metadata{Entries: []wire.MetaEntry{entry(1, math.NaN())}},
@@ -351,7 +351,7 @@ func TestCheckMetadata(t *testing.T) {
 	}
 }
 
-func TestCheckChunkAndPhotoData(t *testing.T) {
+func TestCheckChunk(t *testing.T) {
 	c := Config{}.WithDefaults()
 	p := goodPhoto(2, 0)
 	want := map[model.PhotoID]bool{p.ID: true}
@@ -370,16 +370,12 @@ func TestCheckChunkAndPhotoData(t *testing.T) {
 	if v := c.CheckChunk(big, want, 1<<16); v == nil || v.Reason != ReasonOversized {
 		t.Fatalf("oversized total = %v", v)
 	}
-
-	if v := c.CheckPhotoData(wire.PhotoData{Photo: p}, want); v != nil {
-		t.Fatalf("honest photo data rejected: %v", v)
-	}
-	if v := c.CheckPhotoData(wire.PhotoData{Photo: p}, map[model.PhotoID]bool{999: true}); v == nil || v.Reason != ReasonBadTransfer {
-		t.Fatalf("unrequested photo data = %v", v)
-	}
-	// Empty want-set means unpinned (v1 uploads carry no announcement).
-	if v := c.CheckPhotoData(wire.PhotoData{Photo: p}, nil); v != nil {
-		t.Fatalf("unpinned photo data rejected: %v", v)
+	// An empty or nil want-set means the node asked for nothing: every
+	// chunk is unrequested.
+	for _, none := range []map[model.PhotoID]bool{nil, {}} {
+		if v := c.CheckChunk(ch, none, 1<<16); v == nil || v.Reason != ReasonBadTransfer {
+			t.Fatalf("chunk against want-set %v = %v, want a bad-transfer violation", none, v)
+		}
 	}
 }
 

@@ -105,15 +105,16 @@ func (c Config) CheckMetadata(md wire.Metadata, session float64) *Violation {
 }
 
 // CheckChunk validates one inbound chunk against the session's negotiated
-// transfer parameters and (when non-empty) the pinned want-set. The wire
-// decoder already enforced canonical geometry; here we pin the chunk size
-// to the negotiated one (an honest sender always slices at the session's
-// size) and the declared total to the photo-size cap.
+// transfer parameters and the pinned want-set: a chunk must carry a photo
+// this node asked for, so an empty or nil want-set admits no chunk at all.
+// The wire decoder already enforced canonical geometry; here we pin the
+// chunk size to the negotiated one (an honest sender always slices at the
+// session's size) and the declared total to the photo-size cap.
 func (c Config) CheckChunk(ch wire.Chunk, want map[model.PhotoID]bool, chunkSize int) *Violation {
 	if v := c.CheckPhoto(ch.Photo); v != nil {
 		return v
 	}
-	if len(want) > 0 && !want[ch.Photo.ID] {
+	if !want[ch.Photo.ID] {
 		return violationf(ReasonBadTransfer, "chunk for unrequested %v", ch.Photo.ID)
 	}
 	if chunkSize > 0 && ch.ChunkSize != uint32(chunkSize) {
@@ -121,18 +122,6 @@ func (c Config) CheckChunk(ch wire.Chunk, want map[model.PhotoID]bool, chunkSize
 	}
 	if ch.Total > uint64(c.MaxPhotoBytes) {
 		return violationf(ReasonOversized, "chunk claims %d payload bytes, cap %d", ch.Total, c.MaxPhotoBytes)
-	}
-	return nil
-}
-
-// CheckPhotoData validates one v1 photo delivery against the pinned
-// want-set (empty means unpinned: v1 uploads carry no announcement).
-func (c Config) CheckPhotoData(d wire.PhotoData, want map[model.PhotoID]bool) *Violation {
-	if v := c.CheckPhoto(d.Photo); v != nil {
-		return v
-	}
-	if len(want) > 0 && !want[d.Photo.ID] {
-		return violationf(ReasonBadTransfer, "photo data for unrequested %v", d.Photo.ID)
 	}
 	return nil
 }

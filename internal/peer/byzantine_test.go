@@ -155,6 +155,24 @@ func TestByzantineSweep(t *testing.T) {
 	}
 }
 
+// TestUnrequestedChunkRejected pins plan pinning on an empty request: an
+// adversary whose metadata leaves the guarded node wanting nothing, then
+// pushes a multi-chunk photo's first chunk, dies on a bad-transfer
+// violation — and nothing reaches the node's shared fragment store, even
+// though the session negotiated resume.
+func TestUnrequestedChunkRejected(t *testing.T) {
+	v, _ := byzFixture(t, byzGuardOpts()...)
+	adv := &faults.ByzantinePeer{Node: byzNode, Strategy: faults.ByzUnrequestedChunk, Time: 1000, Seed: 5}
+	err := runByzContact(t, v, adv, 0, 1)
+	var viol *guard.Violation
+	if !errors.Is(err, ErrProtocolViolation) || !errors.As(err, &viol) || viol.Reason != guard.ReasonBadTransfer {
+		t.Fatalf("err = %v, want ErrProtocolViolation with reason %v", err, guard.ReasonBadTransfer)
+	}
+	if st := v.TransferStats(); st.Partials != 0 || st.FragmentBytes != 0 {
+		t.Fatalf("unrequested chunk reached the fragment store: %+v", st)
+	}
+}
+
 // TestByzantineFloodQuarantine pins the rate-limiting escalation: a flooding
 // peer is first shed with ErrRateLimited, and sustained flooding crosses the
 // misbehavior threshold into a quarantine.

@@ -394,7 +394,7 @@ func (p *Peer) checkpointLocked() error {
 
 // --- snapshot encoding ---
 
-// peerSnapVersion 2 added the transfer-fragment section (wire v2 resume);
+// peerSnapVersion 2 added the transfer-fragment section (transfer resume);
 // version 3 added the guard's active quarantines. Restore still accepts
 // older images, which simply have no fragments / no quarantines.
 const peerSnapVersion = 3
@@ -477,7 +477,7 @@ func (p *Peer) restoreSnapshot(buf []byte) error {
 		return errors.New("empty snapshot")
 	}
 	ver := buf[0]
-	if ver != 1 && ver != peerSnapVersion {
+	if ver < 1 || ver > peerSnapVersion {
 		return fmt.Errorf("snapshot version %d, want 1..%d", ver, peerSnapVersion)
 	}
 	buf = buf[1:]

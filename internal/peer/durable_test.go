@@ -8,8 +8,10 @@ import (
 	"testing"
 
 	"photodtn/internal/faults"
+	"photodtn/internal/guard"
 	"photodtn/internal/model"
 	"photodtn/internal/obs"
+	"photodtn/internal/wire"
 )
 
 // tickClock is a settable logical clock shared by every peer of a durability
@@ -421,6 +423,78 @@ func TestCheckpointCompactsPeerJournal(t *testing.T) {
 	}
 	if got := v2.StateDigest(); got != digest {
 		t.Fatalf("recovered digest %x, want %x", got, digest)
+	}
+}
+
+// TestRestoreOlderSnapshotVersions pins that a snapshot written by an older
+// build still opens: version 1 images lack the fragment and quarantine
+// sections, version 2 images lack only the quarantine section. Each image
+// is the current encoding trimmed to what its version carried.
+func TestRestoreOlderSnapshotVersions(t *testing.T) {
+	m := poiMap()
+	opts := []Option{WithGuard(guard.Config{}), fixedClock(1000)}
+	p := newTestPeer(t, 1, m, 64*mb, opts...)
+	q := newTestPeer(t, 2, m, 64*mb, opts...)
+	for i := uint32(0); i < 2; i++ {
+		if err := p.AddPhoto(viewFrom(1, i, float64(i)*60)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := q.AddPhoto(viewFrom(2, 0, 90)); err != nil {
+		t.Fatal(err)
+	}
+	contact(t, p, q) // metadata cache, PROPHET table, contact rates
+	if _, err := p.frags.Add(wire.Chunk{
+		Photo: viewFrom(5, 0, 45), Index: 0, Count: 2, ChunkSize: 4, Total: 8, Data: []byte{1, 2, 3, 4},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	p.guard.RestoreQuarantine(42, 1e6, 1000)
+
+	p.mu.Lock()
+	image := p.encodeSnapshot()
+	p.mu.Unlock()
+	fragLen := 4
+	for _, f := range p.frags.Export() {
+		fragLen += len(f.Photo.AppendBinary(nil)) + 4 + 4 + 8 + 4 + len(f.Bitmap) + len(f.Data)
+	}
+	const quarLen = 4 + 12 // one quarantine
+	trailer := image[len(image)-8:]
+	trim := func(ver byte, drop int) []byte {
+		img := append([]byte(nil), image[:len(image)-8-drop]...)
+		img[0] = ver
+		return append(img, trailer...)
+	}
+
+	for _, tc := range []struct {
+		ver         byte
+		img         []byte
+		partials    int
+		quarantined int
+	}{
+		{1, trim(1, quarLen+fragLen), 0, 0},
+		{2, trim(2, quarLen), 1, 0},
+		{3, image, 1, 1},
+	} {
+		r := newTestPeer(t, 1, m, 64*mb, opts...)
+		if err := r.restoreSnapshot(tc.img); err != nil {
+			t.Fatalf("version %d: %v", tc.ver, err)
+		}
+		if got, want := r.StateDigest(), p.StateDigest(); got != want {
+			t.Fatalf("version %d: digest %x, want %x", tc.ver, got, want)
+		}
+		if got := r.TransferStats().Partials; got != tc.partials {
+			t.Fatalf("version %d: %d partials, want %d", tc.ver, got, tc.partials)
+		}
+		if got := r.GuardStats().Quarantined; got != tc.quarantined {
+			t.Fatalf("version %d: %d quarantined, want %d", tc.ver, got, tc.quarantined)
+		}
+	}
+	for _, ver := range []byte{0, peerSnapVersion + 1} {
+		r := newTestPeer(t, 1, m, 64*mb, opts...)
+		if err := r.restoreSnapshot(trim(ver, 0)); err == nil {
+			t.Fatalf("version %d image restored", ver)
+		}
 	}
 }
 

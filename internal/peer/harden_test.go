@@ -185,10 +185,10 @@ func TestAbortMidTransferLeavesPeersConsistent(t *testing.T) {
 	}
 	beforeA, beforeB := photoIDs(a), photoIDs(b)
 
-	// b's hello, metadata, and photo-request frames pass; its first
-	// PhotoData frame is corrupted.
+	// b's hello ack, metadata, photo request and resume offer pass; its
+	// ack of a's first chunk is corrupted, so a dies mid-stream.
 	ca, cb := net.Pipe()
-	tr := &corruptAfter{rw: cb, n: 3}
+	tr := &corruptAfter{rw: cb, n: 4}
 	errA := make(chan error, 1)
 	errB := make(chan error, 1)
 	go func() {

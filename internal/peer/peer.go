@@ -83,8 +83,8 @@ func WithPthld(v float64) Option {
 	return optionFunc(func(p *Peer) { p.pthld = v })
 }
 
-// WithPayloadBytes makes PhotoData frames carry n synthetic payload bytes
-// (stand-ins for image files); 0 sends metadata only.
+// WithPayloadBytes makes every photo transfer carry n synthetic payload
+// bytes (stand-ins for image files); 0 sends metadata only.
 func WithPayloadBytes(n int) Option {
 	return optionFunc(func(p *Peer) { p.payload = n })
 }
@@ -119,7 +119,7 @@ func WithObserver(o *obs.Observer) Option {
 // partial is evicted.
 const DefaultMaxFragmentBytes = 256 << 20
 
-// TransferConfig tunes wire-v2 chunked transfer. The zero value of any
+// TransferConfig tunes chunked photo transfer. The zero value of any
 // field means its default; construct via struct literal and set only what
 // matters.
 type TransferConfig struct {
@@ -131,13 +131,9 @@ type TransferConfig struct {
 	// (default wire.DefaultWindow). Negotiated to the pairwise minimum.
 	Window int
 	// Resume persists partial transfers across contacts and offers them
-	// back to senders. Effective only when both peers enable it; a v1
-	// session silently disables it.
+	// back to senders. Effective only when both peers enable it; otherwise
+	// an unfinished photo is discarded at contact end (§III-D).
 	Resume bool
-	// Version pins the highest protocol version spoken (default: the
-	// current wire.ProtocolVersion). Set 1 to force the whole-photo v1
-	// framing — the cross-version tests pin one side this way.
-	Version int
 	// BudgetBytes caps the payload bytes sent per contact (the live
 	// counterpart of the simulator's bandwidth×duration budget); 0 is
 	// unlimited. A send list truncated by the budget simply stops — with
@@ -150,13 +146,12 @@ type TransferConfig struct {
 }
 
 // DefaultTransferConfig is the configuration a peer gets without
-// WithTransfer: v2 chunked transfer with resume enabled.
+// WithTransfer: chunked transfer with resume enabled.
 func DefaultTransferConfig() TransferConfig {
 	return TransferConfig{
 		ChunkSize:        wire.DefaultChunkSize,
 		Window:           wire.DefaultWindow,
 		Resume:           true,
-		Version:          int(wire.ProtocolVersion),
 		MaxFragmentBytes: DefaultMaxFragmentBytes,
 	}
 }
@@ -173,9 +168,6 @@ func (tc TransferConfig) normalize() TransferConfig {
 	if tc.Window <= 0 {
 		tc.Window = def.Window
 	}
-	if tc.Version <= 0 || tc.Version > int(wire.ProtocolVersion) {
-		tc.Version = def.Version
-	}
 	if tc.BudgetBytes < 0 {
 		tc.BudgetBytes = 0
 	}
@@ -191,16 +183,15 @@ func (tc TransferConfig) normalize() TransferConfig {
 // wireParams translates the config into handshake parameters.
 func (tc TransferConfig) wireParams() wire.Params {
 	return wire.Params{
-		Version:   uint16(tc.Version),
 		ChunkSize: uint32(tc.ChunkSize),
 		Window:    uint16(tc.Window),
 		Resume:    tc.Resume,
 	}
 }
 
-// WithTransfer configures chunked, resumable photo transfer (wire protocol
-// v2). Without it the peer uses DefaultTransferConfig. Zero-valued fields
-// keep their defaults — except Resume, which the config states explicitly.
+// WithTransfer configures chunked, resumable photo transfer. Without it the
+// peer uses DefaultTransferConfig. Zero-valued fields keep their defaults —
+// except Resume, which the config states explicitly.
 func WithTransfer(cfg TransferConfig) Option {
 	return optionFunc(func(p *Peer) { p.transfer = cfg.normalize() })
 }
@@ -271,7 +262,7 @@ type Peer struct {
 	active      atomic.Int64
 	inflight    atomic.Int64
 
-	// Transfer (wire v2): configuration, the cross-contact reassembly
+	// Transfer: configuration, the cross-contact reassembly
 	// store, and node-local stat counters that work without an observer.
 	transfer       TransferConfig
 	frags          *transfer.Store
@@ -708,32 +699,4 @@ func (p *Peer) TransferStats() TransferStats {
 		FragmentBytes:  st.FragmentBytes,
 		WastedBytes:    st.WastedBytes + p.tWastedLocal.Load(),
 	}
-}
-
-// readAs reads one message and asserts its concrete type.
-func readAs[M wire.Message](r io.Reader) (M, error) {
-	var zero M
-	msg, err := wire.Read(r)
-	if err != nil {
-		return zero, err
-	}
-	m, ok := msg.(M)
-	if !ok {
-		return zero, fmt.Errorf("%w: got %v, want %v", ErrProtocol, msg.Type(), zero.Type())
-	}
-	return m, nil
-}
-
-// readFrom is readAs over a negotiated connection (version-gated reads).
-func readFrom[M wire.Message](c *wire.Conn) (M, error) {
-	var zero M
-	msg, err := c.Read()
-	if err != nil {
-		return zero, err
-	}
-	m, ok := msg.(M)
-	if !ok {
-		return zero, fmt.Errorf("%w: got %v, want %v", ErrProtocol, msg.Type(), zero.Type())
-	}
-	return m, nil
 }

@@ -45,11 +45,12 @@ type session struct {
 	storeOps  bool   // ops touch the photo store (commit bumps storeGen)
 	committed bool   // commit already ran (mid-protocol commit points)
 
-	// Transfer state (wire v2): the negotiated connection and, when resume
-	// is off (or a photo fits one chunk), a contact-local scratch
-	// reassembly store whose leftovers are wasted at teardown — the v1
-	// discard semantics, but measured.
-	wc         *wire.Conn
+	// Transfer state: the contact's transport, the negotiated transfer
+	// parameters and, when resume is off (or a photo fits one chunk), a
+	// contact-local scratch reassembly store whose leftovers are wasted at
+	// teardown — the §III-D discard rule, but measured.
+	conn       io.ReadWriter
+	wp         wire.Params
 	localFrags *transfer.Store
 
 	// Protocol state machine (always on) and guard bookkeeping. remote is
@@ -108,7 +109,7 @@ func (s *session) enterTransfer() error {
 // phase: an out-of-order, duplicate, or phase-invalid message is a typed
 // violation the guard scores, and the contact aborts cleanly.
 func (s *session) readMsg() (wire.Message, error) {
-	msg, err := s.wc.Read()
+	msg, err := wire.Read(s.conn)
 	if err != nil {
 		return nil, err
 	}
@@ -308,14 +309,14 @@ func (s *session) run(conn io.ReadWriter, initiator bool) error {
 		Nonce:        s.nonce,
 		Capacity:     s.st.store.Capacity(),
 	}
-	wc, theirs, err := wire.Negotiate(conn, mine, p.transfer.wireParams(), initiator)
+	wp, theirs, err := wire.Negotiate(conn, mine, p.transfer.wireParams(), initiator)
 	if err != nil {
 		if errors.Is(err, wire.ErrHandshake) {
 			return fmt.Errorf("%w: %w", ErrProtocol, err)
 		}
 		return err
 	}
-	s.wc = wc
+	s.conn, s.wp = conn, wp
 	s.remote, s.remoteKnown = theirs.Node, true
 	if s.gc != nil {
 		s.gc.bind(theirs.Node)
@@ -349,7 +350,7 @@ func (s *session) run(conn io.ReadWriter, initiator bool) error {
 	}
 	var md wire.Metadata
 	if initiator {
-		if err := s.wc.Write(s.metadataMsg(session)); err != nil {
+		if err := wire.Write(s.conn, s.metadataMsg(session)); err != nil {
 			return err
 		}
 		m, err := readIn[wire.Metadata](s)
@@ -370,7 +371,7 @@ func (s *session) run(conn io.ReadWriter, initiator bool) error {
 		if err := s.checkMetadata(m, session); err != nil {
 			return err
 		}
-		if err := s.wc.Write(s.metadataMsg(session)); err != nil {
+		if err := wire.Write(s.conn, s.metadataMsg(session)); err != nil {
 			return err
 		}
 		md = m
@@ -484,10 +485,10 @@ func (s *session) reallocate(initiator bool, mine, theirs wire.Hello, peerPhotos
 		mySel = res.BSel
 	}
 
-	// Request the selected photos this node lacks. On a v2 session the
-	// request is followed by a resume offer: the partial progress this node
-	// already holds for the photos it wants, so the sender skips chunks
-	// that landed in an earlier contact.
+	// Request the selected photos this node lacks. The request is followed
+	// by a resume offer: the partial progress this node already holds for
+	// the photos it wants, so the sender skips chunks that landed in an
+	// earlier contact.
 	var want []model.PhotoID
 	for _, photo := range mySel {
 		if !s.st.store.Has(photo.ID) {
@@ -498,7 +499,7 @@ func (s *session) reallocate(initiator bool, mine, theirs wire.Hello, peerPhotos
 		return err
 	}
 	if initiator {
-		if err := s.wc.Write(wire.PhotoRequest{IDs: want}); err != nil {
+		if err := wire.Write(s.conn, wire.PhotoRequest{IDs: want}); err != nil {
 			return err
 		}
 		if err := s.sendOffer(want); err != nil {
@@ -512,10 +513,10 @@ func (s *session) reallocate(initiator bool, mine, theirs wire.Hello, peerPhotos
 		if err != nil {
 			return err
 		}
-		if err := s.sendPhotos(theirReq.IDs, theirOffer); err != nil {
+		if err := s.sendChunks(theirReq.IDs, theirOffer); err != nil {
 			return err
 		}
-		received, err := s.receivePhotos(want)
+		received, err := s.receiveChunks(want)
 		if err != nil {
 			return err
 		}
@@ -529,17 +530,17 @@ func (s *session) reallocate(initiator bool, mine, theirs wire.Hello, peerPhotos
 	if err != nil {
 		return err
 	}
-	if err := s.wc.Write(wire.PhotoRequest{IDs: want}); err != nil {
+	if err := wire.Write(s.conn, wire.PhotoRequest{IDs: want}); err != nil {
 		return err
 	}
 	if err := s.sendOffer(want); err != nil {
 		return err
 	}
-	received, err := s.receivePhotos(want)
+	received, err := s.receiveChunks(want)
 	if err != nil {
 		return err
 	}
-	if err := s.sendPhotos(theirReq.IDs, theirOffer); err != nil {
+	if err := s.sendChunks(theirReq.IDs, theirOffer); err != nil {
 		return err
 	}
 	return s.applyPlan(mySel, received, false)
@@ -567,7 +568,7 @@ func (s *session) applyPlan(sel model.PhotoList, received map[model.PhotoID]mode
 		return err
 	}
 	if initiator {
-		if err := s.wc.Write(wire.Bye{}); err != nil {
+		if err := wire.Write(s.conn, wire.Bye{}); err != nil {
 			return err
 		}
 		_, err := readIn[wire.Bye](s)
@@ -579,86 +580,14 @@ func (s *session) applyPlan(sel model.PhotoList, received map[model.PhotoID]mode
 	if err := s.commit(); err != nil {
 		return err
 	}
-	return s.wc.Write(wire.Bye{})
-}
-
-// sendPhotos streams the requested photos this node holds, terminated by an
-// Ack listing what the receiver can now assemble. A v2 session moves the
-// payloads as CRC-framed chunks behind the negotiated window (transfer.go);
-// a v1 session sends whole PhotoData frames.
-func (s *session) sendPhotos(ids []model.PhotoID, offers map[model.PhotoID]wire.ResumeEntry) error {
-	if err := s.enterTransfer(); err != nil {
-		return err
-	}
-	if s.wc.Version() >= wire.ProtocolV2 {
-		return s.sendChunks(ids, offers)
-	}
-	var sent []model.PhotoID
-	for _, id := range ids {
-		photo, ok := s.st.store.Get(id)
-		if !ok {
-			continue
-		}
-		data := wire.PhotoData{Photo: photo}
-		if s.p.payload > 0 {
-			data.Payload = payloadFor(id, s.p.payload)
-		}
-		if err := s.wc.Write(data); err != nil {
-			return err
-		}
-		sent = append(sent, id)
-	}
-	return s.wc.Write(wire.Ack{IDs: sent})
-}
-
-// receivePhotos reads the peer's transfer until the terminating Ack — chunk
-// streams on a v2 session (transfer.go), whole PhotoData frames on v1. want
-// lists the photos this node asked for (the resume bookkeeping needs it;
-// v1 ignores it).
-func (s *session) receivePhotos(want []model.PhotoID) (map[model.PhotoID]model.Photo, error) {
-	if err := s.enterTransfer(); err != nil {
-		return nil, err
-	}
-	if s.wc.Version() >= wire.ProtocolV2 {
-		return s.receiveChunks(want)
-	}
-	// Plan pinning (guard only): a non-empty want-list bounds what the
-	// remote may deliver. Empty means unpinned — a v1 upload carries no
-	// announcement.
-	var wantSet map[model.PhotoID]bool
-	if s.p.guard != nil && len(want) > 0 {
-		wantSet = make(map[model.PhotoID]bool, len(want))
-		for _, id := range want {
-			wantSet[id] = true
-		}
-	}
-	out := make(map[model.PhotoID]model.Photo)
-	for {
-		msg, err := s.readMsg()
-		if err != nil {
-			return nil, err
-		}
-		switch m := msg.(type) {
-		case wire.PhotoData:
-			if s.p.guard != nil {
-				if v := s.p.guardCfg.CheckPhotoData(m, wantSet); v != nil {
-					return nil, s.violation(v)
-				}
-			}
-			out[m.Photo.ID] = m.Photo
-		case wire.Ack:
-			return out, nil
-		default:
-			return nil, s.violationf(guard.ReasonPhase, "%v during photo transfer", msg.Type())
-		}
-	}
+	return wire.Write(s.conn, wire.Bye{})
 }
 
 // upload sends the command center the photos that improve its coverage, in
-// marginal-gain order, then frees the delivered copies. On a v2 session the
-// send is preceded by an announce/offer exchange: the uploader lists what it
-// will send and the command center answers with the chunk progress it
-// already holds from earlier contacts.
+// marginal-gain order, then frees the delivered copies. The send is preceded
+// by an announce/offer exchange: the uploader lists what it will send and
+// the command center answers with the chunk progress it already holds from
+// earlier contacts.
 func (s *session) upload(session float64) error {
 	ccEntry, _ := s.st.cache.Get(model.CommandCenter)
 	// The command center's own snapshot (just absorbed, authoritative) is a
@@ -676,20 +605,17 @@ func (s *session) upload(session float64) error {
 	for _, photo := range plan {
 		ids = append(ids, photo.ID)
 	}
-	var offers map[model.PhotoID]wire.ResumeEntry
-	if s.wc.Version() >= wire.ProtocolV2 {
-		if err := s.to(fsm.PhasePlan); err != nil {
-			return err
-		}
-		if err := s.wc.Write(wire.PhotoRequest{IDs: ids}); err != nil {
-			return err
-		}
-		var err error
-		if offers, err = s.readOffer(ids); err != nil {
-			return err
-		}
+	if err := s.to(fsm.PhasePlan); err != nil {
+		return err
 	}
-	if err := s.sendPhotos(ids, offers); err != nil {
+	if err := wire.Write(s.conn, wire.PhotoRequest{IDs: ids}); err != nil {
+		return err
+	}
+	offers, err := s.readOffer(ids)
+	if err != nil {
+		return err
+	}
+	if err := s.sendChunks(ids, offers); err != nil {
 		return err
 	}
 	ack, err := readIn[wire.Ack](s)
@@ -714,7 +640,7 @@ func (s *session) upload(session float64) error {
 	if _, err := readIn[wire.Bye](s); err != nil {
 		return err
 	}
-	return s.wc.Write(wire.Bye{})
+	return wire.Write(s.conn, wire.Bye{})
 }
 
 // deliveredHeld returns the held photos that appear in the delivered list.
@@ -732,21 +658,17 @@ func (s *session) deliveredHeld(delivered model.PhotoList) model.PhotoList {
 // before the Ack goes out: an acknowledgement the uploader will act on
 // (freeing its copies) must refer to photos this node can no longer forget.
 func (s *session) receiveUpload() error {
-	var announced []model.PhotoID
-	if s.wc.Version() >= wire.ProtocolV2 {
-		if err := s.to(fsm.PhasePlan); err != nil {
-			return err
-		}
-		ann, err := readIn[wire.PhotoRequest](s)
-		if err != nil {
-			return err
-		}
-		announced = ann.IDs
-		if err := s.sendOffer(announced); err != nil {
-			return err
-		}
+	if err := s.to(fsm.PhasePlan); err != nil {
+		return err
 	}
-	received, err := s.receivePhotos(announced)
+	ann, err := readIn[wire.PhotoRequest](s)
+	if err != nil {
+		return err
+	}
+	if err := s.sendOffer(ann.IDs); err != nil {
+		return err
+	}
+	received, err := s.receiveChunks(ann.IDs)
 	if err != nil {
 		return err
 	}
@@ -768,10 +690,10 @@ func (s *session) receiveUpload() error {
 	if err := s.to(fsm.PhaseClose); err != nil {
 		return err
 	}
-	if err := s.wc.Write(wire.Ack{IDs: ids}); err != nil {
+	if err := wire.Write(s.conn, wire.Ack{IDs: ids}); err != nil {
 		return err
 	}
-	if err := s.wc.Write(wire.Bye{}); err != nil {
+	if err := wire.Write(s.conn, wire.Bye{}); err != nil {
 		return err
 	}
 	_, err = readIn[wire.Bye](s)

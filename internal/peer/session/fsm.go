@@ -73,9 +73,9 @@ var allowed = [numPhases]map[wire.MsgType]bool{
 	PhasePlan:      {wire.MsgPhotoRequest: true, wire.MsgResumeOffer: true},
 	// A transfer leg's inbound traffic depends on direction: the sender
 	// reads ChunkAcks (and, as the uploader, the delivery Ack); the
-	// receiver reads Chunks or PhotoData terminated by an Ack.
-	PhaseTransferA: {wire.MsgChunk: true, wire.MsgPhotoData: true, wire.MsgAck: true, wire.MsgChunkAck: true},
-	PhaseTransferB: {wire.MsgChunk: true, wire.MsgPhotoData: true, wire.MsgAck: true, wire.MsgChunkAck: true},
+	// receiver reads Chunks terminated by an Ack.
+	PhaseTransferA: {wire.MsgChunk: true, wire.MsgAck: true, wire.MsgChunkAck: true},
+	PhaseTransferB: {wire.MsgChunk: true, wire.MsgAck: true, wire.MsgChunkAck: true},
 	PhaseClose:     {wire.MsgBye: true},
 	PhaseDone:      {},
 }
@@ -94,8 +94,7 @@ func (m *Machine) Phase() Phase { return m.phase }
 // To advances the machine to next. Phases are strictly monotone: moving
 // backward or re-entering the current phase is a violation (it would mean
 // a protocol round ran twice), and nothing follows PhaseDone. Skipping
-// forward is legal — a v1 contact has no plan round, an upload has one
-// transfer leg.
+// forward is legal — an upload has one transfer leg.
 func (m *Machine) To(next Phase) error {
 	if next >= numPhases {
 		return fmt.Errorf("%w: unknown phase %v", ErrPhase, next)

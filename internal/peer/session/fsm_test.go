@@ -64,15 +64,15 @@ func TestToIsStrictlyMonotone(t *testing.T) {
 func TestAdmitPerPhase(t *testing.T) {
 	all := []wire.MsgType{
 		wire.MsgHello, wire.MsgHelloAck, wire.MsgMetadata, wire.MsgPhotoRequest,
-		wire.MsgPhotoData, wire.MsgAck, wire.MsgBye, wire.MsgChunk,
-		wire.MsgChunkAck, wire.MsgResumeOffer,
+		wire.MsgAck, wire.MsgBye, wire.MsgChunk, wire.MsgChunkAck,
+		wire.MsgResumeOffer,
 	}
 	legal := map[Phase][]wire.MsgType{
 		PhaseHandshake: {wire.MsgHello, wire.MsgHelloAck},
 		PhaseMetadata:  {wire.MsgMetadata},
 		PhasePlan:      {wire.MsgPhotoRequest, wire.MsgResumeOffer},
-		PhaseTransferA: {wire.MsgChunk, wire.MsgPhotoData, wire.MsgAck, wire.MsgChunkAck},
-		PhaseTransferB: {wire.MsgChunk, wire.MsgPhotoData, wire.MsgAck, wire.MsgChunkAck},
+		PhaseTransferA: {wire.MsgChunk, wire.MsgAck, wire.MsgChunkAck},
+		PhaseTransferB: {wire.MsgChunk, wire.MsgAck, wire.MsgChunkAck},
 		PhaseClose:     {wire.MsgBye},
 		PhaseDone:      {},
 	}

@@ -1,4 +1,4 @@
-// Chunked, resumable photo transfer — the peer side of wire protocol v2.
+// Chunked, resumable photo transfer — the peer side of the wire protocol.
 //
 // The sender plans its whole chunk list up front (resume offers and the
 // per-contact byte budget are folded in at plan time), then streams it
@@ -11,8 +11,8 @@
 // The receiver routes each chunk to a reassembly store: the peer's shared
 // cross-contact store when resume is negotiated (fresh chunks hit the
 // write-ahead journal first — memory never leads disk), or a contact-local
-// scratch store otherwise, whose leftovers are discarded at teardown
-// exactly like v1 — but counted as wasted bytes. A photo is admitted to
+// scratch store otherwise, whose leftovers are discarded at teardown under
+// the §III-D rule — but counted as wasted bytes. A photo is admitted to
 // storage only when its final chunk lands and the whole-photo checksum
 // verifies, preserving the paper's §III-D photo-level atomicity.
 package peer
@@ -52,7 +52,7 @@ func payloadFor(id model.PhotoID, n int) []byte {
 // chunkPlan splits a photo's payload into canonical wire chunks for the
 // session's negotiated chunk size. Data slices alias the payload buffer.
 func (s *session) chunkPlan(photo model.Photo) []wire.Chunk {
-	size := s.wc.ChunkSize()
+	size := int(s.wp.ChunkSize)
 	payload := payloadFor(photo.ID, s.p.payload)
 	total := uint64(len(payload))
 	count := uint32(wire.ChunkCount(int64(total), size))
@@ -73,30 +73,24 @@ func (s *session) chunkPlan(photo model.Photo) []wire.Chunk {
 }
 
 // sendOffer writes this node's resume offer for the photos it is about to
-// receive. Sent on every v2 session to keep the exchange in lockstep; the
+// receive. Sent on every session to keep the exchange in lockstep; the
 // offer is empty when resume is off or nothing is partially held.
 func (s *session) sendOffer(want []model.PhotoID) error {
-	if s.wc.Version() < wire.ProtocolV2 {
-		return nil
-	}
 	var offer wire.ResumeOffer
-	if s.wc.Resume() {
+	if s.wp.Resume {
 		for _, id := range want {
 			if e, ok := s.p.frags.Offer(id); ok {
 				offer.Entries = append(offer.Entries, e)
 			}
 		}
 	}
-	return s.wc.Write(offer)
+	return wire.Write(s.conn, offer)
 }
 
-// readOffer reads the peer's resume offer (v2 only) into a lookup map,
-// pinning it — when the guard is armed — to the request that preceded it:
-// an offer may only name photos this side just asked the remote to send.
+// readOffer reads the peer's resume offer into a lookup map, pinning it —
+// when the guard is armed — to the request that preceded it: an offer may
+// only name photos this side just asked the remote to send.
 func (s *session) readOffer(requested []model.PhotoID) (map[model.PhotoID]wire.ResumeEntry, error) {
-	if s.wc.Version() < wire.ProtocolV2 {
-		return nil, nil
-	}
 	offer, err := readIn[wire.ResumeOffer](s)
 	if err != nil {
 		return nil, err
@@ -117,13 +111,17 @@ func (s *session) readOffer(requested []model.PhotoID) (map[model.PhotoID]wire.R
 	return out, nil
 }
 
-// sendChunks streams the requested photos as chunks and terminates the
-// stream with an Ack naming the photos the receiver can now assemble. A
+// sendChunks opens the next transfer leg, streams the requested photos this
+// node holds as chunks, and terminates the stream with an Ack naming the
+// photos the receiver can now assemble. A
 // resume offer whose geometry matches lets the sender skip the chunks the
 // receiver already holds; the per-contact byte budget truncates the plan —
 // a photo cut mid-stream is not acked, but with resume on its prefix
 // survives at the receiver for the next contact.
 func (s *session) sendChunks(ids []model.PhotoID, offers map[model.PhotoID]wire.ResumeEntry) error {
+	if err := s.enterTransfer(); err != nil {
+		return err
+	}
 	p := s.p
 	budget := p.transfer.BudgetBytes
 	var plan []wire.Chunk
@@ -209,7 +207,7 @@ func (s *session) sendChunks(ids []model.PhotoID, offers map[model.PhotoID]wire.
 		}
 		errc <- nil
 	}()
-	window := s.wc.Window()
+	window := int(s.wp.Window)
 	inflight := 0
 	for _, c := range plan {
 		for inflight >= window {
@@ -221,7 +219,7 @@ func (s *session) sendChunks(ids []model.PhotoID, offers map[model.PhotoID]wire.
 			}
 			inflight--
 		}
-		if err := s.wc.Write(c); err != nil {
+		if err := wire.Write(s.conn, c); err != nil {
 			return err
 		}
 		inflight++
@@ -233,20 +231,24 @@ func (s *session) sendChunks(ids []model.PhotoID, offers map[model.PhotoID]wire.
 	if err := <-errc; err != nil {
 		return fmt.Errorf("chunk ack stream: %w", err)
 	}
-	return s.wc.Write(wire.Ack{IDs: sent})
+	return wire.Write(s.conn, wire.Ack{IDs: sent})
 }
 
-// receiveChunks reads the peer's chunk stream until the terminating Ack,
-// acking each chunk and returning the photos that assembled and verified.
-// Photos whose resume offer already covered every chunk complete with zero
-// traffic.
+// receiveChunks opens the next transfer leg and reads the peer's chunk
+// stream until the terminating Ack, acking each chunk and returning the
+// photos that assembled and verified. want lists the photos this node asked
+// for. Photos whose resume offer already covered every chunk complete with
+// zero traffic.
 func (s *session) receiveChunks(want []model.PhotoID) (map[model.PhotoID]model.Photo, error) {
+	if err := s.enterTransfer(); err != nil {
+		return nil, err
+	}
 	p := s.p
 	out := make(map[model.PhotoID]model.Photo)
 	// Pre-contact progress classifies completions as resumed and feeds the
 	// resume-rate histogram.
 	prior := make(map[model.PhotoID]uint32)
-	if s.wc.Resume() {
+	if s.wp.Resume {
 		for _, id := range want {
 			have, count := p.frags.Chunks(id)
 			if have == 0 {
@@ -264,8 +266,8 @@ func (s *session) receiveChunks(want []model.PhotoID) (map[model.PhotoID]model.P
 		}
 	}
 	// With the guard armed, pin the stream to the request: chunks must name
-	// wanted photos, match the negotiated chunk size, and never repeat a
-	// (photo, index) pair within the contact.
+	// wanted photos (an empty request admits none), match the negotiated
+	// chunk size, and never repeat a (photo, index) pair within the contact.
 	var wantSet map[model.PhotoID]bool
 	var seen map[guard.ChunkKey]bool
 	if p.guard != nil {
@@ -283,7 +285,7 @@ func (s *session) receiveChunks(want []model.PhotoID) (map[model.PhotoID]model.P
 		switch m := msg.(type) {
 		case wire.Chunk:
 			if p.guard != nil {
-				if v := p.guardCfg.CheckChunk(m, wantSet, s.wc.ChunkSize()); v != nil {
+				if v := p.guardCfg.CheckChunk(m, wantSet, int(s.wp.ChunkSize)); v != nil {
 					return nil, s.violation(v)
 				}
 				key := guard.ChunkKey{ID: m.Photo.ID, Index: m.Index}
@@ -307,7 +309,7 @@ func (s *session) receiveChunks(want []model.PhotoID) (map[model.PhotoID]model.P
 					s.noteResumed(n, m.Count)
 				}
 			}
-			if err := s.wc.Write(wire.ChunkAck{ID: m.Photo.ID, Index: m.Index}); err != nil {
+			if err := wire.Write(s.conn, wire.ChunkAck{ID: m.Photo.ID, Index: m.Index}); err != nil {
 				return nil, err
 			}
 		case wire.Ack:
@@ -338,7 +340,7 @@ func (s *session) noteResumed(prior, count uint32) {
 // contact-local scratch store and dies with the session.
 func (s *session) addChunk(c wire.Chunk) (transfer.AddResult, error) {
 	p := s.p
-	if s.wc.Resume() && c.Count > 1 {
+	if s.wp.Resume && c.Count > 1 {
 		if p.jnl == nil {
 			return p.frags.Add(c)
 		}
@@ -369,8 +371,8 @@ func (s *session) addChunk(c wire.Chunk) (transfer.AddResult, error) {
 
 // finishTransfer settles the session's scratch reassembly state at contact
 // teardown: whatever the local store still tracks — incomplete photos from
-// an aborted or budget-cut transfer — is wasted, exactly the bytes v1 threw
-// away silently.
+// an aborted or budget-cut transfer — is wasted, exactly the bytes the
+// §III-D discard rule throws away.
 func (s *session) finishTransfer() {
 	if s.localFrags == nil {
 		return

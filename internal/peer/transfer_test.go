@@ -48,33 +48,7 @@ func killContact(a, b *Peer, cut int64) (errA, errB error) {
 	return faultContact(a, b, &faultConn{rw: kt, conn: ca}, ca, cb)
 }
 
-// TestCrossVersionContactFallsBackToV1 pins v1 interop: a v2 peer contacting
-// a peer pinned to protocol version 1 completes the exchange over the
-// whole-photo path — no chunk frames on the wire, resume silently disabled.
-func TestCrossVersionContactFallsBackToV1(t *testing.T) {
-	m := poiMap()
-	a := newTestPeer(t, 1, m, 8*mb, WithPayloadBytes(int(128*kib)))
-	b := newTestPeer(t, 2, m, 8*mb, WithPayloadBytes(int(128*kib)),
-		WithTransfer(TransferConfig{Version: 1, Resume: true}))
-	if err := a.AddPhoto(viewFrom(1, 0, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.AddPhoto(viewFrom(2, 1, 90)); err != nil {
-		t.Fatal(err)
-	}
-	contact(t, a, b)
-	for _, p := range []*Peer{a, b} {
-		if got := len(p.Photos()); got != 2 {
-			t.Fatalf("peer %v holds %d photos after cross-version contact, want 2", p.ID(), got)
-		}
-		st := p.TransferStats()
-		if st.ChunksSent != 0 || st.ChunksReceived != 0 {
-			t.Fatalf("peer %v moved chunks on a v1 session: %+v", p.ID(), st)
-		}
-	}
-}
-
-// TestChunkedExchange: two v2 peers with multi-chunk payloads complete a
+// TestChunkedExchange: two peers with multi-chunk payloads complete a
 // reallocation over the chunk path and account the frames.
 func TestChunkedExchange(t *testing.T) {
 	m := poiMap()
@@ -235,7 +209,7 @@ func TestCrossHolderResume(t *testing.T) {
 }
 
 // TestResumeBeatsDiscardBaseline: after an identical mid-chunk death,
-// resume-on must strictly beat the v1-style discard-everything baseline on
+// resume-on must strictly beat the discard-everything baseline on
 // both wasted bytes and chunks re-sent.
 func TestResumeBeatsDiscardBaseline(t *testing.T) {
 	m := poiMap()

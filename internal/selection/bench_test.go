@@ -199,7 +199,7 @@ func BenchmarkEvaluatorGainStale(b *testing.B) {
 				for r := 0; r < rounds; r++ {
 					ev.Commit(cands[r].item.FP)
 					for _, c := range cands {
-						ev.gainCand(c, nil)
+						ev.gainCand(c)
 					}
 				}
 				if s != nil {

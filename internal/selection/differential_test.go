@@ -1,8 +1,7 @@
 package selection
 
 // Differential tests of the scenario-delta evaluator: the optimised
-// implementation (dense states, shared base, residual caching, optional
-// parallel scan) must agree — within the coverage comparison epsilon — with
+// implementation (dense states, shared base, residual caching) must agree — within the coverage comparison epsilon — with
 // a straightforward clone-per-scenario oracle built only from the public
 // State API, and with the exhaustive ExactExpectedCoverage enumeration.
 
@@ -222,37 +221,6 @@ func TestEvaluatorEdgeProbabilityReduction(t *testing.T) {
 	without.Release()
 	withOne.Release()
 	folded.Release()
-}
-
-// TestParallelGreedyFillMatchesSerial: the worker-pool gain scan must yield
-// bit-identical selections to the serial scan (the reduction is ordered and
-// the heap order is a strict total order).
-func TestParallelGreedyFillMatchesSerial(t *testing.T) {
-	for _, sc := range benchScales() {
-		m, ccFPs, bg, pool := benchInstance(t, sc)
-		capacity := int64(max(5, len(pool)/3)) * (4 << 20)
-
-		serialCfg := sc.cfg
-		serial := GreedyFill(NewEvaluator(m, serialCfg, ccFPs, bg), pool, capacity)
-
-		parCfg := sc.cfg
-		parCfg.Parallel = true
-		parCfg.ParallelThreshold = 1 // force workers even on tiny pools
-		parallel := GreedyFill(NewEvaluator(m, parCfg, ccFPs, bg), pool, capacity)
-
-		if len(serial) != len(parallel) {
-			t.Fatalf("%s: serial selected %d, parallel %d", sc.name, len(serial), len(parallel))
-		}
-		for i := range serial {
-			if serial[i].ID != parallel[i].ID {
-				t.Fatalf("%s: selection diverges at %d: %v vs %v",
-					sc.name, i, serial[i].ID, parallel[i].ID)
-			}
-		}
-		if len(serial) == 0 {
-			t.Fatalf("%s: empty selection", sc.name)
-		}
-	}
 }
 
 // exactInstance builds a small deterministic map and photo list sized for

@@ -19,7 +19,6 @@ package selection
 
 import (
 	"math/rand"
-	"runtime"
 	"sort"
 
 	"photodtn/internal/coverage"
@@ -63,15 +62,6 @@ type Config struct {
 	// Seed drives scenario sampling; callers should derive it
 	// deterministically (e.g. from the contact) for reproducibility.
 	Seed int64
-	// Parallel opts GreedyFill into the parallel gain scan: candidate gains
-	// are evaluated by a worker pool bounded by GOMAXPROCS, with a
-	// deterministic reduction order — selections are identical to the
-	// serial scan. Off by default: simulation sweeps already parallelise
-	// across runs (sim.RunMany), where an inner pool would oversubscribe.
-	Parallel bool
-	// ParallelThreshold is the minimum number of candidates before workers
-	// engage; below it the serial scan wins. Zero means a sensible default.
-	ParallelThreshold int
 	// DisableIncremental turns off the incremental CELF machinery — dirty-PoI
 	// gain invalidation and zero-gain candidate culling — and re-walks every
 	// candidate residual in full on each refresh, the pre-incremental
@@ -87,10 +77,6 @@ type Config struct {
 	Metrics Metrics
 }
 
-// DefaultParallelThreshold is the candidate-pool size below which the
-// parallel gain scan falls back to the serial path.
-const DefaultParallelThreshold = 32
-
 // DefaultConfig returns evaluation parameters that keep per-contact cost
 // low while leaving ranking quality indistinguishable from exact in
 // simulation.
@@ -104,9 +90,6 @@ func (c Config) normalized() Config {
 	}
 	if c.Samples <= 0 {
 		c.Samples = 24
-	}
-	if c.ParallelThreshold <= 0 {
-		c.ParallelThreshold = DefaultParallelThreshold
 	}
 	return c
 }
@@ -139,8 +122,6 @@ type Evaluator struct {
 	sess *Session
 
 	noIncremental bool
-	parallel      bool
-	threshold     int
 	metrics       Metrics
 }
 
@@ -187,8 +168,6 @@ func (e *Evaluator) init(m *coverage.Map, cfg Config, ccFPs []coverage.Footprint
 	e.ds.Reuse(base)
 	e.sess = sess
 	e.noIncremental = cfg.DisableIncremental
-	e.parallel = cfg.Parallel
-	e.threshold = cfg.ParallelThreshold
 	e.metrics = cfg.Metrics
 	if len(live) <= cfg.ExactLimit {
 		e.enumerate(live)
@@ -304,12 +283,6 @@ func (e *Evaluator) Gain(fp coverage.Footprint) coverage.Coverage {
 	return e.ds.Gain(fp)
 }
 
-// gainWith is Gain with caller-supplied scratch; the parallel scan gives
-// each worker its own scratch and calls this concurrently (reads only).
-func (e *Evaluator) gainWith(fp coverage.Footprint, sc *coverage.GainScratch) coverage.Coverage {
-	return e.ds.GainWith(fp, sc)
-}
-
 // Commit adds the footprint to every scenario: the target node now holds
 // the photo in all outcomes where it delivers (which, within one selection
 // phase, is the conditional world Gain already lives in).
@@ -343,22 +316,6 @@ func (e *Evaluator) Release() {
 	if e.sess == nil {
 		e.ds = nil
 	}
-}
-
-// workers returns the parallel fan-out for n independent gain queries, or
-// 0 when the serial path should be used.
-func (e *Evaluator) workers(n int) int {
-	if !e.parallel || n < e.threshold {
-		return 0
-	}
-	w := runtime.GOMAXPROCS(0)
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		return 0
-	}
-	return w
 }
 
 // footprintsOf compiles the useful (non-empty) footprints of a collection

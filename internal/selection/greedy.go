@@ -2,7 +2,6 @@ package selection
 
 import (
 	"container/heap"
-	"sync"
 
 	"photodtn/internal/coverage"
 	"photodtn/internal/model"
@@ -92,12 +91,6 @@ func (h *candHeap) Pop() any {
 // at every step, until the storage is full or no photo adds any benefit.
 // The returned photos are in selection order — which is also the
 // transmission priority order the transfer phase uses.
-//
-// When the evaluator's Config.Parallel is set and the pool front is large
-// enough, candidate gains are computed by a worker pool bounded by
-// GOMAXPROCS. Gains are pure reads against the frozen scenario set and the
-// heap order is a strict total order (gain, then photo ID), so the
-// selection is bit-identical to the serial scan.
 func GreedyFill(ev *Evaluator, pool []Item, capacity int64) model.PhotoList {
 	h := &candHeap{}
 	s := ev.sess
@@ -142,10 +135,6 @@ func GreedyFill(ev *Evaluator, pool []Item, capacity int64) model.PhotoList {
 	heap.Init(h)
 
 	var selected model.PhotoList
-	var stale []*cand // scratch for batched stale recomputation
-	if s != nil {
-		stale = s.stale[:0]
-	}
 	remaining := capacity
 	round := 0
 	for h.Len() > 0 && remaining > 0 {
@@ -155,35 +144,15 @@ func GreedyFill(ev *Evaluator, pool []Item, capacity int64) model.PhotoList {
 			continue
 		}
 		if top.round != round {
-			// Stale cached gain (lazy greedy). Recompute and reheapify; with
-			// the parallel scan on, drain the whole stale run off the top and
-			// recompute it in one batch — those candidates are the likeliest
-			// next winners, and batch size is what feeds the worker pool.
-			if w := ev.workers(h.Len()); w > 0 {
-				stale = stale[:0]
-				for h.Len() > 0 && h.items[0].round != round {
-					stale = append(stale, heap.Pop(h).(*cand))
-				}
-				for _, c := range stale {
-					c.round = round
-				}
-				ev.gainBatch(stale)
-				for _, c := range stale {
-					if !ev.noIncremental && c.gain.IsZero() {
-						continue // culled for good
-					}
-					heap.Push(h, c)
-				}
-			} else {
-				ev.gainCand(top, nil)
-				ev.metrics.GainEvals.Inc()
-				if !ev.noIncremental && top.gain.IsZero() {
-					heap.Pop(h) // culled for good
-					continue
-				}
-				top.round = round
-				heap.Fix(h, 0)
+			// Stale cached gain (lazy greedy): recompute and reheapify.
+			ev.gainCand(top)
+			ev.metrics.GainEvals.Inc()
+			if !ev.noIncremental && top.gain.IsZero() {
+				heap.Pop(h) // culled for good
+				continue
 			}
+			top.round = round
+			heap.Fix(h, 0)
 			continue
 		}
 		if top.gain.IsZero() {
@@ -200,62 +169,32 @@ func GreedyFill(ev *Evaluator, pool []Item, capacity int64) model.PhotoList {
 	ev.metrics.Rounds.Add(int64(round))
 	if s != nil {
 		s.heapItems = h.items[:0]
-		s.stale = stale[:0]
 	}
 	return selected
 }
 
 // gainCand refreshes a candidate's gain, compiling its residual on first
-// use. A nil scratch selects the evaluator's serial scratch; concurrent
-// callers must pass their own (each candidate is owned by exactly one
-// worker at a time, so its gain cache needs no locking).
-func (e *Evaluator) gainCand(c *cand, sc *coverage.GainScratch) {
+// use.
+func (e *Evaluator) gainCand(c *cand) {
 	if !c.compiled {
 		e.ds.CompileResidual(c.item.FP, &c.resid)
 		c.compiled = true
 		c.gcache.Reset()
 	}
 	if e.noIncremental {
-		if sc != nil {
-			c.gain = e.ds.GainResidual(&c.resid, sc)
-		} else {
-			c.gain = e.ds.GainCached(&c.resid)
-		}
+		c.gain = e.ds.GainCached(&c.resid)
 		return
 	}
-	c.gain = e.ds.GainResidualCached(&c.resid, &c.gcache, sc)
+	c.gain = e.ds.GainResidualCached(&c.resid, &c.gcache)
 }
 
-// gainBatch fills in the gain of every candidate, fanning out to a worker
-// pool when the evaluator allows it. Results are written by index, so the
-// outcome is independent of worker scheduling. The gain-eval counter is
+// gainBatch fills in the gain of every candidate. The gain-eval counter is
 // bumped once per batch, keeping instrumentation off the per-candidate path.
 func (e *Evaluator) gainBatch(cands []*cand) {
 	e.metrics.GainEvals.Add(int64(len(cands)))
-	w := e.workers(len(cands))
-	if w == 0 {
-		for _, c := range cands {
-			e.gainCand(c, nil)
-		}
-		return
+	for _, c := range cands {
+		e.gainCand(c)
 	}
-	var wg sync.WaitGroup
-	chunk := (len(cands) + w - 1) / w
-	for start := 0; start < len(cands); start += chunk {
-		end := start + chunk
-		if end > len(cands) {
-			end = len(cands)
-		}
-		wg.Add(1)
-		go func(cands []*cand) {
-			defer wg.Done()
-			sc := e.ds.NewScratch()
-			for _, c := range cands {
-				e.gainCand(c, sc)
-			}
-		}(cands[start:end])
-	}
-	wg.Wait()
 }
 
 // Alloc describes one side of a contact for reallocation: the node, its

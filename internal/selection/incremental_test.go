@@ -40,13 +40,13 @@ func TestIncrementalGainMatchesFromScratch(t *testing.T) {
 			// Warm a random subset so some caches are stale across several
 			// commits (the dirty intersection accumulates), others fresh.
 			for _, i := range rng.Perm(len(cands))[:len(cands)/2] {
-				ev.gainCand(cands[i], nil)
+				ev.gainCand(cands[i])
 			}
 			for step := 0; step < 6; step++ {
 				ev.Commit(pool[rng.Intn(len(pool))].FP)
 				for k := 0; k < 8; k++ {
 					c := cands[rng.Intn(len(cands))]
-					ev.gainCand(c, nil) // incremental: dirty entries only
+					ev.gainCand(c) // incremental: dirty entries only
 					want := ev.ds.GainCached(&c.resid)
 					if !covClose(c.gain, want, incEps) {
 						t.Fatalf("%s seq %d step %d: incremental %+v, from-scratch %+v",

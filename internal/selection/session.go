@@ -18,8 +18,7 @@ import (
 // Lifecycle and ownership rules:
 //
 //   - One Session serves one scheme instance (or one goroutine): its methods
-//     must not be called concurrently. The parallel gain scan inside
-//     GreedyFill is fine — workers only touch per-candidate state.
+//     must not be called concurrently.
 //   - Slices returned by Session.BuildPool alias the arena and are valid
 //     only until the session's next call; GreedyFill's selected lists are
 //     freshly allocated and safe to retain.
@@ -44,7 +43,6 @@ type Session struct {
 	residIdx  [][]coverage.Residual
 	cands     candArena
 	heapItems []*cand
-	stale     []*cand
 }
 
 // NewSession returns an empty session ready for use.

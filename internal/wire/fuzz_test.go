@@ -16,11 +16,11 @@ func FuzzRead(f *testing.F) {
 		Hello{Node: 1, Lambda: 0.1, DeliveryProb: 0.5, Time: 10, Nonce: 7, Capacity: 1 << 20},
 		Metadata{Entries: []MetaEntry{{Node: 2, Photos: model.PhotoList{samplePhoto(2, 0)}}}},
 		PhotoRequest{IDs: []model.PhotoID{1, 2, 3}},
-		PhotoData{Photo: samplePhoto(1, 1), Payload: []byte{9, 9}},
+		Chunk{Photo: samplePhoto(1, 1), Count: 1, ChunkSize: 4, Total: 2, Data: []byte{9, 9}},
 		Ack{IDs: []model.PhotoID{4}},
 		Bye{},
-		Hello{Node: 3, Nonce: 8, Version: ProtocolV2, ChunkSize: 64 << 10, Window: 8, Flags: FlagResume},
-		HelloAck{Hello: Hello{Node: 4, Version: ProtocolV2, ChunkSize: 32 << 10, Window: 2}},
+		Hello{Node: 3, Nonce: 8, ChunkSize: 64 << 10, Window: 8, Flags: FlagResume},
+		HelloAck{Hello: Hello{Node: 4, ChunkSize: 32 << 10, Window: 2}},
 		Chunk{Photo: samplePhoto(5, 0), Index: 1, Count: 3, ChunkSize: 4, Total: 11, PayloadCRC: 3, Data: []byte{1, 2, 3, 4}},
 		ChunkAck{ID: model.MakePhotoID(5, 0), Index: 1},
 		ResumeOffer{Entries: []ResumeEntry{{ID: 9, ChunkSize: 4, Count: 3, Total: 11, Bitmap: []byte{0b101}}}},
@@ -50,7 +50,8 @@ func FuzzRead(f *testing.F) {
 	}
 	{
 		var buf bytes.Buffer
-		if err := Write(&buf, PhotoData{Photo: samplePhoto(3, 3), Payload: bytes.Repeat([]byte{5}, 32)}); err != nil {
+		chunk := Chunk{Photo: samplePhoto(3, 3), Count: 1, ChunkSize: 32, Total: 32, Data: bytes.Repeat([]byte{5}, 32)}
+		if err := Write(&buf, chunk); err != nil {
 			f.Fatal(err)
 		}
 		whole := buf.Bytes()
@@ -89,11 +90,11 @@ func FuzzDecodeMessage(f *testing.F) {
 		Metadata{Entries: []MetaEntry{{Node: 2, Lambda: 0.5, P: 0.25, Timestamp: 3, Photos: model.PhotoList{samplePhoto(2, 0)}}}},
 		Metadata{},
 		PhotoRequest{IDs: []model.PhotoID{1, 2, 3}},
-		PhotoData{Photo: samplePhoto(1, 1), Payload: []byte{9, 9}},
+		Chunk{Photo: samplePhoto(1, 1), Count: 1, ChunkSize: 4, Total: 2, Data: []byte{9, 9}},
 		Ack{IDs: []model.PhotoID{4}},
 		Bye{},
-		Hello{Node: 3, Nonce: 8, Version: ProtocolV2, ChunkSize: 64 << 10, Window: 8, Flags: FlagResume},
-		HelloAck{Hello: Hello{Node: 4, Version: ProtocolV2, ChunkSize: 32 << 10, Window: 2}},
+		Hello{Node: 3, Nonce: 8, ChunkSize: 64 << 10, Window: 8, Flags: FlagResume},
+		HelloAck{Hello: Hello{Node: 4, ChunkSize: 32 << 10, Window: 2}},
 		Chunk{Photo: samplePhoto(5, 0), Index: 2, Count: 3, ChunkSize: 4, Total: 11, PayloadCRC: 3, Data: []byte{1, 2, 3}},
 		ChunkAck{ID: model.MakePhotoID(5, 0), Index: 1},
 		ResumeOffer{Entries: []ResumeEntry{{ID: 9, ChunkSize: 4, Count: 3, Total: 11, Bitmap: []byte{0b101}}}},
@@ -109,25 +110,25 @@ func FuzzDecodeMessage(f *testing.F) {
 	// Hostile shapes: unknown type, truncated counts, absurd lengths.
 	f.Add(byte(0), []byte{})
 	f.Add(byte(9), []byte{1, 2, 3})
-	f.Add(byte(MsgMetadata), []byte{0xFF, 0xFF, 0xFF, 0xFF})          // huge entry count
-	f.Add(byte(MsgPhotoRequest), []byte{0xFF, 0xFF, 0xFF, 0x7F})      // huge ID count
-	f.Add(byte(MsgPhotoData), bytes.Repeat([]byte{0xFF}, 16))         // garbage photo
-	f.Add(byte(MsgBye), []byte{1})                                    // bye with body
-	f.Add(byte(MsgHello), bytes.Repeat([]byte{0x41}, 35))             // one byte short
+	f.Add(byte(MsgMetadata), []byte{0xFF, 0xFF, 0xFF, 0xFF})             // huge entry count
+	f.Add(byte(MsgPhotoRequest), []byte{0xFF, 0xFF, 0xFF, 0x7F})         // huge ID count
+	f.Add(byte(4), bytes.Repeat([]byte{0xFF}, 16))                       // reserved tag 4
+	f.Add(byte(MsgBye), []byte{1})                                       // bye with body
+	f.Add(byte(MsgHello), bytes.Repeat([]byte{0x41}, 35))                // one byte short
 	f.Add(byte(MsgMetadata), []byte{1, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF}) // truncated entry
 	// Hostile length claims: counts and geometry chosen to bait an
 	// allocator that trusts the header, with bodies far too short to ever
 	// satisfy them.
-	f.Add(byte(MsgResumeOffer), []byte{0xFF, 0xFF, 0xFF, 0xFF})            // huge offer count, empty body
+	f.Add(byte(MsgResumeOffer), []byte{0xFF, 0xFF, 0xFF, 0xFF})                     // huge offer count, empty body
 	f.Add(byte(MsgResumeOffer), append([]byte{0x10, 0, 0, 0}, make([]byte, 29)...)) // claims 16, holds 1
-	f.Add(byte(MsgAck), []byte{0xFF, 0xFF, 0xFF, 0x7F, 1, 2, 3})           // huge ack count, 3 bytes
-	f.Add(byte(MsgChunk), func() []byte {                                  // absurd Total/Count geometry
+	f.Add(byte(MsgAck), []byte{0xFF, 0xFF, 0xFF, 0x7F, 1, 2, 3})                    // huge ack count, 3 bytes
+	f.Add(byte(MsgChunk), func() []byte {                                           // absurd Total/Count geometry
 		b := samplePhoto(7, 0).AppendBinary(nil)
-		b = appendU32(b, 0)                   // index
-		b = appendU32(b, 0xFFFFFFFF)          // count far past MaxChunks
-		b = appendU32(b, 1)                   // chunk size
-		b = appendU64(b, 1<<62)               // total
-		return appendU32(b, 0)                // crc
+		b = appendU32(b, 0)          // index
+		b = appendU32(b, 0xFFFFFFFF) // count far past MaxChunks
+		b = appendU32(b, 1)          // chunk size
+		b = appendU64(b, 1<<62)      // total
+		return appendU32(b, 0)       // crc
 	}())
 	f.Add(byte(MsgMetadata), func() []byte { // entry whose photo list claims 2^31 photos
 		b := appendU32(nil, 1)

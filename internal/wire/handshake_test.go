@@ -1,0 +1,107 @@
+package wire
+
+import (
+	"errors"
+	"net"
+	"testing"
+)
+
+// handshake runs Negotiate on both ends of a pipe and returns both sides'
+// negotiated parameters.
+func handshake(t *testing.T, pi, pr Params) (Params, Params) {
+	t.Helper()
+	ca, cb := net.Pipe()
+	t.Cleanup(func() { _ = ca.Close(); _ = cb.Close() })
+	type res struct {
+		p   Params
+		h   Hello
+		err error
+	}
+	ch := make(chan res, 1)
+	go func() {
+		p, h, err := Negotiate(cb, Hello{Node: 2, Nonce: 22}, pr, false)
+		ch <- res{p, h, err}
+	}()
+	ni, hr, err := Negotiate(ca, Hello{Node: 1, Nonce: 11}, pi, true)
+	if err != nil {
+		t.Fatalf("initiator: %v", err)
+	}
+	r := <-ch
+	if r.err != nil {
+		t.Fatalf("responder: %v", r.err)
+	}
+	if hr.Node != 2 || r.h.Node != 1 {
+		t.Fatalf("identities: initiator saw %v, responder saw %v", hr.Node, r.h.Node)
+	}
+	return ni, r.p
+}
+
+func TestNegotiateBothV2(t *testing.T) {
+	ni, nr := handshake(t,
+		Params{ChunkSize: 128 << 10, Window: 16, Resume: true},
+		Params{ChunkSize: 64 << 10, Window: 4, Resume: true})
+	want := Params{ChunkSize: 64 << 10, Window: 4, Resume: true}
+	if ni != want || nr != want {
+		t.Fatalf("negotiated initiator %+v, responder %+v; want the minimum %+v", ni, nr, want)
+	}
+}
+
+func TestNegotiateResumeRequiresBoth(t *testing.T) {
+	ni, nr := handshake(t, Params{Resume: true}, Params{})
+	if ni.Resume || nr.Resume {
+		t.Fatal("resume needs both sides")
+	}
+	if ni.ChunkSize != DefaultChunkSize || ni.Window != DefaultWindow {
+		t.Fatalf("zero params did not take the defaults: %+v", ni)
+	}
+}
+
+// baseHello is the 44-byte hello body the retired whole-photo protocol
+// spoke: the identity block without the transfer parameters.
+func baseHello() []byte {
+	return Hello{Node: 0, Nonce: 5}.appendBody(nil)[:44]
+}
+
+// TestNegotiateMixedVersions pins that a peer speaking the retired 44-byte
+// hello is rejected in either role — never downgraded to.
+func TestNegotiateMixedVersions(t *testing.T) {
+	t.Run("v1 initiator", func(t *testing.T) {
+		ca, cb := net.Pipe()
+		defer func() { _ = ca.Close(); _ = cb.Close() }()
+		go func() { _, _ = ca.Write(reframe(MsgHello, baseHello())) }()
+		if _, _, err := Negotiate(cb, Hello{Node: 2}, Params{}, false); !errors.Is(err, ErrBadMessage) {
+			t.Fatalf("responder err = %v, want ErrBadMessage", err)
+		}
+	})
+	t.Run("v1 responder", func(t *testing.T) {
+		ca, cb := net.Pipe()
+		defer func() { _ = ca.Close(); _ = cb.Close() }()
+		go func() {
+			if _, err := Read(cb); err == nil {
+				_, _ = cb.Write(reframe(MsgHello, baseHello()))
+			}
+		}()
+		if _, _, err := Negotiate(ca, Hello{Node: 1}, Params{}, true); !errors.Is(err, ErrBadMessage) {
+			t.Fatalf("initiator err = %v, want ErrBadMessage", err)
+		}
+	})
+}
+
+func TestNegotiateRejectsNonHello(t *testing.T) {
+	ca, cb := net.Pipe()
+	defer func() { _ = ca.Close(); _ = cb.Close() }()
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := Negotiate(ca, Hello{Node: 1}, Params{}, true)
+		done <- err
+	}()
+	if _, err := Read(cb); err != nil {
+		t.Fatal(err)
+	}
+	if err := Write(cb, Bye{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; !errors.Is(err, ErrHandshake) {
+		t.Fatalf("err = %v, want ErrHandshake", err)
+	}
+}

@@ -44,7 +44,6 @@ func TestDecodeHostileLengths(t *testing.T) {
 		{"offer count short", MsgResumeOffer, append([]byte{0x10, 0, 0, 0}, make([]byte, 29)...)},
 		{"offer bitmap", MsgResumeOffer, append(appendU32(nil, 1), hugeResume...)},
 		{"chunk geometry", MsgChunk, hugeChunk},
-		{"photo data payload", MsgPhotoData, append(samplePhoto(3, 0).AppendBinary(nil), 0xFF, 0xFF, 0xFF, 0x7F)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

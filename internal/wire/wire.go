@@ -44,28 +44,28 @@ const (
 	MsgMetadata
 	// MsgPhotoRequest asks the peer for the listed photos.
 	MsgPhotoRequest
-	// MsgPhotoData delivers one photo: metadata plus (optionally) payload
-	// bytes standing in for the image file.
-	MsgPhotoData
+	// Tag 4 is reserved: it carried the retired whole-photo delivery
+	// message. Keeping it unused pins every later tag's number; a frame
+	// bearing it decodes as an unknown type.
+	_
 	// MsgAck acknowledges received photos (the command center's delivery
 	// ACK).
 	MsgAck
 	// MsgBye closes the contact.
 	MsgBye
-	// MsgHelloAck answers an extended Hello when both sides speak v2: it
-	// carries the responder's identity fields plus the negotiated transfer
-	// parameters (protocol v2+ only).
+	// MsgHelloAck answers a Hello: it carries the responder's identity
+	// fields plus the negotiated transfer parameters.
 	MsgHelloAck
 	// MsgChunk delivers one slice of a photo's payload together with the
 	// full photo metadata, so any holder can resume a partial transfer
-	// started by another (protocol v2+ only).
+	// started by another.
 	MsgChunk
 	// MsgChunkAck acknowledges one chunk; the sender uses it to clock its
-	// transmission window (protocol v2+ only).
+	// transmission window.
 	MsgChunkAck
 	// MsgResumeOffer lists the receiver's partial reassembly state for the
 	// photos it is about to request, so the sender skips chunks that
-	// already landed in an earlier contact (protocol v2+ only).
+	// already landed in an earlier contact.
 	MsgResumeOffer
 )
 
@@ -78,8 +78,6 @@ func (t MsgType) String() string {
 		return "Metadata"
 	case MsgPhotoRequest:
 		return "PhotoRequest"
-	case MsgPhotoData:
-		return "PhotoData"
 	case MsgAck:
 		return "Ack"
 	case MsgBye:
@@ -127,11 +125,11 @@ type Message interface {
 	appendBody(dst []byte) []byte
 }
 
-// Hello opens a contact. A v1 hello is exactly the 44-byte base layout; a
-// v2+ hello appends a 9-byte transfer extension ([version u16][chunk u32]
-// [window u16][flags u8]) that v1 decoders never see — the version
-// handshake (Negotiate) guarantees the base body is all a v1 peer ever
-// receives back.
+// Hello opens a contact. Its body is a fixed 53 bytes: the 44-byte identity
+// block followed by the transfer parameters ([version u16][chunk u32]
+// [window u16][flags u8]). The version field always carries
+// ProtocolVersion; a hello with any other version, or any other length, is
+// malformed.
 type Hello struct {
 	Node model.NodeID
 	// Lambda is the sender's learned aggregate contact rate λ (per second).
@@ -146,13 +144,10 @@ type Hello struct {
 	// Capacity is the sender's storage capacity in bytes.
 	Capacity int64
 
-	// Version is the highest protocol version the sender speaks. Zero
-	// means the extension was absent: a v1 hello.
-	Version uint16
-	// ChunkSize is the sender's preferred chunk size in bytes (v2+).
+	// ChunkSize is the sender's preferred chunk size in bytes.
 	ChunkSize uint32
 	// Window is the sender's preferred number of unacknowledged chunks in
-	// flight (v2+).
+	// flight.
 	Window uint16
 	// Flags carries transfer capability bits (FlagResume).
 	Flags uint8
@@ -161,10 +156,7 @@ type Hello struct {
 // Type implements Message.
 func (Hello) Type() MsgType { return MsgHello }
 
-const (
-	helloBaseLen = 4 + 8*5
-	helloExtLen  = helloBaseLen + 2 + 4 + 2 + 1
-)
+const helloLen = 4 + 8*5 + 2 + 4 + 2 + 1
 
 func (h Hello) appendBody(dst []byte) []byte {
 	dst = appendU32(dst, uint32(h.Node))
@@ -173,60 +165,40 @@ func (h Hello) appendBody(dst []byte) []byte {
 	dst = appendF64(dst, h.Time)
 	dst = appendU64(dst, h.Nonce)
 	dst = appendU64(dst, uint64(h.Capacity))
-	if h.Version >= ProtocolV2 {
-		dst = append(dst, byte(h.Version), byte(h.Version>>8))
-		dst = appendU32(dst, h.ChunkSize)
-		dst = append(dst, byte(h.Window), byte(h.Window>>8))
-		dst = append(dst, h.Flags)
-	}
-	return dst
+	dst = append(dst, byte(ProtocolVersion), byte(ProtocolVersion>>8))
+	dst = appendU32(dst, h.ChunkSize)
+	dst = append(dst, byte(h.Window), byte(h.Window>>8))
+	return append(dst, h.Flags)
 }
 
 func decodeHello(b []byte) (Hello, error) {
-	if len(b) != helloBaseLen && len(b) != helloExtLen {
+	if len(b) != helloLen {
 		return Hello{}, fmt.Errorf("%w: hello body %d bytes", ErrBadMessage, len(b))
 	}
-	h := Hello{
+	if v := binary.LittleEndian.Uint16(b[44:]); v != ProtocolVersion {
+		return Hello{}, fmt.Errorf("%w: hello version %d, want %d", ErrBadMessage, v, ProtocolVersion)
+	}
+	return Hello{
 		Node:         model.NodeID(binary.LittleEndian.Uint32(b)),
 		Lambda:       f64(b[4:]),
 		DeliveryProb: f64(b[12:]),
 		Time:         f64(b[20:]),
 		Nonce:        binary.LittleEndian.Uint64(b[28:]),
 		Capacity:     int64(binary.LittleEndian.Uint64(b[36:])),
-		Version:      ProtocolV1,
-	}
-	if len(b) == helloExtLen {
-		h.Version = binary.LittleEndian.Uint16(b[44:])
-		h.ChunkSize = binary.LittleEndian.Uint32(b[46:])
-		h.Window = binary.LittleEndian.Uint16(b[50:])
-		h.Flags = b[52]
-		if h.Version < ProtocolV2 {
-			return Hello{}, fmt.Errorf("%w: hello extension with version %d", ErrBadMessage, h.Version)
-		}
-	}
-	return h, nil
+		ChunkSize:    binary.LittleEndian.Uint32(b[46:]),
+		Window:       binary.LittleEndian.Uint16(b[50:]),
+		Flags:        b[52],
+	}, nil
 }
 
-// HelloAck is the responder's half of the v2 handshake: its own identity
+// HelloAck is the responder's half of the handshake: its own identity
 // fields plus the negotiated (element-wise minimum) transfer parameters.
-// It is only ever sent when both peers advertised v2 or later.
 type HelloAck struct {
 	Hello
 }
 
 // Type implements Message.
 func (HelloAck) Type() MsgType { return MsgHelloAck }
-
-func decodeHelloAck(b []byte) (HelloAck, error) {
-	h, err := decodeHello(b)
-	if err != nil {
-		return HelloAck{}, err
-	}
-	if h.Version < ProtocolV2 {
-		return HelloAck{}, fmt.Errorf("%w: hello ack without v2 extension", ErrBadMessage)
-	}
-	return HelloAck{Hello: h}, nil
-}
 
 // MetaEntry is one metadata snapshot on the wire.
 type MetaEntry struct {
@@ -372,42 +344,6 @@ func decodePhotoRequest(b []byte) (PhotoRequest, error) {
 		return PhotoRequest{}, fmt.Errorf("%w: %d trailing request bytes", ErrBadMessage, len(rest))
 	}
 	return PhotoRequest{IDs: ids}, nil
-}
-
-// PhotoData delivers one photo. Payload carries the (possibly truncated or
-// synthetic) image bytes; the coverage model never reads it.
-type PhotoData struct {
-	Photo   model.Photo
-	Payload []byte
-}
-
-// Type implements Message.
-func (PhotoData) Type() MsgType { return MsgPhotoData }
-
-func (d PhotoData) appendBody(dst []byte) []byte {
-	dst = d.Photo.AppendBinary(dst)
-	dst = appendU32(dst, uint32(len(d.Payload)))
-	return append(dst, d.Payload...)
-}
-
-func decodePhotoData(b []byte) (PhotoData, error) {
-	photo, rest, err := model.DecodePhoto(b)
-	if err != nil {
-		return PhotoData{}, fmt.Errorf("%w: photo data: %v", ErrBadMessage, err)
-	}
-	if len(rest) < 4 {
-		return PhotoData{}, fmt.Errorf("%w: payload header", ErrBadMessage)
-	}
-	n := binary.LittleEndian.Uint32(rest)
-	rest = rest[4:]
-	if uint64(len(rest)) != uint64(n) {
-		return PhotoData{}, fmt.Errorf("%w: payload claims %d bytes, has %d", ErrBadMessage, n, len(rest))
-	}
-	out := PhotoData{Photo: photo}
-	if n > 0 {
-		out.Payload = append([]byte(nil), rest...)
-	}
-	return out, nil
 }
 
 // Ack acknowledges photo receipt.
@@ -749,8 +685,6 @@ func DecodeBody(t MsgType, body []byte) (Message, error) {
 		return retErr(decodeMetadata(body))
 	case MsgPhotoRequest:
 		return retErr(decodePhotoRequest(body))
-	case MsgPhotoData:
-		return retErr(decodePhotoData(body))
 	case MsgAck:
 		req, err := decodePhotoRequest(body)
 		if err != nil {
@@ -763,7 +697,11 @@ func DecodeBody(t MsgType, body []byte) (Message, error) {
 		}
 		return Bye{}, nil
 	case MsgHelloAck:
-		return retErr(decodeHelloAck(body))
+		h, err := decodeHello(body)
+		if err != nil {
+			return nil, err
+		}
+		return HelloAck{Hello: h}, nil
 	case MsgChunk:
 		return retErr(DecodeChunk(body))
 	case MsgChunkAck:

@@ -3,10 +3,12 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"hash/crc32"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 
 	"photodtn/internal/geo"
@@ -39,10 +41,7 @@ func roundTrip(t *testing.T, msg Message) Message {
 
 func TestHelloRoundTrip(t *testing.T) {
 	msg := Hello{Node: 7, Lambda: 0.001, DeliveryProb: 0.4, Time: 1234.5, Nonce: 0xDEADBEEF, Capacity: 5 << 30}
-	got := roundTrip(t, msg)
-	want := msg
-	want.Version = ProtocolV1 // a base hello decodes as explicit v1
-	if got != want {
+	if got := roundTrip(t, msg); got != msg {
 		t.Fatalf("got %+v", got)
 	}
 }
@@ -50,7 +49,7 @@ func TestHelloRoundTrip(t *testing.T) {
 func TestHelloExtendedRoundTrip(t *testing.T) {
 	msg := Hello{
 		Node: 7, Lambda: 0.001, DeliveryProb: 0.4, Time: 1234.5, Nonce: 0xDEADBEEF, Capacity: 5 << 30,
-		Version: ProtocolV2, ChunkSize: 128 << 10, Window: 4, Flags: FlagResume,
+		ChunkSize: 128 << 10, Window: 4, Flags: FlagResume,
 	}
 	if got := roundTrip(t, msg); got != msg {
 		t.Fatalf("got %+v", got)
@@ -58,6 +57,82 @@ func TestHelloExtendedRoundTrip(t *testing.T) {
 	ack := HelloAck{Hello: msg}
 	if got := roundTrip(t, ack); got != ack {
 		t.Fatalf("ack: got %+v", got)
+	}
+}
+
+// TestHelloRejectsOtherVersions pins the one-version handshake: a hello (or
+// hello ack) must be exactly 53 bytes and carry ProtocolVersion. The retired
+// 44-byte hello and any other version number are malformed, not downgraded.
+func TestHelloRejectsOtherVersions(t *testing.T) {
+	body := Hello{Node: 7, Nonce: 3, ChunkSize: 64 << 10, Window: 8}.appendBody(nil)
+	withVersion := func(v uint16) []byte {
+		b := append([]byte(nil), body...)
+		binary.LittleEndian.PutUint16(b[44:], v)
+		return b
+	}
+	cases := []struct {
+		name string
+		body []byte
+	}{
+		{"44-byte hello", body[:44]},
+		{"version 1", withVersion(1)},
+		{"version 3", withVersion(3)},
+		{"trailing byte", append(append([]byte(nil), body...), 0)},
+	}
+	for _, tc := range cases {
+		for _, typ := range []MsgType{MsgHello, MsgHelloAck} {
+			if _, err := Read(bytes.NewReader(reframe(typ, tc.body))); !errors.Is(err, ErrBadMessage) {
+				t.Fatalf("%s as %v: err = %v, want ErrBadMessage", tc.name, typ, err)
+			}
+		}
+	}
+	if _, err := DecodeBody(MsgHello, withVersion(ProtocolVersion)); err != nil {
+		t.Fatalf("current version rejected: %v", err)
+	}
+}
+
+// TestReservedTypeFour pins that the retired whole-photo message's tag stays
+// reserved: a well-formed frame bearing type 4 — even one carrying the old
+// photo-plus-payload body — decodes as an unknown type.
+func TestReservedTypeFour(t *testing.T) {
+	oldBody := appendU32(samplePhoto(3, 9).AppendBinary(nil), 0)
+	_, err := Read(bytes.NewReader(reframe(MsgType(4), oldBody)))
+	if !errors.Is(err, ErrBadMessage) || !strings.Contains(err.Error(), "unknown type 4") {
+		t.Fatalf("err = %v, want ErrBadMessage for unknown type 4", err)
+	}
+	if MsgAck != 5 || MsgResumeOffer != 10 {
+		t.Fatalf("message tags moved: Ack=%d ResumeOffer=%d", MsgAck, MsgResumeOffer)
+	}
+}
+
+// TestFrameGolden pins the exact bytes of the frames two current peers
+// exchange, so a codec refactor cannot silently change the wire.
+func TestFrameGolden(t *testing.T) {
+	cases := []struct {
+		msg Message
+		hex string
+	}{
+		{Hello{
+			Node: 7, Lambda: 0.001, DeliveryProb: 0.4, Time: 1234.5, Nonce: 0xDEADBEEF, Capacity: 5 << 30,
+			ChunkSize: 64 << 10, Window: 8, Flags: FlagResume,
+		}, "350000000107000000fca9f1d24d62503f9a9999999999d93f00000000004a9340efbeadde00000000000000400100000002000000010008000164ffbdfa"},
+		{HelloAck{Hello: Hello{
+			Node: 2, Lambda: 0.25, DeliveryProb: 1, Time: 99, Nonce: 22, Capacity: 1 << 20,
+			ChunkSize: 32 << 10, Window: 4,
+		}}, "350000000702000000000000000000d03f000000000000f03f0000000000c05840160000000000000000001000000000000200008000000400001b78a6f3"},
+		{Chunk{
+			Photo: samplePhoto(3, 9), Index: 1, Count: 3, ChunkSize: 4,
+			Total: 11, PayloadCRC: 0xCAFE, Data: []byte{4, 5, 6, 7},
+		}, "a8000000080900000003000000030000000000000000000c40000000000000f03f00000000000000400000000000005940000000000000f03f000000000000004000004000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000100000003000000040000000b00000000000000feca000004050607d9fbad0b"},
+	}
+	for _, tc := range cases {
+		var buf bytes.Buffer
+		if err := Write(&buf, tc.msg); err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(buf.Bytes()); got != tc.hex {
+			t.Fatalf("%v frame\n got %s\nwant %s", tc.msg.Type(), got, tc.hex)
+		}
 	}
 }
 
@@ -85,10 +160,10 @@ func TestChunkRoundTrip(t *testing.T) {
 
 func TestDecodeChunkRejectsBadGeometry(t *testing.T) {
 	bad := []Chunk{
-		{Photo: samplePhoto(1, 0), Index: 0, Count: 2, ChunkSize: 4, Total: 11, Data: []byte{1, 2, 3, 4}},  // count not canonical
-		{Photo: samplePhoto(1, 0), Index: 3, Count: 3, ChunkSize: 4, Total: 11, Data: []byte{1, 2, 3}},     // index out of range
-		{Photo: samplePhoto(1, 0), Index: 0, Count: 3, ChunkSize: 4, Total: 11, Data: []byte{1, 2}},        // short non-final chunk
-		{Photo: samplePhoto(1, 0), Index: 0, Count: 1, ChunkSize: 0, Total: 0, Data: nil},                  // zero chunk size
+		{Photo: samplePhoto(1, 0), Index: 0, Count: 2, ChunkSize: 4, Total: 11, Data: []byte{1, 2, 3, 4}}, // count not canonical
+		{Photo: samplePhoto(1, 0), Index: 3, Count: 3, ChunkSize: 4, Total: 11, Data: []byte{1, 2, 3}},    // index out of range
+		{Photo: samplePhoto(1, 0), Index: 0, Count: 3, ChunkSize: 4, Total: 11, Data: []byte{1, 2}},       // short non-final chunk
+		{Photo: samplePhoto(1, 0), Index: 0, Count: 1, ChunkSize: 0, Total: 0, Data: nil},                 // zero chunk size
 	}
 	for i, c := range bad {
 		body := AppendChunk(nil, c)
@@ -163,18 +238,6 @@ func TestPhotoRequestRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPhotoDataRoundTrip(t *testing.T) {
-	msg := PhotoData{Photo: samplePhoto(3, 9), Payload: []byte{1, 2, 3, 4}}
-	got := roundTrip(t, msg).(PhotoData)
-	if got.Photo != msg.Photo || !bytes.Equal(got.Payload, msg.Payload) {
-		t.Fatalf("got %+v", got)
-	}
-	noPayload := roundTrip(t, PhotoData{Photo: samplePhoto(3, 10)}).(PhotoData)
-	if noPayload.Payload != nil {
-		t.Fatal("empty payload should decode as nil")
-	}
-}
-
 func TestAckAndByeRoundTrip(t *testing.T) {
 	ack := roundTrip(t, Ack{IDs: []model.PhotoID{42}}).(Ack)
 	if len(ack.IDs) != 1 || ack.IDs[0] != 42 {
@@ -191,7 +254,7 @@ func TestMessageStream(t *testing.T) {
 		Hello{Node: 1, Nonce: 5},
 		Metadata{Entries: []MetaEntry{{Node: 1, Photos: model.PhotoList{samplePhoto(1, 0)}}}},
 		PhotoRequest{IDs: []model.PhotoID{7}},
-		PhotoData{Photo: samplePhoto(2, 0), Payload: bytes.Repeat([]byte{0xAB}, 1024)},
+		Chunk{Photo: samplePhoto(2, 0), Count: 1, ChunkSize: 1024, Total: 1024, Data: bytes.Repeat([]byte{0xAB}, 1024)},
 		Ack{IDs: []model.PhotoID{7}},
 		Bye{},
 	}
@@ -297,7 +360,7 @@ func TestReadRejectsOversizeLengthBeforeAllocating(t *testing.T) {
 	// 5-byte header alone — no body bytes are consumed or allocated.
 	var hdr [5]byte
 	binary.LittleEndian.PutUint32(hdr[:4], uint32(MaxFrame+1))
-	hdr[4] = byte(MsgPhotoData)
+	hdr[4] = byte(MsgChunk)
 	r := bytes.NewReader(hdr[:])
 	if _, err := Read(r); !errors.Is(err, ErrFrameTooBig) {
 		t.Fatalf("err = %v, want ErrFrameTooBig", err)
@@ -313,28 +376,29 @@ func TestReadRejectsOversizeLengthBeforeAllocating(t *testing.T) {
 }
 
 func TestReadRejectsTruncatedPayload(t *testing.T) {
-	// A PhotoData frame cut short mid-payload (valid header, missing tail).
+	// A Chunk frame cut short mid-payload (valid header, missing tail).
 	var buf bytes.Buffer
-	if err := Write(&buf, PhotoData{Photo: samplePhoto(2, 2), Payload: bytes.Repeat([]byte{7}, 64)}); err != nil {
+	chunk := Chunk{Photo: samplePhoto(2, 2), Count: 1, ChunkSize: 64, Total: 64, Data: bytes.Repeat([]byte{7}, 64)}
+	if err := Write(&buf, chunk); err != nil {
 		t.Fatal(err)
 	}
 	frame := buf.Bytes()
 	if _, err := Read(bytes.NewReader(frame[:len(frame)-16])); err == nil {
 		t.Fatal("truncated frame decoded silently")
 	}
-	// And one whose payload-length field lies (checksum recomputed so the
-	// payload decoder must catch it).
+	// And one whose total-length field lies (checksum recomputed so the
+	// chunk decoder must catch it).
 	body := frame[5 : len(frame)-4]
 	lied := append([]byte(nil), body...)
-	// The payload length field sits 4+len(payload) bytes from the end.
-	binary.LittleEndian.PutUint32(lied[len(lied)-4-64:], 1000)
-	if _, err := Read(bytes.NewReader(reframe(MsgPhotoData, lied))); !errors.Is(err, ErrBadMessage) {
+	// The total field sits before the CRC and the 64 data bytes.
+	binary.LittleEndian.PutUint64(lied[len(lied)-64-4-8:], 1000)
+	if _, err := Read(bytes.NewReader(reframe(MsgChunk, lied))); !errors.Is(err, ErrBadMessage) {
 		t.Fatalf("err = %v, want ErrBadMessage", err)
 	}
 }
 
 func TestWriteRejectsHugeFrame(t *testing.T) {
-	big := PhotoData{Photo: samplePhoto(1, 0), Payload: make([]byte, MaxFrame)}
+	big := Chunk{Photo: samplePhoto(1, 0), Data: make([]byte, MaxFrame)}
 	if err := Write(io.Discard, big); !errors.Is(err, ErrFrameTooBig) {
 		t.Fatalf("err = %v, want ErrFrameTooBig", err)
 	}
@@ -343,7 +407,7 @@ func TestWriteRejectsHugeFrame(t *testing.T) {
 func TestMsgTypeString(t *testing.T) {
 	names := map[MsgType]string{
 		MsgHello: "Hello", MsgMetadata: "Metadata", MsgPhotoRequest: "PhotoRequest",
-		MsgPhotoData: "PhotoData", MsgAck: "Ack", MsgBye: "Bye", MsgType(77): "MsgType(77)",
+		MsgType(4): "MsgType(4)", MsgAck: "Ack", MsgBye: "Bye", MsgType(77): "MsgType(77)",
 	}
 	for tpe, want := range names {
 		if got := tpe.String(); got != want {

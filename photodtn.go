@@ -364,9 +364,9 @@ var (
 	ErrRateLimited = peer.ErrRateLimited
 )
 
-// ProtocolVersion is the highest wire protocol version this build speaks.
-// Version 2 added chunked, resumable transfer; v2 peers interoperate with
-// v1 peers through the hello handshake (resume silently disabled).
+// ProtocolVersion is the wire protocol version this build speaks: chunked,
+// resumable transfer. A peer advertising any other version is rejected at
+// the hello.
 const ProtocolVersion = wire.ProtocolVersion
 
 // Peer options re-exported for facade users.
