@@ -1,9 +1,14 @@
 GO ?= go
 
-.PHONY: tier1 build vet test race race-repeat chaos bench bench-runner bench-short bench-all bench-diff fuzz fuzz-short trace-demo
+.PHONY: tier1 fmt build vet test race race-repeat chaos bench bench-runner bench-short bench-all bench-diff fuzz fuzz-short trace-demo
 
 # tier1 is the merge gate: everything must pass before a change lands.
-tier1: build vet test race bench-short fuzz-short bench-diff
+tier1: fmt build vet test race bench-short fuzz-short bench-diff
+
+# fmt fails when any Go file in the repository is not gofmt-formatted. It
+# only lists files; it never rewrites them.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 build:
 	$(GO) build ./...

@@ -136,7 +136,7 @@ func BenchmarkFootprintBruteForce(b *testing.B) {
 	pois := workload.GeneratePoIs(wl, rng)
 	// A cell size spanning the whole region degenerates the grid into a
 	// single cell: the brute-force baseline of the ablation.
-	m := coverage.NewMapWithCellSize(pois, geo.Radians(30), 1e9)
+	m := coverage.NewMap(pois, geo.Radians(30), coverage.WithCellSize(1e9))
 	wl.PhotosPerHour = 500
 	var photos model.PhotoList
 	for _, e := range workload.GeneratePhotos(wl, rng) {

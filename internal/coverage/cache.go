@@ -13,8 +13,8 @@ import (
 // compiled form of "metadata is cheap to analyze".
 //
 // Concurrency contract: a FootprintCache is safe for concurrent use. Reads
-// take a shared lock, so concurrent readers (sim.RunMany workers sharing
-// one compiled cache, concurrent peer contacts) never serialise against
+// take a shared lock, so concurrent readers (runner workers sharing one
+// compiled cache, concurrent peer contacts) never serialise against
 // each other; a miss compiles the footprint outside the lock and then
 // briefly takes the exclusive lock to publish it. Cached Footprints are
 // immutable — callers must not modify the Entries slice they receive.

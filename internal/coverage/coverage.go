@@ -177,11 +177,6 @@ func NewMap(pois []model.PoI, theta float64, opts ...MapOption) *Map {
 	return m
 }
 
-// NewMapWithCellSize is NewMap with an explicit spatial-grid cell size.
-func NewMapWithCellSize(pois []model.PoI, theta, cellSize float64) *Map {
-	return NewMap(pois, theta, WithCellSize(cellSize))
-}
-
 func (m *Map) buildGrid() {
 	if len(m.pois) == 0 {
 		m.cols, m.rows = 1, 1

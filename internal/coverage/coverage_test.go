@@ -348,9 +348,9 @@ func TestMapCellSizeVariants(t *testing.T) {
 			geo.Vec{X: rng.Float64() * 1000, Y: rng.Float64() * 1000},
 			rng.Float64()*geo.TwoPi, 100+rng.Float64()*100))
 	}
-	base := NewMapWithCellSize(pois, geo.Radians(30), 50).Of(photos)
+	base := NewMap(pois, geo.Radians(30), WithCellSize(50)).Of(photos)
 	for _, cell := range []float64{10, 100, 1000, 10000, -1} {
-		got := NewMapWithCellSize(pois, geo.Radians(30), cell).Of(photos)
+		got := NewMap(pois, geo.Radians(30), WithCellSize(cell)).Of(photos)
 		if got.Cmp(base) != 0 {
 			t.Fatalf("cell %v: coverage %v != %v", cell, got, base)
 		}

@@ -20,16 +20,18 @@ import (
 //     an overlay lookup (usually nil, answered by a precomputed measure)
 //     plus, rarely, a small subtraction against its own overlay.
 //
-// Scenario weights are the outcome probabilities; Gain and Expected reduce
-// over scenarios in insertion order, so results are deterministic.
+// Scenario weights are the outcome probabilities. Gain sums per-entry
+// contributions in entry order, each reduced over scenarios in insertion
+// order, and Expected reduces over scenarios in insertion order, so results
+// are deterministic.
 //
 // A DeltaSet is not safe for concurrent use: selection drives it from one
 // goroutine per contact.
 type DeltaSet struct {
 	base  *State
 	scens []scenOverlay
-	sc    GainScratch // scratch for the serial entry points
-	commn Residual    // reusable residual for Commit/AddToScenario
+	buf   []geo.Arc // residual pieces minus a scenario overlay (profile path)
+	commn Residual  // reusable residual for Commit and Gain
 
 	// epoch is a monotone mutation counter: every overlay mutation bumps it
 	// and stamps the touched PoIs in poiEpoch. A GainCache entry walked at
@@ -46,15 +48,6 @@ type scenOverlay struct {
 	w     float64
 	st    *State // overlay arcs; its cov field is unused
 	extra Coverage
-}
-
-// GainScratch holds the per-caller buffers of a fused gain query. The zero
-// value is ready for use; buffers grow on demand.
-type GainScratch struct {
-	buf   []geo.Arc // residual pieces minus a scenario overlay (profile path)
-	pt    []float64 // per-scenario point-gain accumulators
-	as    []float64 // per-scenario aspect-gain accumulators
-	resid Residual  // scratch residual for the one-shot GainWith path
 }
 
 // Residual is a footprint with the DeltaSet's base coverage subtracted
@@ -77,20 +70,11 @@ type residEntry struct {
 	freeAs float64 // aspect gain when a scenario's overlay misses the PoI
 }
 
-// NewDeltaSet returns an empty scenario family over the base state. The
-// DeltaSet takes ownership of base: the caller must not mutate it
+// Reuse targets d at a base state, recycling the scenario list, the per-PoI
+// epoch table, and every scratch buffer from d's previous life; it is how a
+// DeltaSet is built (valid on the zero value) and revived after Release.
+// The DeltaSet takes ownership of base: the caller must not mutate it
 // afterwards, and Release returns it to the map's pool.
-func NewDeltaSet(base *State) *DeltaSet {
-	d := &DeltaSet{}
-	d.Reuse(base)
-	return d
-}
-
-// Reuse re-targets d at a new base state, recycling the scenario list, the
-// per-PoI epoch table, and every scratch buffer from d's previous life.
-// Equivalent to *d = *NewDeltaSet(base) but allocation-free in steady state;
-// valid on the zero value and after Release. Like NewDeltaSet, it takes
-// ownership of base.
 func (d *DeltaSet) Reuse(base *State) {
 	d.base = base
 	d.scens = d.scens[:0]
@@ -119,7 +103,7 @@ func (d *DeltaSet) Reserve(n int) {
 }
 
 // AddScenario appends a delivery outcome with probability weight w and
-// returns its index. Populate it with AddResidual (or AddToScenario).
+// returns its index. Populate it with AddResidual.
 func (d *DeltaSet) AddScenario(w float64) int {
 	d.scens = append(d.scens, scenOverlay{w: w, st: d.base.m.AcquireState()})
 	return len(d.scens) - 1
@@ -183,11 +167,11 @@ func (d *DeltaSet) AddResidual(si int, r *Residual) {
 			sd.st.touched = append(sd.st.touched, re.poi)
 		} else {
 			if prof, ok := m.profiles[poi]; ok {
-				buf := d.sc.buf[:0]
+				buf := d.buf[:0]
 				for _, p := range pieces {
 					buf = os.AppendUncovered(p, buf)
 				}
-				d.sc.buf = buf[:0]
+				d.buf = buf[:0]
 				sd.extra.Aspect += re.w * prof.MeasureArcs(buf)
 			} else {
 				sd.extra.Aspect += re.w * os.GainArcs(pieces)
@@ -197,13 +181,6 @@ func (d *DeltaSet) AddResidual(si int, r *Residual) {
 			os.Add(p)
 		}
 	}
-}
-
-// AddToScenario adds a footprint to one scenario's overlay. Convenience
-// wrapper over CompileResidual + AddResidual for one-shot additions.
-func (d *DeltaSet) AddToScenario(si int, fp Footprint) {
-	d.CompileResidual(fp, &d.commn)
-	d.AddResidual(si, &d.commn)
 }
 
 // Commit adds the footprint to every scenario — the fused form of "the
@@ -217,72 +194,23 @@ func (d *DeltaSet) Commit(fp Footprint) {
 }
 
 // Gain returns the scenario-weighted expected marginal gain of the
-// footprint. See GainResidual for the cached-residual fast path.
+// footprint: one base subtraction into the internal scratch residual, then
+// GainResidual.
 func (d *DeltaSet) Gain(fp Footprint) Coverage {
-	return d.GainWith(fp, &d.sc)
-}
-
-// GainWith is Gain with caller-supplied scratch: one base subtraction,
-// fused over all scenarios.
-func (d *DeltaSet) GainWith(fp Footprint, sc *GainScratch) Coverage {
-	d.CompileResidual(fp, &sc.resid)
-	return d.GainResidual(&sc.resid, sc)
-}
-
-// GainCached is GainResidual with the DeltaSet's own serial scratch, for
-// callers that hold a compiled residual but no scratch of their own.
-func (d *DeltaSet) GainCached(r *Residual) Coverage {
-	return d.GainResidual(r, &d.sc)
+	d.CompileResidual(fp, &d.commn)
+	return d.GainResidual(&d.commn)
 }
 
 // GainResidual returns the scenario-weighted expected marginal gain of a
-// compiled residual. This is the CELF inner loop: no geometry runs at all
-// for scenarios whose overlay misses the residual's PoIs — the common case
-// — and the rest subtract only against the (small) overlay.
-func (d *DeltaSet) GainResidual(r *Residual, sc *GainScratch) Coverage {
-	n := len(d.scens)
-	if cap(sc.pt) < n {
-		sc.pt = make([]float64, n)
-		sc.as = make([]float64, n)
-	}
-	pt, as := sc.pt[:n], sc.as[:n]
-	for i := range pt {
-		pt[i], as[i] = 0, 0
-	}
-
-	m := d.base.m
+// compiled residual: the uncached walk Σ entryGain in entry order. It is
+// GainResidualCached with every entry dirty, so the two agree bit-for-bit.
+func (d *DeltaSet) GainResidual(r *Residual) Coverage {
+	var g Coverage
 	for i := range r.entries {
 		re := &r.entries[i]
-		poi := int(re.poi)
-		pieces := r.arcs[re.lo:re.hi]
-		prof, hasProf := m.profiles[poi]
-		for si := range d.scens {
-			os := d.scens[si].st.arcs[poi]
-			if os == nil {
-				if !re.basePt {
-					pt[si] += re.w
-				}
-				as[si] += re.w * re.freeAs
-				continue
-			}
-			if hasProf {
-				buf := sc.buf[:0]
-				for _, p := range pieces {
-					buf = os.AppendUncovered(p, buf)
-				}
-				sc.buf = buf[:0]
-				as[si] += re.w * prof.MeasureArcs(buf)
-			} else {
-				as[si] += re.w * os.GainArcs(pieces)
-			}
-		}
-	}
-
-	var g Coverage
-	for si := range d.scens {
-		w := d.scens[si].w
-		g.Point += w * pt[si]
-		g.Aspect += w * as[si]
+		pt, as := d.entryGain(re, r.arcs[re.lo:re.hi])
+		g.Point += pt
+		g.Aspect += as
 	}
 	return g
 }
@@ -327,7 +255,7 @@ func (d *DeltaSet) GainResidualCached(r *Residual, gc *GainCache) Coverage {
 	for i := range r.entries {
 		re := &r.entries[i]
 		if fresh || d.poiEpoch[re.poi] > gc.epoch[i] {
-			gc.pt[i], gc.as[i] = d.entryGain(re, r.arcs[re.lo:re.hi], &d.sc)
+			gc.pt[i], gc.as[i] = d.entryGain(re, r.arcs[re.lo:re.hi])
 			gc.epoch[i] = d.epoch
 		}
 		g.Point += gc.pt[i]
@@ -337,10 +265,11 @@ func (d *DeltaSet) GainResidualCached(r *Residual, gc *GainCache) Coverage {
 }
 
 // entryGain computes one residual entry's scenario-weighted contribution:
-// Σ_si w_si · gain(entry, scenario si). This is the entry-major counterpart
-// of GainResidual's scenario-major accumulation; the two differ only in
-// floating-point association (well below Coverage's comparison epsilon).
-func (d *DeltaSet) entryGain(re *residEntry, pieces []geo.Arc, sc *GainScratch) (pt, as float64) {
+// Σ_si w_si · gain(entry, scenario si). It is the only per-scenario gain loop:
+// GainResidual and GainResidualCached both sum its values in entry order. No
+// geometry runs for scenarios whose overlay misses the entry's PoI — the
+// common case — and the rest subtract only against the (small) overlay.
+func (d *DeltaSet) entryGain(re *residEntry, pieces []geo.Arc) (pt, as float64) {
 	m := d.base.m
 	poi := int(re.poi)
 	prof, hasProf := m.profiles[poi]
@@ -355,11 +284,11 @@ func (d *DeltaSet) entryGain(re *residEntry, pieces []geo.Arc, sc *GainScratch) 
 			continue
 		}
 		if hasProf {
-			buf := sc.buf[:0]
+			buf := d.buf[:0]
 			for _, p := range pieces {
 				buf = os.AppendUncovered(p, buf)
 			}
-			sc.buf = buf[:0]
+			d.buf = buf[:0]
 			as += w * re.w * prof.MeasureArcs(buf)
 		} else {
 			as += w * re.w * os.GainArcs(pieces)

@@ -49,7 +49,9 @@ func newDeltaInstance(t *testing.T, seed int64, pois, basePhotos, nScens int) *d
 	for i := 0; i < basePhotos; i++ {
 		base.Add(randomFP())
 	}
-	inst := &deltaInstance{m: m, ds: NewDeltaSet(base)}
+	inst := &deltaInstance{m: m, ds: &DeltaSet{}}
+	inst.ds.Reuse(base)
+	var r Residual
 	for s := 0; s < nScens; s++ {
 		w := rng.Float64()
 		inst.ws = append(inst.ws, w)
@@ -57,7 +59,8 @@ func newDeltaInstance(t *testing.T, seed int64, pois, basePhotos, nScens int) *d
 		oracle := base.Clone()
 		for k := rng.Intn(4); k >= 0; k-- {
 			fp := randomFP()
-			inst.ds.AddToScenario(si, fp)
+			inst.ds.CompileResidual(fp, &r)
+			inst.ds.AddResidual(si, &r)
 			oracle.Add(fp)
 		}
 		inst.oracle = append(inst.oracle, oracle)
@@ -127,33 +130,37 @@ func TestDeltaSetMatchesMaterializedClones(t *testing.T) {
 }
 
 // TestDeltaSetResidualReuse checks that a residual compiled once stays valid
-// across scenarios and commits (the CELF caching contract), and that
-// residuals of base-covered footprints are empty.
+// across scenarios and commits (the CELF caching contract), that every gain
+// entry point runs the one entry-major kernel — GainResidual, Gain, and
+// GainResidualCached on a fresh cache agree exactly, not approximately — and
+// that residuals of base-covered footprints are empty.
 func TestDeltaSetResidualReuse(t *testing.T) {
 	di := newDeltaInstance(t, 42, 40, 6, 4)
 	defer di.ds.Release()
-	sc := &GainScratch{}
 	var rs []Residual
 	for _, fp := range di.probes {
 		var r Residual
 		di.ds.CompileResidual(fp, &r)
 		rs = append(rs, r)
 	}
-	for pi, fp := range di.probes {
-		got, want := di.ds.GainResidual(&rs[pi], sc), di.ds.Gain(fp)
-		if !coverageClose(got, want, eps) {
-			t.Fatalf("probe %d: GainResidual = %+v, Gain = %+v", pi, got, want)
+	check := func(label string) {
+		t.Helper()
+		for pi, fp := range di.probes {
+			got := di.ds.GainResidual(&rs[pi])
+			if want := di.ds.Gain(fp); got != want {
+				t.Fatalf("%sprobe %d: GainResidual = %+v, Gain = %+v", label, pi, got, want)
+			}
+			var gc GainCache
+			if cached := di.ds.GainResidualCached(&rs[pi], &gc); got != cached {
+				t.Fatalf("%sprobe %d: GainResidual = %+v, GainResidualCached = %+v", label, pi, got, cached)
+			}
 		}
 	}
+	check("")
 	// Committing mutates only overlays, never the base — cached residuals
 	// must still agree with fresh compilations afterwards.
 	di.ds.Commit(di.probes[0])
-	for pi, fp := range di.probes {
-		got, want := di.ds.GainResidual(&rs[pi], sc), di.ds.Gain(fp)
-		if !coverageClose(got, want, eps) {
-			t.Fatalf("post-commit probe %d: GainResidual = %+v, Gain = %+v", pi, got, want)
-		}
-	}
+	check("post-commit ")
 	// A footprint the base fully covers compiles to an empty residual.
 	base := di.ds.Base()
 	if len(base.touched) > 0 {
@@ -164,7 +171,7 @@ func TestDeltaSetResidualReuse(t *testing.T) {
 		if len(r.entries) != 0 {
 			t.Fatalf("base-covered footprint residual has %d entries", len(r.entries))
 		}
-		if g := di.ds.GainResidual(&r, sc); !g.IsZero() {
+		if g := di.ds.GainResidual(&r); !g.IsZero() {
 			t.Fatalf("base-covered footprint gain = %+v", g)
 		}
 	}

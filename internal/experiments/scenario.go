@@ -131,7 +131,7 @@ type Params struct {
 	// run built from these params. Nil — the default — is a strict no-op:
 	// results are bit-identical to an unobserved run. Counters are atomic and
 	// the trace ring is locked, so one observer may be shared across the
-	// parallel workers of RunMany, but per-run event reconciliation only
+	// runner's parallel workers, but per-run event reconciliation only
 	// makes sense with runs=1.
 	Obs *obs.Observer
 }

@@ -12,9 +12,9 @@
 // of measurable overhead when no observer is installed (pinned by
 // BenchmarkObsGreedyFill and BenchmarkObsEngine).
 //
-// When enabled, metrics are updated with atomics (safe for the parallel
-// gain scan and sim.RunMany workers) and events are appended to a
-// fixed-capacity ring under a mutex, optionally mirrored to a JSONL sink.
+// When enabled, metrics are updated with atomics (safe for the runner's
+// parallel workers and concurrent peer contacts) and events are appended to
+// a fixed-capacity ring under a mutex, optionally mirrored to a JSONL sink.
 package obs
 
 import (

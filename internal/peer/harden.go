@@ -87,19 +87,10 @@ func WithRetry(attempts int, base, max time.Duration) Option {
 	})
 }
 
-// WithDialer replaces the TCP dialer used by Contact (tests inject failing
-// or in-memory transports through this). The injected dialer does not see
-// the DialContext context; use WithContextDialer when the transport should
-// honour cancellation during connection establishment.
-func WithDialer(dial func(addr string) (net.Conn, error)) Option {
-	return optionFunc(func(p *Peer) {
-		p.dial = func(_ context.Context, addr string) (net.Conn, error) { return dial(addr) }
-	})
-}
-
-// WithContextDialer replaces the dialer with a context-aware one: DialContext
-// passes its context through, so connection establishment aborts when the
-// caller cancels.
+// WithContextDialer replaces the TCP dialer used by Contact (tests inject
+// failing or in-memory transports through this). DialContext passes its
+// context through, so connection establishment aborts when the caller
+// cancels.
 func WithContextDialer(dial func(ctx context.Context, addr string) (net.Conn, error)) Option {
 	return optionFunc(func(p *Peer) { p.dial = dial })
 }

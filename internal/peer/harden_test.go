@@ -1,6 +1,7 @@
 package peer
 
 import (
+	"context"
 	"errors"
 	"io"
 	"net"
@@ -255,7 +256,7 @@ func TestContactRetriesTransientDialFailures(t *testing.T) {
 	refused := &net.OpError{Op: "dial", Net: "tcp", Err: syscall.ECONNREFUSED}
 	n := newTestPeer(t, 1, m, 20*mb,
 		WithRetry(3, 10*time.Millisecond, 40*time.Millisecond),
-		WithDialer(func(addr string) (net.Conn, error) {
+		WithContextDialer(func(_ context.Context, addr string) (net.Conn, error) {
 			attempts++
 			if attempts < 3 {
 				return nil, refused
@@ -289,7 +290,7 @@ func TestContactDoesNotRetryPermanentErrors(t *testing.T) {
 	var attempts int
 	n := newTestPeer(t, 1, poiMap(), 4*mb,
 		WithRetry(5, time.Millisecond, time.Second),
-		WithDialer(func(string) (net.Conn, error) {
+		WithContextDialer(func(context.Context, string) (net.Conn, error) {
 			attempts++
 			return nil, permanent
 		}))

@@ -129,7 +129,7 @@ func TestRetriesExhaustedSentinel(t *testing.T) {
 	var attempts int
 	p := newTestPeer(t, 1, poiMap(), 8*mb,
 		WithRetry(3, time.Millisecond, time.Millisecond),
-		WithDialer(func(string) (net.Conn, error) {
+		WithContextDialer(func(context.Context, string) (net.Conn, error) {
 			attempts++
 			return nil, refused
 		}))
@@ -159,7 +159,7 @@ func TestContactRejectedSentinel(t *testing.T) {
 	var attempts int
 	p := newTestPeer(t, 1, poiMap(), 8*mb,
 		WithRetry(5, time.Millisecond, time.Second),
-		WithDialer(func(string) (net.Conn, error) {
+		WithContextDialer(func(context.Context, string) (net.Conn, error) {
 			attempts++
 			return nil, permanent
 		}))

@@ -1,6 +1,7 @@
 package peer
 
 import (
+	"context"
 	"net"
 	"syscall"
 	"testing"
@@ -29,7 +30,7 @@ func TestObserverCountsContactsRetriesAborts(t *testing.T) {
 	n := newTestPeer(t, 1, m, 20*mb,
 		WithObserver(o),
 		WithRetry(2, time.Millisecond, time.Millisecond),
-		WithDialer(func(addr string) (net.Conn, error) {
+		WithContextDialer(func(_ context.Context, addr string) (net.Conn, error) {
 			attempts++
 			if attempts == 1 {
 				return nil, refused
@@ -57,7 +58,7 @@ func TestObserverCountsContactsRetriesAborts(t *testing.T) {
 	bad := newTestPeer(t, 2, m, 4*mb,
 		WithObserver(o),
 		WithRetry(2, time.Millisecond, time.Millisecond),
-		WithDialer(func(string) (net.Conn, error) { return nil, refused }))
+		WithContextDialer(func(context.Context, string) (net.Conn, error) { return nil, refused }))
 	bad.sleep = func(time.Duration) {}
 	if err := bad.Contact("anywhere:1"); err == nil {
 		t.Fatal("contact unexpectedly succeeded")

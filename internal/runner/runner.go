@@ -59,7 +59,8 @@ type Job struct {
 	Cell CellFunc
 	// Seed optionally overrides the seed derivation for this job; nil uses
 	// CellSeed(Options.BaseSeed, runIdx). Callers with a documented legacy
-	// seed family (sim.RunMany's baseSeed, baseSeed+1, ...) override it here.
+	// seed family (sim.LegacySeeds: baseSeed, baseSeed+1, ...) override it
+	// here.
 	Seed SeedFunc
 }
 

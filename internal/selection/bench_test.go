@@ -165,33 +165,28 @@ func BenchmarkEvaluatorGreedyFill(b *testing.B) {
 // BenchmarkEvaluatorGainStale measures one full stale-recompute storm — an
 // evaluator construction, the initial gain scan, then several commits each
 // followed by a refresh of every candidate (the worst case the CELF loop
-// can hit). "fromscratch" is the pre-incremental machinery: a standalone
-// evaluator re-walking full residuals; "incremental" is the session-backed
-// dirty-PoI path, where a refresh re-walks only entries the commit touched.
+// can hit). "fromscratch" is the pre-incremental machinery: an evaluator on a
+// fresh session per iteration re-walking full residuals; "incremental" is
+// one reused session on the dirty-PoI path, where a refresh re-walks only
+// entries the commit touched.
 func BenchmarkEvaluatorGainStale(b *testing.B) {
 	const rounds = 6
 	for _, sc := range benchScales() {
-		run := func(b *testing.B, s *Session, cfg Config) {
+		// reused is nil for a fresh session per iteration.
+		run := func(b *testing.B, reused *Session, cfg Config) {
 			m, ccFPs, bg, pool := benchInstance(b, sc)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				var ev *Evaluator
-				var cands []*cand
-				if s != nil {
-					ev = s.evaluator(m, cfg, ccFPs, bg)
-					s.cands.reset()
-					cands = s.heapItems[:0]
-				} else {
-					ev = NewEvaluator(m, cfg, ccFPs, bg)
+				s := reused
+				if s == nil {
+					s = NewSession()
 				}
+				ev := s.evaluator(m, cfg, ccFPs, bg)
+				s.cands.reset()
+				cands := s.heapItems[:0]
 				for _, it := range pool {
-					var c *cand
-					if s != nil {
-						c = s.cands.take()
-					} else {
-						c = new(cand)
-					}
+					c := s.cands.take()
 					c.item = it
 					cands = append(cands, c)
 				}
@@ -202,9 +197,7 @@ func BenchmarkEvaluatorGainStale(b *testing.B) {
 						ev.gainCand(c)
 					}
 				}
-				if s != nil {
-					s.heapItems = cands[:0]
-				}
+				s.heapItems = cands[:0]
 				ev.Release()
 			}
 		}

@@ -19,7 +19,6 @@ package selection
 
 import (
 	"math/rand"
-	"sort"
 
 	"photodtn/internal/coverage"
 	"photodtn/internal/model"
@@ -113,32 +112,30 @@ type bgNode struct {
 // photos being selected onto a single target node, against a fixed
 // background of probabilistic nodes plus the command center's own
 // collection (which is always "delivered", b_0 = 1).
+//
+// Every evaluator is owned by a Session, which supplies the recycled arenas
+// (candidates, heaps, residuals) selection runs on and revives the
+// evaluator's DeltaSet for each contact.
 type Evaluator struct {
-	m  *coverage.Map
-	ds *coverage.DeltaSet
-	// sess, when non-nil, supplies recycled arenas (candidates, heaps,
-	// residuals) and marks the evaluator itself as session-owned: Release
-	// then keeps the DeltaSet shell alive for the next contact's Reuse.
+	ds   coverage.DeltaSet
 	sess *Session
 
 	noIncremental bool
 	metrics       Metrics
 }
 
-// NewEvaluator builds a standalone evaluator. ccFPs are the footprints of
-// the photos already at the command center; background holds the other nodes
-// of M with their delivery probabilities and the footprints of their photos.
-// Contact-rate callers should prefer a Session, which recycles everything an
-// evaluator allocates.
+// NewEvaluator builds an evaluator on a fresh session. ccFPs are the
+// footprints of the photos already at the command center; background holds
+// the other nodes of M with their delivery probabilities and the footprints
+// of their photos. Contact-rate callers should keep a Session instead, which
+// recycles everything an evaluator allocates from contact to contact.
 func NewEvaluator(m *coverage.Map, cfg Config, ccFPs []coverage.Footprint, background []bgNode) *Evaluator {
-	ev := &Evaluator{ds: &coverage.DeltaSet{}}
-	ev.init(m, cfg, ccFPs, background, nil)
-	return ev
+	return NewSession().evaluator(m, cfg, ccFPs, background)
 }
 
-// init (re)builds the evaluator in place. e.ds must point at a DeltaSet
-// shell (possibly released); sess may be nil for standalone use.
-func (e *Evaluator) init(m *coverage.Map, cfg Config, ccFPs []coverage.Footprint, background []bgNode, sess *Session) {
+// init (re)builds the session's evaluator in place, reviving its DeltaSet
+// (possibly released) with Reuse.
+func (e *Evaluator) init(m *coverage.Map, cfg Config, ccFPs []coverage.Footprint, background []bgNode) {
 	cfg = cfg.normalized()
 	base := m.AcquireState()
 	for _, fp := range ccFPs {
@@ -146,12 +143,8 @@ func (e *Evaluator) init(m *coverage.Map, cfg Config, ccFPs []coverage.Footprint
 	}
 	// Nodes that deliver surely belong in the base; nodes that never
 	// deliver or have no useful photos can be dropped.
-	var live []bgNode
-	if sess != nil {
-		live = sess.live[:0]
-	} else {
-		live = make([]bgNode, 0, len(background))
-	}
+	s := e.sess
+	live := s.live[:0]
 	for _, b := range background {
 		if len(b.fps) == 0 || b.p <= 0 {
 			continue
@@ -164,9 +157,7 @@ func (e *Evaluator) init(m *coverage.Map, cfg Config, ccFPs []coverage.Footprint
 		}
 		live = append(live, b)
 	}
-	e.m = m
 	e.ds.Reuse(base)
-	e.sess = sess
 	e.noIncremental = cfg.DisableIncremental
 	e.metrics = cfg.Metrics
 	if len(live) <= cfg.ExactLimit {
@@ -174,55 +165,39 @@ func (e *Evaluator) init(m *coverage.Map, cfg Config, ccFPs []coverage.Footprint
 	} else {
 		e.sample(live, cfg)
 	}
-	if sess != nil {
-		sess.live = live[:0] // return the (possibly grown) buffer
-	}
+	s.live = live[:0] // return the (possibly grown) buffer
 	e.metrics.Evaluators.Inc()
 	e.metrics.Scenarios.Observe(float64(e.ds.Scenarios()))
 }
 
 // compileLive subtracts the (now final) base from every live node's
 // footprints once; scenario construction then replays the cheap residuals
-// instead of re-subtracting the base per outcome. With a session, the
-// residuals and the index come from its arenas — compiled arc and entry
-// storage survives from contact to contact.
+// instead of re-subtracting the base per outcome. The residuals and the
+// index come from the session's arenas, so compiled arc and entry storage
+// survives from contact to contact.
 func (e *Evaluator) compileLive(live []bgNode) [][]coverage.Residual {
+	s := e.sess
 	total := 0
 	for _, b := range live {
 		total += len(b.fps)
 	}
-	var flat []coverage.Residual
-	var resid [][]coverage.Residual
-	if s := e.sess; s != nil {
-		if len(s.residFlat) < total {
-			grown := make([]coverage.Residual, total)
-			copy(grown, s.residFlat) // keep the recycled piece storage
-			s.residFlat = grown
-		}
-		flat = s.residFlat[:total]
-		resid = s.residIdx[:0]
-	} else {
-		flat = make([]coverage.Residual, total)
+	if len(s.residFlat) < total {
+		grown := make([]coverage.Residual, total)
+		copy(grown, s.residFlat) // keep the recycled piece storage
+		s.residFlat = grown
 	}
+	flat := s.residFlat[:total]
+	resid := s.residIdx[:0]
 	k := 0
-	for i, b := range live {
+	for _, b := range live {
 		sub := flat[k : k+len(b.fps) : k+len(b.fps)]
 		k += len(b.fps)
 		for j, fp := range b.fps {
 			e.ds.CompileResidual(fp, &sub[j])
 		}
-		if e.sess != nil {
-			resid = append(resid, sub)
-		} else {
-			if resid == nil {
-				resid = make([][]coverage.Residual, len(live))
-			}
-			resid[i] = sub
-		}
+		resid = append(resid, sub)
 	}
-	if e.sess != nil {
-		e.sess.residIdx = resid[:0]
-	}
+	s.residIdx = resid[:0]
 	return resid
 }
 
@@ -298,24 +273,18 @@ func (e *Evaluator) Expected() coverage.Coverage {
 
 // Scenarios returns the number of delivery outcomes the evaluator tracks.
 func (e *Evaluator) Scenarios() int {
-	if e.ds == nil {
-		return 0
-	}
 	return e.ds.Scenarios()
 }
 
 // Release returns the evaluator's pooled coverage states to the map for
 // reuse by later contacts. Optional — skipping it only forfeits recycling —
-// but the evaluator must not be used afterwards. Session-owned evaluators
-// keep their DeltaSet shell so the next contact can revive it with Reuse.
+// but the evaluator must not be used afterwards. The session keeps the
+// DeltaSet shell so its next evaluator can revive it with Reuse.
 func (e *Evaluator) Release() {
-	if e.ds == nil || e.ds.Base() == nil {
+	if e.ds.Base() == nil {
 		return
 	}
 	e.ds.Release()
-	if e.sess == nil {
-		e.ds = nil
-	}
 }
 
 // footprintsOf compiles the useful (non-empty) footprints of a collection
@@ -369,15 +338,4 @@ func ExactExpectedCoverage(m *coverage.Map, ccPhotos model.PhotoList, parts []Pa
 		total = total.Add(m.Of(photos).Scale(w))
 	}
 	return total
-}
-
-// sortParticipants orders participants by descending delivery probability,
-// breaking ties by node ID (deterministic).
-func sortParticipants(parts []Participant) {
-	sort.SliceStable(parts, func(i, j int) bool {
-		if parts[i].P != parts[j].P {
-			return parts[i].P > parts[j].P
-		}
-		return parts[i].Node < parts[j].Node
-	})
 }

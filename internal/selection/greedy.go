@@ -92,24 +92,14 @@ func (h *candHeap) Pop() any {
 // The returned photos are in selection order — which is also the
 // transmission priority order the transfer phase uses.
 func GreedyFill(ev *Evaluator, pool []Item, capacity int64) model.PhotoList {
-	h := &candHeap{}
 	s := ev.sess
-	if s != nil {
-		s.cands.reset()
-		h.items = s.heapItems[:0]
-	} else {
-		h.items = make([]*cand, 0, len(pool))
-	}
+	s.cands.reset()
+	h := &candHeap{items: s.heapItems[:0]}
 	for _, it := range pool {
 		if it.Photo.Size > capacity {
 			continue
 		}
-		var c *cand
-		if s != nil {
-			c = s.cands.take()
-		} else {
-			c = &cand{}
-		}
+		c := s.cands.take()
 		c.item = it
 		h.items = append(h.items, c)
 	}
@@ -167,9 +157,7 @@ func GreedyFill(ev *Evaluator, pool []Item, capacity int64) model.PhotoList {
 		round++
 	}
 	ev.metrics.Rounds.Add(int64(round))
-	if s != nil {
-		s.heapItems = h.items[:0]
-	}
+	s.heapItems = h.items[:0]
 	return selected
 }
 
@@ -182,7 +170,7 @@ func (e *Evaluator) gainCand(c *cand) {
 		c.gcache.Reset()
 	}
 	if e.noIncremental {
-		c.gain = e.ds.GainCached(&c.resid)
+		c.gain = e.ds.GainResidual(&c.resid)
 		return
 	}
 	c.gain = e.ds.GainResidualCached(&c.resid, &c.gcache)

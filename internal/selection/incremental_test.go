@@ -2,9 +2,9 @@ package selection
 
 // Differential tests of the incremental CELF machinery introduced with the
 // Session arena: dirty-PoI gain invalidation must equal a from-scratch
-// residual walk to near machine precision over random commit sequences,
-// zero-gain culling and session reuse must leave selections bit-identical,
-// and steady-state session paths must not allocate.
+// residual walk exactly over random commit sequences, zero-gain culling and
+// session reuse must leave selections bit-identical, and steady-state
+// session paths must not allocate.
 
 import (
 	"math/rand"
@@ -14,15 +14,11 @@ import (
 	"photodtn/internal/model"
 )
 
-// incEps bounds incremental-vs-from-scratch divergence. The two paths differ
-// only in floating-point association (entry-major vs scenario-major sums),
-// so the tolerance is far below diffEps — near machine precision.
-const incEps = 1e-12
-
 // TestIncrementalGainMatchesFromScratch drives ≥200 random commit sequences
 // and, after every commit, checks a sample of incrementally-maintained
 // candidate gains against an uncached full residual walk on the same
-// scenario set.
+// scenario set. Both paths sum the same per-entry kernel values in the same
+// entry order, so they must agree exactly.
 func TestIncrementalGainMatchesFromScratch(t *testing.T) {
 	scales := benchScales()
 	rng := rand.New(rand.NewSource(42))
@@ -47,8 +43,8 @@ func TestIncrementalGainMatchesFromScratch(t *testing.T) {
 				for k := 0; k < 8; k++ {
 					c := cands[rng.Intn(len(cands))]
 					ev.gainCand(c) // incremental: dirty entries only
-					want := ev.ds.GainCached(&c.resid)
-					if !covClose(c.gain, want, incEps) {
+					want := ev.ds.GainResidual(&c.resid)
+					if c.gain != want {
 						t.Fatalf("%s seq %d step %d: incremental %+v, from-scratch %+v",
 							sc.name, seq, step, c.gain, want)
 					}
@@ -65,7 +61,8 @@ func TestIncrementalGainMatchesFromScratch(t *testing.T) {
 
 // TestGreedyFillIncrementalMatchesDisabled pins selections bit-identical
 // between the incremental path (dirty-PoI caches + zero-gain culling) and
-// the pre-incremental full-rewalk path, with and without a session.
+// the pre-incremental full-rewalk path, on a fresh session per evaluator and
+// on one session reused across phases.
 func TestGreedyFillIncrementalMatchesDisabled(t *testing.T) {
 	s := NewSession()
 	for _, sc := range benchScales() {
@@ -82,7 +79,7 @@ func TestGreedyFillIncrementalMatchesDisabled(t *testing.T) {
 			evOn := NewEvaluator(m, sc.cfg, ccFPs, bg)
 			got := GreedyFill(evOn, pool, capacity)
 			evOn.Release()
-			assertSameSelection(t, sc.name+"/standalone", want, got)
+			assertSameSelection(t, sc.name+"/fresh", want, got)
 
 			evSess := s.evaluator(m, sc.cfg, ccFPs, bg)
 			got = GreedyFill(evSess, pool, capacity)
@@ -94,8 +91,8 @@ func TestGreedyFillIncrementalMatchesDisabled(t *testing.T) {
 
 // TestSessionReallocateMatchesStandalone checks the full two-phase
 // reallocation: a session reused across repeated contacts must reproduce the
-// package-level (pre-incremental) result exactly, with no state leaking
-// between contacts.
+// package-level result (a pooled session running the pre-incremental
+// full-rewalk path) exactly, with no state leaking between contacts.
 func TestSessionReallocateMatchesStandalone(t *testing.T) {
 	sc := benchScales()[1]
 	m, _, _, pool := benchInstance(t, sc)

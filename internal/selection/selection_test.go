@@ -384,18 +384,6 @@ func TestSelectForUpload(t *testing.T) {
 	}
 }
 
-func TestSortParticipants(t *testing.T) {
-	parts := []Participant{
-		{Node: 3, P: 0.5},
-		{Node: 1, P: 0.9},
-		{Node: 2, P: 0.5},
-	}
-	sortParticipants(parts)
-	if parts[0].Node != 1 || parts[1].Node != 2 || parts[2].Node != 3 {
-		t.Fatalf("sorted order = %v", parts)
-	}
-}
-
 func TestGreedyDeterministic(t *testing.T) {
 	m := poiMap()
 	rng := rand.New(rand.NewSource(9))

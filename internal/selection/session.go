@@ -31,8 +31,7 @@ import (
 // recompiled per contact, so one session may serve contacts against
 // different coverage maps.
 type Session struct {
-	ev Evaluator         // reusable evaluator shell
-	ds coverage.DeltaSet // its scenario family, revived per contact via Reuse
+	ev Evaluator // reusable evaluator shell and its scenario family
 
 	seen      map[model.PhotoID]bool // BuildPool dedup scratch
 	pool      []Item
@@ -48,7 +47,7 @@ type Session struct {
 // NewSession returns an empty session ready for use.
 func NewSession() *Session {
 	s := &Session{seen: make(map[model.PhotoID]bool)}
-	s.ev.ds = &s.ds
+	s.ev.sess = s
 	return s
 }
 
@@ -70,7 +69,7 @@ func (s *Session) Release() {
 // before requesting the next one.
 func (s *Session) evaluator(m *coverage.Map, cfg Config, ccFPs []coverage.Footprint, bg []bgNode) *Evaluator {
 	e := &s.ev
-	e.init(m, cfg, ccFPs, bg, s)
+	e.init(m, cfg, ccFPs, bg)
 	return e
 }
 
@@ -106,7 +105,10 @@ type candArena struct {
 	n      int // candidates handed out since the last reset
 }
 
-const candBlock = 64
+// candBlock is small because a fresh session (every NewEvaluator) fills
+// its arena once: a block far larger than a typical pool would be zeroed
+// and thrown away.
+const candBlock = 16
 
 func (a *candArena) take() *cand {
 	bi, off := a.n/candBlock, a.n%candBlock

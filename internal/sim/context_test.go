@@ -6,8 +6,23 @@ import (
 	"math"
 	"testing"
 
+	"photodtn/internal/runner"
 	"photodtn/internal/trace"
 )
+
+// runCells runs runs cells of f as one orchestrator job seeded baseSeed,
+// baseSeed+1, ... — the shape experiments assembles its sweeps from — and
+// returns the simulator-side average. The TestRunMany* tests pin the
+// repeated-run contract (averaging, cancellation, error propagation) on it;
+// the zero-run rejection is pinned by runner's TestRunValidation.
+func runCells(ctx context.Context, runs int, baseSeed int64, f RunFunc) (*Average, error) {
+	job := runner.Job{Key: "cells", Runs: runs, Cell: Cell(f), Seed: LegacySeeds(baseSeed)}
+	aggs, err := runner.Run(ctx, []runner.Job{job}, runner.Options{})
+	if err != nil {
+		return nil, err
+	}
+	return AverageOf(aggs[0]), nil
+}
 
 // denseConfig builds a run with enough events that the engine crosses
 // several cancellation checkpoints.
@@ -102,7 +117,7 @@ func TestRunIsRunContextBackground(t *testing.T) {
 func TestRunManyContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunManyContext(ctx, 4, 1, func(seed int64) (Config, Scheme, error) {
+	_, err := runCells(ctx, 4, 1, func(seed int64) (Config, Scheme, error) {
 		return denseConfig(), &relayScheme{}, nil
 	})
 	if !errors.Is(err, context.Canceled) {
@@ -111,8 +126,9 @@ func TestRunManyContextCancellation(t *testing.T) {
 }
 
 func TestRunManyMatchesAverageResults(t *testing.T) {
-	// The streaming path must agree with the slice-based averaging on the
-	// same runs (identical runs make Welford exact, so equality is exact).
+	// The orchestrated cells must agree with averaging the same runs
+	// executed directly (identical runs make Welford exact, so equality is
+	// exact).
 	mk := func(seed int64) (Config, Scheme, error) {
 		cfg := baseConfig(&trace.Trace{Nodes: 1, Contacts: []trace.Contact{{Start: 10, End: 20, A: 1, B: 0}}})
 		cfg.Span = 100
@@ -130,11 +146,18 @@ func TestRunManyMatchesAverageResults(t *testing.T) {
 		}
 		results = append(results, r)
 	}
-	want, err := AverageResults(results)
+	agg := runner.NewAgg()
+	for i, r := range results {
+		if err := agg.Add(i, Summarize(r)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	direct, err := agg.Result("direct", len(results))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunMany(3, 9, mk)
+	want := AverageOf(direct)
+	got, err := runCells(context.Background(), 3, 9, mk)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -402,7 +403,7 @@ func TestRunManyAverages(t *testing.T) {
 	tr := &trace.Trace{Nodes: 2, Contacts: []trace.Contact{
 		{Start: 10, End: 20, A: 1, B: 0},
 	}}
-	avg, err := RunMany(4, 7, func(seed int64) (Config, Scheme, error) {
+	avg, err := runCells(context.Background(), 4, 7, func(seed int64) (Config, Scheme, error) {
 		cfg := baseConfig(tr)
 		cfg.Span = 100
 		cfg.SampleInterval = 50
@@ -427,14 +428,8 @@ func TestRunManyAverages(t *testing.T) {
 	}
 }
 
-func TestRunManyZeroRuns(t *testing.T) {
-	if _, err := RunMany(0, 1, nil); !errors.Is(err, ErrNoRuns) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func TestRunManyPropagatesErrors(t *testing.T) {
-	_, err := RunMany(2, 1, func(seed int64) (Config, Scheme, error) {
+	_, err := runCells(context.Background(), 2, 1, func(seed int64) (Config, Scheme, error) {
 		return Config{}, nil, errors.New("boom")
 	})
 	if err == nil {

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"photodtn/internal/runner"
@@ -38,14 +37,9 @@ type Average struct {
 	MeanRecoverySec   float64
 
 	// FinalVar is the per-field sample variance of Final across runs
-	// (n−1 denominator; all zero for a single run, and zero when the
-	// average was produced by AverageResults rather than the streaming
-	// orchestrator).
+	// (n−1 denominator; all zero for a single run).
 	FinalVar AvgSample
 }
-
-// ErrNoRuns is returned when RunMany is asked for zero runs.
-var ErrNoRuns = errors.New("sim: need at least one run")
 
 // Summarize projects a run result onto the orchestrator's numeric summary
 // (dropping the photo collection, which averages cannot use anyway).
@@ -123,61 +117,10 @@ func Cell(f RunFunc) runner.CellFunc {
 	}
 }
 
-// LegacySeeds is the seed family RunMany has always used — baseSeed,
+// LegacySeeds is the historical repeated-run seed family — baseSeed,
 // baseSeed+1, ... — kept so committed reports and seed-parity tests keep
 // their exact seeds. New orchestrations should prefer the default
 // runner.CellSeed derivation.
 func LegacySeeds(baseSeed int64) runner.SeedFunc {
 	return func(runIdx int) int64 { return baseSeed + int64(runIdx) }
-}
-
-// RunMany executes runs independent simulations in parallel (bounded by
-// GOMAXPROCS) with seeds baseSeed, baseSeed+1, ... and averages their
-// metrics. All runs must produce the same sample count. It is a
-// RunManyContext with the background context.
-func RunMany(runs int, baseSeed int64, f RunFunc) (*Average, error) {
-	return RunManyContext(context.Background(), runs, baseSeed, f)
-}
-
-// RunManyContext is RunMany under a context: cancelling ctx stops in-flight
-// runs at the engine's next cancellation point and returns ctx's error.
-// Aggregation is streaming (runner.Agg), so memory stays bounded by the
-// worker count, not the run count.
-func RunManyContext(ctx context.Context, runs int, baseSeed int64, f RunFunc) (*Average, error) {
-	if runs <= 0 {
-		return nil, ErrNoRuns
-	}
-	job := runner.Job{
-		Key:  "sim.RunMany",
-		Runs: runs,
-		Cell: Cell(f),
-		Seed: LegacySeeds(baseSeed),
-	}
-	aggs, err := runner.Run(ctx, []runner.Job{job}, runner.Options{})
-	if err != nil {
-		return nil, err
-	}
-	return AverageOf(aggs[0]), nil
-}
-
-// AverageResults averages pre-computed run results; all runs must share a
-// sample layout. It is used by analytic evaluators (e.g. the BestPossible
-// fast path) that bypass the engine; engine-backed paths go through the
-// streaming orchestrator instead and never materialise a result slice.
-func AverageResults(results []*Result) (*Average, error) {
-	n := len(results)
-	if n == 0 {
-		return nil, ErrNoRuns
-	}
-	agg := runner.NewAgg()
-	for i, r := range results {
-		if err := agg.Add(i, Summarize(r)); err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
-		}
-	}
-	out, err := agg.Result("sim.AverageResults", n)
-	if err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
-	}
-	return AverageOf(out), nil
 }

@@ -17,11 +17,11 @@ import (
 // Input layout: data[0] picks the chunk size (1..16), data[1] the payload
 // length (0..63); the rest is an op stream of (op, arg) byte pairs.
 func FuzzReassembly(f *testing.F) {
-	f.Add([]byte{4, 11, 0, 0, 0, 2, 0, 1})                          // in-order completion
-	f.Add([]byte{4, 11, 0, 2, 0, 0, 0, 0, 0, 1})                    // out of order + duplicate
-	f.Add([]byte{8, 63, 1, 0, 0, 1, 0, 0, 2, 2, 0, 2, 0, 3})        // corrupt final chunk
-	f.Add([]byte{1, 16, 3, 0, 0, 5, 2, 1, 0, 5, 3, 0, 0, 5})        // mismatch restart + drop
-	f.Add([]byte{16, 0, 0, 0})                                      // empty payload, single chunk
+	f.Add([]byte{4, 11, 0, 0, 0, 2, 0, 1})                         // in-order completion
+	f.Add([]byte{4, 11, 0, 2, 0, 0, 0, 0, 0, 1})                   // out of order + duplicate
+	f.Add([]byte{8, 63, 1, 0, 0, 1, 0, 0, 2, 2, 0, 2, 0, 3})       // corrupt final chunk
+	f.Add([]byte{1, 16, 3, 0, 0, 5, 2, 1, 0, 5, 3, 0, 0, 5})       // mismatch restart + drop
+	f.Add([]byte{16, 0, 0, 0})                                     // empty payload, single chunk
 	f.Add([]byte{5, 32, 0, 6, 0, 5, 0, 4, 0, 3, 0, 2, 0, 1, 0, 0}) // reverse order
 
 	f.Fuzz(func(t *testing.T, data []byte) {
