@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: tier1 fmt build vet test race race-repeat chaos bench bench-runner bench-short bench-all bench-diff fuzz fuzz-short trace-demo
+.PHONY: tier1 fmt build vet test bench-module race race-repeat chaos bench bench-runner bench-short bench-all bench-diff fuzz fuzz-short trace-demo
 
 # tier1 is the merge gate: everything must pass before a change lands.
-tier1: fmt build vet test race bench-short fuzz-short bench-diff
+tier1: fmt build vet test bench-module race bench-short fuzz-short bench-diff
 
 # fmt fails when any Go file in the repository is not gofmt-formatted. It
 # only lists files; it never rewrites them.
@@ -18,6 +18,12 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# bench-module vets and tests cmd/photodtn-bench, which is its own Go module
+# (it replaces photodtn with the repository root), so `./...` above never
+# compiles it against the program's current API.
+bench-module:
+	cd cmd/photodtn-bench && $(GO) vet ./... && $(GO) test ./...
 
 # race is the unified race pass over every package — the live peer and its
 # journal, the concurrent-serving soak, the adversarial sweep, the fault
@@ -52,7 +58,7 @@ bench-runner:
 # bench regenerates the committed performance baselines: the selection
 # micro-benchmarks (construction / Gain / Commit / GreedyFill / stale
 # recompute at several scales) into BENCH_selection.json, and the
-# engine-level Table-I run (incremental vs from-scratch selection) into
+# engine-level Table-I run plus the slow-link transfer into
 # BENCH_engine.json.
 bench:
 	$(GO) test -run='^$$' -bench=BenchmarkEvaluator -benchmem -benchtime=500ms ./internal/selection/ \

@@ -287,11 +287,7 @@ func BenchmarkSimOurSchemeShortRun(b *testing.B) {
 // settings (MIT-like trace, default storage, workload, gateways) over a
 // fixed 120-hour prefix. The world — trace, map, photo workload — is built
 // once outside the timer, so the measurement isolates the engine and the
-// per-contact selection machinery that dominates it. The two variants pin
-// the incremental-selection ablation: "incremental" is the default
-// dirty-PoI/cull/session path, "fromscratch" disables it and re-walks every
-// candidate residual in full (the pre-incremental behaviour). Selections,
-// and therefore results, are identical; only the work per contact differs.
+// per-contact selection machinery that dominates it.
 func BenchmarkEngineTable1(b *testing.B) {
 	p := experiments.DefaultParams(experiments.MIT)
 	p.SpanHours = 120
@@ -299,11 +295,12 @@ func BenchmarkEngineTable1(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	runWith := func(b *testing.B, core2 func() sim.Scheme) {
+	// The "fromscratch" name keeps the committed baseline gating bench-diff.
+	b.Run("fromscratch", func(b *testing.B) {
 		b.ReportAllocs()
 		var delivered int
 		for i := 0; i < b.N; i++ {
-			res, err := sim.Run(cfg, core2())
+			res, err := sim.Run(cfg, core.New(core.DefaultConfig()))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -312,16 +309,6 @@ func BenchmarkEngineTable1(b *testing.B) {
 		if delivered == 0 {
 			b.Fatal("nothing delivered")
 		}
-	}
-	b.Run("incremental", func(b *testing.B) {
-		runWith(b, func() sim.Scheme { return core.New(core.DefaultConfig()) })
-	})
-	b.Run("fromscratch", func(b *testing.B) {
-		runWith(b, func() sim.Scheme {
-			cc := core.DefaultConfig()
-			cc.Selection.DisableIncremental = true
-			return core.New(cc)
-		})
 	})
 }
 

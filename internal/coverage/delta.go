@@ -32,14 +32,6 @@ type DeltaSet struct {
 	scens []scenOverlay
 	buf   []geo.Arc // residual pieces minus a scenario overlay (profile path)
 	commn Residual  // reusable residual for Commit and Gain
-
-	// epoch is a monotone mutation counter: every overlay mutation bumps it
-	// and stamps the touched PoIs in poiEpoch. A GainCache entry walked at
-	// epoch E is stale iff its PoI was stamped after E. The counter never
-	// resets — not even across Reuse — so stale stamps from a previous life
-	// of the DeltaSet can never read as dirty by accident.
-	epoch    int64
-	poiEpoch []int64 // per-PoI slot epoch of the last overlay mutation
 }
 
 // scenOverlay is one delivery outcome: probability weight, the arcs added
@@ -70,20 +62,14 @@ type residEntry struct {
 	freeAs float64 // aspect gain when a scenario's overlay misses the PoI
 }
 
-// Reuse targets d at a base state, recycling the scenario list, the per-PoI
-// epoch table, and every scratch buffer from d's previous life; it is how a
-// DeltaSet is built (valid on the zero value) and revived after Release.
+// Reuse targets d at a base state, recycling the scenario list and every
+// scratch buffer from d's previous life; it is how a DeltaSet is built
+// (valid on the zero value) and revived after Release.
 // The DeltaSet takes ownership of base: the caller must not mutate it
 // afterwards, and Release returns it to the map's pool.
 func (d *DeltaSet) Reuse(base *State) {
 	d.base = base
 	d.scens = d.scens[:0]
-	// The epoch counter keeps running across lives; a freshly grown epoch
-	// table is all zeros, which is ≤ every stamp a cache could hold — safely
-	// "clean" either way.
-	if len(d.poiEpoch) < len(base.arcs) {
-		d.poiEpoch = make([]int64, len(base.arcs))
-	}
 }
 
 // Base returns the shared base state (read-only).
@@ -150,11 +136,9 @@ func (d *DeltaSet) CompileResidual(fp Footprint, r *Residual) {
 func (d *DeltaSet) AddResidual(si int, r *Residual) {
 	m := d.base.m
 	sd := &d.scens[si]
-	d.epoch++
 	for i := range r.entries {
 		re := &r.entries[i]
 		poi := int(re.poi)
-		d.poiEpoch[poi] = d.epoch
 		pieces := r.arcs[re.lo:re.hi]
 		os := sd.st.arcs[poi]
 		if !re.basePt && os == nil {
@@ -202,8 +186,8 @@ func (d *DeltaSet) Gain(fp Footprint) Coverage {
 }
 
 // GainResidual returns the scenario-weighted expected marginal gain of a
-// compiled residual: the uncached walk Σ entryGain in entry order. It is
-// GainResidualCached with every entry dirty, so the two agree bit-for-bit.
+// compiled residual: Σ entryGain in entry order, so the result is
+// deterministic.
 func (d *DeltaSet) GainResidual(r *Residual) Coverage {
 	var g Coverage
 	for i := range r.entries {
@@ -215,60 +199,10 @@ func (d *DeltaSet) GainResidual(r *Residual) Coverage {
 	return g
 }
 
-// GainCache caches a residual's gain decomposed per PoI entry: entry i's
-// scenario-weighted point and aspect contributions plus the DeltaSet epoch
-// at which they were computed. Each residual entry touches exactly one PoI,
-// so after a Commit only the entries whose PoI the commit stamped need a
-// re-walk — every other entry's cached contribution is still bit-exact (the
-// diminishing-returns upper bound becomes an equality for them).
-//
-// A GainCache belongs to one (DeltaSet, Residual) pair at a time; call
-// Reset whenever either changes. The zero value is ready for use.
-type GainCache struct {
-	pt, as []float64 // per-entry scenario-weighted contributions
-	epoch  []int64   // DeltaSet epoch each entry was last walked at
-}
-
-// Reset empties the cache; the next GainResidualCached walks every entry.
-func (gc *GainCache) Reset() {
-	gc.epoch = gc.epoch[:0]
-}
-
-// GainResidualCached is GainResidual with dirty-PoI invalidation: it re-walks
-// only the entries whose PoI an overlay mutation touched since they were last
-// cached and re-sums the per-entry contributions in entry order. Because the
-// contributions of clean entries are reused bit-for-bit and the summation
-// order is fixed, the result is identical whether zero or all entries were
-// dirty — incremental equals from-scratch exactly, not approximately.
-func (d *DeltaSet) GainResidualCached(r *Residual, gc *GainCache) Coverage {
-	n := len(r.entries)
-	fresh := len(gc.epoch) != n
-	if fresh {
-		if cap(gc.epoch) < n {
-			gc.pt = make([]float64, n)
-			gc.as = make([]float64, n)
-			gc.epoch = make([]int64, n)
-		}
-		gc.pt, gc.as, gc.epoch = gc.pt[:n], gc.as[:n], gc.epoch[:n]
-	}
-	var g Coverage
-	for i := range r.entries {
-		re := &r.entries[i]
-		if fresh || d.poiEpoch[re.poi] > gc.epoch[i] {
-			gc.pt[i], gc.as[i] = d.entryGain(re, r.arcs[re.lo:re.hi])
-			gc.epoch[i] = d.epoch
-		}
-		g.Point += gc.pt[i]
-		g.Aspect += gc.as[i]
-	}
-	return g
-}
-
 // entryGain computes one residual entry's scenario-weighted contribution:
-// Σ_si w_si · gain(entry, scenario si). It is the only per-scenario gain loop:
-// GainResidual and GainResidualCached both sum its values in entry order. No
-// geometry runs for scenarios whose overlay misses the entry's PoI — the
-// common case — and the rest subtract only against the (small) overlay.
+// Σ_si w_si · gain(entry, scenario si). No geometry runs for scenarios whose
+// overlay misses the entry's PoI — the common case — and the rest subtract
+// only against the (small) overlay.
 func (d *DeltaSet) entryGain(re *residEntry, pieces []geo.Arc) (pt, as float64) {
 	m := d.base.m
 	poi := int(re.poi)
@@ -309,7 +243,7 @@ func (d *DeltaSet) Expected() Coverage {
 
 // Release returns the base and every overlay to the map's state pool. The
 // DeltaSet must not be used afterwards — except through Reuse, which revives
-// it against a new base; compiled Residuals and GainCaches die either way.
+// it against a new base; compiled Residuals die either way.
 func (d *DeltaSet) Release() {
 	m := d.base.m
 	m.ReleaseState(d.base)

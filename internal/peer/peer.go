@@ -168,6 +168,9 @@ func (tc TransferConfig) normalize() TransferConfig {
 	if tc.Window <= 0 {
 		tc.Window = def.Window
 	}
+	if tc.Window > math.MaxUint16 {
+		tc.Window = math.MaxUint16 // the hello carries the window as a uint16
+	}
 	if tc.BudgetBytes < 0 {
 		tc.BudgetBytes = 0
 	}

@@ -61,13 +61,6 @@ type Config struct {
 	// Seed drives scenario sampling; callers should derive it
 	// deterministically (e.g. from the contact) for reproducibility.
 	Seed int64
-	// DisableIncremental turns off the incremental CELF machinery — dirty-PoI
-	// gain invalidation and zero-gain candidate culling — and re-walks every
-	// candidate residual in full on each refresh, the pre-incremental
-	// behaviour. Selections are identical either way (the incremental path is
-	// exact, not approximate); the switch exists for differential tests and
-	// ablation benchmarks.
-	DisableIncremental bool
 	// Metrics optionally observes the selection machinery; the zero value
 	// disables it at no cost.
 	//
@@ -117,11 +110,9 @@ type bgNode struct {
 // (candidates, heaps, residuals) selection runs on and revives the
 // evaluator's DeltaSet for each contact.
 type Evaluator struct {
-	ds   coverage.DeltaSet
-	sess *Session
-
-	noIncremental bool
-	metrics       Metrics
+	ds      coverage.DeltaSet
+	sess    *Session
+	metrics Metrics
 }
 
 // NewEvaluator builds an evaluator on a fresh session. ccFPs are the
@@ -158,7 +149,6 @@ func (e *Evaluator) init(m *coverage.Map, cfg Config, ccFPs []coverage.Footprint
 		live = append(live, b)
 	}
 	e.ds.Reuse(base)
-	e.noIncremental = cfg.DisableIncremental
 	e.metrics = cfg.Metrics
 	if len(live) <= cfg.ExactLimit {
 		e.enumerate(live)

@@ -54,13 +54,8 @@ type cand struct {
 	// CELF round.
 	resid    coverage.Residual
 	compiled bool
-	// gcache decomposes the cached gain per residual entry so a stale
-	// refresh after a Commit re-walks only the entries whose PoI the commit
-	// touched (dirty-PoI invalidation). Unused when the evaluator runs with
-	// DisableIncremental.
-	gcache coverage.GainCache
-	gain   coverage.Coverage
-	round  int // selection round the gain was computed in
+	gain     coverage.Coverage
+	round    int // selection round the gain was computed in
 }
 
 func (h *candHeap) Len() int { return len(h.items) }
@@ -105,23 +100,6 @@ func GreedyFill(ev *Evaluator, pool []Item, capacity int64) model.PhotoList {
 	}
 	// Initial scan: every candidate's gain against the fresh scenario set.
 	ev.gainBatch(h.items)
-	if !ev.noIncremental {
-		// Zero-gain culling: gains are sums of non-negative per-entry
-		// contributions that only shrink as commits grow the overlays, so a
-		// gain that is exactly zero now is zero forever — the candidate can
-		// never be selected (the loop stops before picking a zero-gain top)
-		// and need not ride the heap at all.
-		kept := h.items[:0]
-		for _, c := range h.items {
-			if !c.gain.IsZero() {
-				kept = append(kept, c)
-			}
-		}
-		for i := len(kept); i < len(h.items); i++ {
-			h.items[i] = nil
-		}
-		h.items = kept
-	}
 	heap.Init(h)
 
 	var selected model.PhotoList
@@ -137,10 +115,6 @@ func GreedyFill(ev *Evaluator, pool []Item, capacity int64) model.PhotoList {
 			// Stale cached gain (lazy greedy): recompute and reheapify.
 			ev.gainCand(top)
 			ev.metrics.GainEvals.Inc()
-			if !ev.noIncremental && top.gain.IsZero() {
-				heap.Pop(h) // culled for good
-				continue
-			}
 			top.round = round
 			heap.Fix(h, 0)
 			continue
@@ -167,13 +141,8 @@ func (e *Evaluator) gainCand(c *cand) {
 	if !c.compiled {
 		e.ds.CompileResidual(c.item.FP, &c.resid)
 		c.compiled = true
-		c.gcache.Reset()
 	}
-	if e.noIncremental {
-		c.gain = e.ds.GainResidual(&c.resid)
-		return
-	}
-	c.gain = e.ds.GainResidualCached(&c.resid, &c.gcache)
+	c.gain = e.ds.GainResidual(&c.resid)
 }
 
 // gainBatch fills in the gain of every candidate. The gain-eval counter is

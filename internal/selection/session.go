@@ -119,7 +119,6 @@ func (a *candArena) take() *cand {
 	c := &a.blocks[bi][off]
 	c.item = Item{}
 	c.compiled = false
-	c.gcache.Reset()
 	c.gain = coverage.Coverage{}
 	c.round = 0
 	return c
