@@ -35,11 +35,13 @@ race:
 # race-repeat reruns the concurrency-heavy packages under the race detector
 # with -count=2: the live peer (commit races, the pipelined chunk-ack
 # reader, admission), the wire codec and reassembly store, the guard's
-# per-peer accounting, and selection session reuse get a second schedule in
-# which to trip the detector.
+# per-peer accounting, selection session reuse, and the metadata caches and
+# contact scheme that share photo lists between caches get a second
+# schedule in which to trip the detector.
 race-repeat:
 	$(GO) test -race -count=2 ./internal/peer/ ./internal/peer/session/ ./internal/wire/ \
-		./internal/transfer/ ./internal/guard/ ./internal/selection/ ./internal/coverage/
+		./internal/transfer/ ./internal/guard/ ./internal/selection/ ./internal/coverage/ \
+		./internal/metadata/ ./internal/core/
 
 # chaos is the crash-recovery harness: it sweeps a kill across every
 # mutating disk operation of a durable peer's write sequence (clean and

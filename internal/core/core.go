@@ -71,6 +71,8 @@ type Scheme struct {
 	// sel is the scheme's selection arena: pools, heaps, residuals, and
 	// scenario buffers are recycled across every contact of the run.
 	sel *selection.Session
+	// want is realize's scratch set of selected photo IDs.
+	want map[model.PhotoID]bool
 
 	// Observability (all nil — no-ops — when the world has no observer).
 	obsv           *obs.Observer
@@ -101,6 +103,7 @@ func (s *Scheme) Init(w *sim.World) {
 	s.solo = make(map[model.PhotoID]coverage.Coverage)
 	s.fpc = coverage.NewFootprintCache(w.Map)
 	s.sel = selection.NewSession()
+	s.want = make(map[model.PhotoID]bool)
 	o := w.Obs()
 	s.obsv = o
 	s.cfg.Selection.Metrics = selection.ObserverMetrics(o)
@@ -187,7 +190,7 @@ func (s *Scheme) ccContact(sess *sim.Session, node model.NodeID) {
 	// Upload photos in marginal-gain order over what the command center
 	// already has (live knowledge during the contact).
 	st := s.w.Storage(node)
-	plan := s.sel.SelectForUpload(s.fpc, s.selCfg(), s.w.CCPhotos(), st.List())
+	plan := s.sel.SelectForUpload(s.fpc, s.selCfg(), s.w.CCPhotos(), st.Photos())
 	for _, p := range plan {
 		if err := sess.Transfer(model.CommandCenter, p); err != nil {
 			break // budget exhausted; unfinished transfer discarded
@@ -196,10 +199,11 @@ func (s *Scheme) ccContact(sess *sim.Session, node model.NodeID) {
 	}
 
 	if !s.cfg.DisableMetadata {
-		// The command center's collection is the acknowledgement view.
+		// The command center's collection is the acknowledgement view. Put
+		// copies whatever part of it the cache keeps.
 		ns.cache.Put(metadata.Entry{
 			Node:      model.CommandCenter,
-			Photos:    s.w.CCPhotos().Clone(),
+			Photos:    s.w.CCPhotos(),
 			Timestamp: now,
 		})
 	}
@@ -218,8 +222,10 @@ func (s *Scheme) peerContact(sess *sim.Session) {
 	pa := nsA.table.DeliveryProb(now)
 	pb := nsB.table.DeliveryProb(now)
 
+	// The storages stay unchanged until realize, so the selection reads
+	// them in place; the cache keeps its own copy of each snapshot.
 	stA, stB := s.w.Storage(a), s.w.Storage(b)
-	photosA, photosB := stA.List(), stB.List()
+	photosA, photosB := stA.Photos(), stB.Photos()
 
 	var (
 		ccPhotos   model.PhotoList
@@ -286,15 +292,12 @@ func (s *Scheme) peerContact(sess *sim.Session) {
 // order until the budget runs out.
 func (s *Scheme) realize(sess *sim.Session, node model.NodeID, sel model.PhotoList) {
 	st := s.w.Storage(node)
-	want := make(map[model.PhotoID]bool, len(sel))
+	want := s.want
+	clear(want)
 	for _, p := range sel {
 		want[p.ID] = true
 	}
-	for _, p := range st.List() {
-		if !want[p.ID] {
-			st.Remove(p.ID)
-		}
-	}
+	st.Retain(func(p model.Photo) bool { return want[p.ID] })
 	for _, p := range sel {
 		if st.Has(p.ID) {
 			continue

@@ -1,6 +1,8 @@
 package coverage
 
 import (
+	"slices"
+
 	"photodtn/internal/geo"
 )
 
@@ -25,13 +27,20 @@ import (
 // order, and Expected reduces over scenarios in insertion order, so results
 // are deterministic.
 //
+// A DeltaSet owns the states it runs on and keeps them from one life (see
+// Begin) to the next, so the allocation of a long run of contacts does not
+// depend on what a shared pool happens to hold.
+//
 // A DeltaSet is not safe for concurrent use: selection drives it from one
 // goroutine per contact.
 type DeltaSet struct {
 	base  *State
 	scens []scenOverlay
-	buf   []geo.Arc // residual pieces minus a scenario overlay (profile path)
-	commn Residual  // reusable residual for Commit and Gain
+	// overlays holds every overlay state d owns; scenario i runs on
+	// overlays[i], and those past len(scens) are reset and idle.
+	overlays []*State
+	buf      []geo.Arc // residual pieces minus a scenario overlay (profile path)
+	commn    Residual  // reusable residual for Commit and Gain
 }
 
 // scenOverlay is one delivery outcome: probability weight, the arcs added
@@ -62,14 +71,26 @@ type residEntry struct {
 	freeAs float64 // aspect gain when a scenario's overlay misses the PoI
 }
 
-// Reuse targets d at a base state, recycling the scenario list and every
-// scratch buffer from d's previous life; it is how a DeltaSet is built
-// (valid on the zero value) and revived after Release.
-// The DeltaSet takes ownership of base: the caller must not mutate it
-// afterwards, and Release returns it to the map's pool.
-func (d *DeltaSet) Reuse(base *State) {
-	d.base = base
+// Begin starts a new life of d against map m and returns its empty base
+// state. The caller fills the base before the first AddScenario and must
+// not mutate it afterwards. The base and the overlays of d's previous life
+// on m are reset and handed out again in the same order, each with the
+// storage it grew; states of another map go back to that map's pool.
+// Begin is valid on the zero value and after Release.
+func (d *DeltaSet) Begin(m *Map) *State {
+	if d.base != nil && d.base.m != m {
+		d.Release()
+	}
+	if d.base == nil {
+		d.base = m.AcquireState()
+	} else {
+		d.base.Reset()
+	}
+	for i := range d.scens {
+		d.scens[i].st.Reset()
+	}
 	d.scens = d.scens[:0]
+	return d.base
 }
 
 // Base returns the shared base state (read-only).
@@ -78,21 +99,26 @@ func (d *DeltaSet) Base() *State { return d.base }
 // Scenarios returns the number of delivery outcomes tracked.
 func (d *DeltaSet) Scenarios() int { return len(d.scens) }
 
-// Reserve pre-sizes the scenario list for n outcomes, avoiding growth
-// reallocations during construction.
+// Reserve pre-sizes the scenario and overlay lists for n outcomes,
+// avoiding growth reallocations during construction.
 func (d *DeltaSet) Reserve(n int) {
 	if cap(d.scens) < n {
-		scens := make([]scenOverlay, len(d.scens), n)
-		copy(scens, d.scens)
-		d.scens = scens
+		d.scens = slices.Grow(d.scens, n-len(d.scens))
+	}
+	if cap(d.overlays) < n {
+		d.overlays = slices.Grow(d.overlays, n-len(d.overlays))
 	}
 }
 
 // AddScenario appends a delivery outcome with probability weight w and
 // returns its index. Populate it with AddResidual.
 func (d *DeltaSet) AddScenario(w float64) int {
-	d.scens = append(d.scens, scenOverlay{w: w, st: d.base.m.AcquireState()})
-	return len(d.scens) - 1
+	si := len(d.scens)
+	if si == len(d.overlays) {
+		d.overlays = append(d.overlays, d.base.m.AcquireState())
+	}
+	d.scens = append(d.scens, scenOverlay{w: w, st: d.overlays[si]})
+	return si
 }
 
 // CompileResidual subtracts the base from the footprint into r, reusing
@@ -242,15 +268,17 @@ func (d *DeltaSet) Expected() Coverage {
 }
 
 // Release returns the base and every overlay to the map's state pool. The
-// DeltaSet must not be used afterwards — except through Reuse, which revives
-// it against a new base; compiled Residuals die either way.
+// DeltaSet must not be used afterwards except through Begin; compiled
+// Residuals die either way.
 func (d *DeltaSet) Release() {
 	m := d.base.m
 	m.ReleaseState(d.base)
 	d.base = nil
-	for i := range d.scens {
-		m.ReleaseState(d.scens[i].st)
-		d.scens[i].st = nil
+	for i, st := range d.overlays {
+		m.ReleaseState(st)
+		d.overlays[i] = nil
 	}
+	d.overlays = d.overlays[:0]
+	clear(d.scens)
 	d.scens = d.scens[:0]
 }

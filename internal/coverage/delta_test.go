@@ -45,12 +45,11 @@ func newDeltaInstance(t *testing.T, seed int64, pois, basePhotos, nScens int) *d
 		return m.Footprint(p)
 	}
 
-	base := m.AcquireState()
+	inst := &deltaInstance{m: m, ds: &DeltaSet{}}
+	base := inst.ds.Begin(m)
 	for i := 0; i < basePhotos; i++ {
 		base.Add(randomFP())
 	}
-	inst := &deltaInstance{m: m, ds: &DeltaSet{}}
-	inst.ds.Reuse(base)
 	var r Residual
 	for s := 0; s < nScens; s++ {
 		w := rng.Float64()
@@ -127,6 +126,61 @@ func TestDeltaSetMatchesMaterializedClones(t *testing.T) {
 		}
 		di.ds.Release()
 	}
+}
+
+// TestDeltaSetBeginRecyclesStates checks that a DeltaSet carried from life
+// to life answers exactly as a fresh one built the same way, whether the
+// new life has fewer or more scenarios, that it runs on the states it
+// already owns, and that Begin on another map hands those states back to
+// their map's pool.
+func TestDeltaSetBeginRecyclesStates(t *testing.T) {
+	di := newDeltaInstance(t, 7, 40, 6, 5)
+	build := func(d *DeltaSet, seed int64, nScens int) {
+		rng := rand.New(rand.NewSource(seed))
+		pick := func() Footprint { return di.probes[rng.Intn(len(di.probes))] }
+		base := d.Begin(di.m)
+		for i := 0; i < 3; i++ {
+			base.Add(pick())
+		}
+		var r Residual
+		for s := 0; s < nScens; s++ {
+			si := d.AddScenario(rng.Float64())
+			for k := rng.Intn(3); k >= 0; k-- {
+				d.CompileResidual(pick(), &r)
+				d.AddResidual(si, &r)
+			}
+		}
+	}
+	reused := di.ds
+	firstBase, firstOverlay := reused.Base(), reused.overlays[0]
+	for life, n := range []int{2, 7, 4} {
+		build(reused, int64(life), n)
+		fresh := &DeltaSet{}
+		build(fresh, int64(life), n)
+		if reused.Scenarios() != n || fresh.Scenarios() != n {
+			t.Fatalf("life %d: %d and %d scenarios, want %d", life, reused.Scenarios(), fresh.Scenarios(), n)
+		}
+		if got, want := reused.Expected(), fresh.Expected(); got != want {
+			t.Fatalf("life %d: Expected = %+v, fresh %+v", life, got, want)
+		}
+		for pi, fp := range di.probes {
+			if got, want := reused.Gain(fp), fresh.Gain(fp); got != want {
+				t.Fatalf("life %d probe %d: Gain = %+v, fresh %+v", life, pi, got, want)
+			}
+		}
+		fresh.Release()
+	}
+	if reused.Base() != firstBase || reused.overlays[0] != firstOverlay {
+		t.Fatal("Begin on the same map did not reuse the states it owns")
+	}
+	other := NewMap([]model.PoI{model.NewPoI(0, geo.Vec{})}, geo.Radians(30))
+	if base := reused.Begin(other); base.Map() != other || base.Coverage() != (Coverage{}) {
+		t.Fatal("Begin on another map did not hand out an empty base of that map")
+	}
+	if !firstBase.pooled || !firstOverlay.pooled {
+		t.Fatal("Begin on another map kept the old map's states instead of pooling them")
+	}
+	reused.Release()
 }
 
 // TestDeltaSetResidualReuse checks that a residual compiled once stays valid

@@ -19,6 +19,7 @@ package metadata
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"photodtn/internal/model"
@@ -82,10 +83,30 @@ func ValidityHorizon(lambda, pthld float64) float64 {
 
 // Cache is one node's knowledge about every other node's photos. The zero
 // value is not usable; call NewCache. Cache is not safe for concurrent use.
+//
+// Photo lists are immutable once stored, which lets caches share them:
+//
+//   - Put copies the caller's list on store, so a caller may reuse or
+//     mutate its slice afterwards.
+//   - MergeFrom (gossip) and Clone share the other cache's lists instead of
+//     copying them.
+//   - No cache ever writes into a list it holds. A command-center merge that
+//     learns new photos builds a new list; one that learns nothing keeps the
+//     old one.
+//
+// Lists handed out by Get, Entries and ValidEntries are therefore read-only
+// for their holders too: they may be held by several caches at once.
 type Cache struct {
 	owner   model.NodeID
 	pthld   float64
 	entries map[model.NodeID]Entry
+
+	// ccIndex maps every photo of the command-center entry to its position
+	// in that entry's list, so a merge looks up instead of rebuilding the
+	// union. It is built by the first merge that needs it, and it is nil
+	// whenever the command-center entry is absent or was stored wholesale
+	// since.
+	ccIndex map[model.PhotoID]int32
 
 	// Optional caps (0 = unlimited), enforced by eviction at Put time.
 	maxEntries int
@@ -150,6 +171,9 @@ func (c *Cache) delEntry(node model.NodeID) {
 	if old, ok := c.entries[node]; ok {
 		c.bytes -= entrySize(old)
 		delete(c.entries, node)
+		if node.IsCommandCenter() {
+			c.ccIndex = nil
+		}
 	}
 }
 
@@ -181,51 +205,106 @@ func (c *Cache) evict() {
 
 // Put stores a snapshot, keeping the newer of the existing and incoming
 // entries. Command-center entries are merged by union (the command center
-// never drops photos, so any two snapshots of it are consistent).
-func (c *Cache) Put(e Entry) {
+// never drops photos, so any two snapshots of it are consistent). The
+// cache never keeps the caller's slice: it copies whatever it stores.
+func (c *Cache) Put(e Entry) { c.put(e, false) }
+
+// put is Put; share stores (or adopts) e.Photos without copying it, for
+// lists that come from another cache and are therefore never written.
+func (c *Cache) put(e Entry, share bool) {
 	if e.Node == c.owner {
 		return // a node does not cache itself
 	}
 	old, ok := c.entries[e.Node]
 	switch {
-	case !ok:
-		c.setEntry(cloneEntry(e))
+	case !ok, !e.Node.IsCommandCenter() && e.Timestamp > old.Timestamp:
+		if !share {
+			e.Photos = e.Photos.Clone()
+		}
+		c.setEntry(e)
 	case e.Node.IsCommandCenter():
-		c.setEntry(mergeCC(old, e))
-	case e.Timestamp > old.Timestamp:
-		c.setEntry(cloneEntry(e))
+		c.setEntry(c.mergeCC(old, e, share))
 	default:
 		return
 	}
 	c.evict()
 }
 
-func cloneEntry(e Entry) Entry {
-	e.Photos = e.Photos.Clone()
-	return e
-}
-
-// mergeCC unions two command-center snapshots.
-func mergeCC(a, b Entry) Entry {
+// mergeCC unions the incoming command-center snapshot b into the stored one
+// a: a's photos without duplicates, then b's new photos in b's order, the
+// later timestamp, and zero λ and p. It never writes into a's or b's list.
+// A merge that learns nothing returns a's list itself. One that learns
+// something returns b's list when share allows it and b is exactly that
+// union, and otherwise a new list of exactly the union's length.
+func (c *Cache) mergeCC(a, b Entry, share bool) Entry {
 	out := Entry{
 		Node:      model.CommandCenter,
+		Photos:    a.Photos,
 		Timestamp: math.Max(a.Timestamp, b.Timestamp),
 	}
-	seen := make(map[model.PhotoID]bool, len(a.Photos)+len(b.Photos))
-	for _, l := range []model.PhotoList{a.Photos, b.Photos} {
-		for _, p := range l {
-			if !seen[p.ID] {
-				seen[p.ID] = true
-				out.Photos = append(out.Photos, p)
+	if c.ccIndex == nil {
+		out.Photos = c.indexCC(a.Photos)
+	}
+	n := len(out.Photos)
+	// Number b's new photos after a's; a repeat inside b keeps the position
+	// of its first occurrence.
+	fresh, first := 0, -1
+	for i, p := range b.Photos {
+		if _, ok := c.ccIndex[p.ID]; !ok {
+			if first < 0 {
+				first = i
 			}
+			c.ccIndex[p.ID] = int32(n + fresh)
+			fresh++
+		}
+	}
+	if fresh == 0 {
+		return out
+	}
+	if share && len(b.Photos) == n+fresh && slices.Equal(b.Photos[:n], out.Photos) {
+		out.Photos = b.Photos
+		return out
+	}
+	merged := make(model.PhotoList, n, n+fresh)
+	copy(merged, out.Photos)
+	for _, p := range b.Photos[first:] {
+		if int(c.ccIndex[p.ID]) == len(merged) {
+			merged = append(merged, p)
+		}
+	}
+	out.Photos = merged
+	return out
+}
+
+// indexCC builds ccIndex over the stored command-center list and returns
+// the list without duplicates: the list itself when it has none, else a
+// copy keeping each photo's first occurrence.
+func (c *Cache) indexCC(photos model.PhotoList) model.PhotoList {
+	c.ccIndex = make(map[model.PhotoID]int32, len(photos))
+	dup := false
+	for _, p := range photos {
+		if _, ok := c.ccIndex[p.ID]; ok {
+			dup = true
+			continue
+		}
+		c.ccIndex[p.ID] = int32(len(c.ccIndex))
+	}
+	if !dup {
+		return photos
+	}
+	out := make(model.PhotoList, 0, len(c.ccIndex))
+	for _, p := range photos {
+		if int(c.ccIndex[p.ID]) == len(out) {
+			out = append(out, p)
 		}
 	}
 	return out
 }
 
-// Clone returns a deep copy of the cache: same owner, threshold, limits,
-// and entries (photo lists copied), sharing no mutable state with the
-// original.
+// Clone returns an independent copy of the cache: same owner, threshold,
+// limits and entries. The photo lists are shared, as they are never
+// written; the clone builds its own command-center index when it first
+// needs one.
 func (c *Cache) Clone() *Cache {
 	out := &Cache{
 		owner: c.owner, pthld: c.pthld,
@@ -233,7 +312,7 @@ func (c *Cache) Clone() *Cache {
 		entries: make(map[model.NodeID]Entry, len(c.entries)),
 	}
 	for node, e := range c.entries {
-		out.entries[node] = cloneEntry(e)
+		out.entries[node] = e
 	}
 	return out
 }
@@ -294,14 +373,15 @@ func (c *Cache) ValidEntries(now float64) []Entry {
 }
 
 // MergeFrom gossips another cache into this one: every entry of other is
-// Put into c. This propagates command-center acknowledgements (and
-// third-party snapshots) through the DTN.
+// Put into c, sharing other's photo lists rather than copying them. This
+// propagates command-center acknowledgements (and third-party snapshots)
+// through the DTN.
 func (c *Cache) MergeFrom(other *Cache) {
 	if other == nil {
 		return
 	}
 	for _, e := range other.entries {
-		c.Put(e)
+		c.put(e, true)
 	}
 }
 

@@ -600,7 +600,7 @@ func (s *session) upload(session float64) error {
 		}
 		s.storeOps = true
 	}
-	plan := selection.SelectForUpload(s.p.fpc, s.p.selCfg, ccEntry.Photos, s.st.store.List())
+	plan := selection.SelectForUpload(s.p.fpc, s.p.selCfg, ccEntry.Photos, s.st.store.Photos())
 	var ids []model.PhotoID
 	for _, photo := range plan {
 		ids = append(ids, photo.ID)

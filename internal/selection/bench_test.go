@@ -156,7 +156,6 @@ func BenchmarkEvaluatorGreedyFill(b *testing.B) {
 				if sel := GreedyFill(ev, pool, capacity); len(sel) == 0 {
 					b.Fatal("selected nothing")
 				}
-				ev.Release()
 			}
 		})
 	}
@@ -180,7 +179,7 @@ func BenchmarkEvaluatorGainStale(b *testing.B) {
 				s := NewSession()
 				ev := s.evaluator(m, sc.cfg, ccFPs, bg)
 				s.cands.reset()
-				cands := s.heapItems[:0]
+				cands := s.heap.items[:0]
 				for _, it := range pool {
 					c := s.cands.take()
 					c.item = it
@@ -193,7 +192,7 @@ func BenchmarkEvaluatorGainStale(b *testing.B) {
 						ev.gainCand(c)
 					}
 				}
-				s.heapItems = cands[:0]
+				s.heap.items = cands[:0]
 				ev.Release()
 			}
 		})

@@ -108,7 +108,7 @@ type bgNode struct {
 //
 // Every evaluator is owned by a Session, which supplies the recycled arenas
 // (candidates, heaps, residuals) selection runs on and revives the
-// evaluator's DeltaSet for each contact.
+// evaluator's DeltaSet, with the coverage states it owns, for each phase.
 type Evaluator struct {
 	ds      coverage.DeltaSet
 	sess    *Session
@@ -124,11 +124,11 @@ func NewEvaluator(m *coverage.Map, cfg Config, ccFPs []coverage.Footprint, backg
 	return NewSession().evaluator(m, cfg, ccFPs, background)
 }
 
-// init (re)builds the session's evaluator in place, reviving its DeltaSet
-// (possibly released) with Reuse.
+// init (re)builds the session's evaluator in place, starting a new life of
+// its DeltaSet (and so reusing the coverage states of the previous phase).
 func (e *Evaluator) init(m *coverage.Map, cfg Config, ccFPs []coverage.Footprint, background []bgNode) {
 	cfg = cfg.normalized()
-	base := m.AcquireState()
+	base := e.ds.Begin(m)
 	for _, fp := range ccFPs {
 		base.Add(fp)
 	}
@@ -148,7 +148,6 @@ func (e *Evaluator) init(m *coverage.Map, cfg Config, ccFPs []coverage.Footprint
 		}
 		live = append(live, b)
 	}
-	e.ds.Reuse(base)
 	e.metrics = cfg.Metrics
 	if len(live) <= cfg.ExactLimit {
 		e.enumerate(live)
@@ -225,7 +224,13 @@ func (e *Evaluator) enumerate(live []bgNode) {
 func (e *Evaluator) sample(live []bgNode, cfg Config) {
 	resid := e.compileLive(live)
 	e.ds.Reserve(cfg.Samples)
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := e.sess.rng
+	if rng == nil {
+		rng = rand.New(rand.NewSource(cfg.Seed))
+		e.sess.rng = rng
+	} else {
+		rng.Seed(cfg.Seed) // the same stream as a fresh source: no 5 KB allocation
+	}
 	w := 1.0 / float64(cfg.Samples)
 	for s := 0; s < cfg.Samples; s++ {
 		si := e.ds.AddScenario(w)
@@ -266,10 +271,12 @@ func (e *Evaluator) Scenarios() int {
 	return e.ds.Scenarios()
 }
 
-// Release returns the evaluator's pooled coverage states to the map for
-// reuse by later contacts. Optional — skipping it only forfeits recycling —
-// but the evaluator must not be used afterwards. The session keeps the
-// DeltaSet shell so its next evaluator can revive it with Reuse.
+// Release returns the evaluator's coverage states to the map's pool; the
+// evaluator must not be used afterwards. Callers that drop the session —
+// NewEvaluator's one-shot evaluators — release so later evaluators on the
+// map can reuse the states. A session's own phases skip it: the session
+// keeps the states and its next phase runs on them, so its steady-state
+// allocation does not depend on what the shared pool holds.
 func (e *Evaluator) Release() {
 	if e.ds.Base() == nil {
 		return

@@ -2,6 +2,7 @@ package selection
 
 import (
 	"container/heap"
+	"slices"
 
 	"photodtn/internal/coverage"
 	"photodtn/internal/model"
@@ -89,7 +90,8 @@ func (h *candHeap) Pop() any {
 func GreedyFill(ev *Evaluator, pool []Item, capacity int64) model.PhotoList {
 	s := ev.sess
 	s.cands.reset()
-	h := &candHeap{items: s.heapItems[:0]}
+	h := &s.heap
+	h.items = h.items[:0]
 	for _, it := range pool {
 		if it.Photo.Size > capacity {
 			continue
@@ -102,7 +104,7 @@ func GreedyFill(ev *Evaluator, pool []Item, capacity int64) model.PhotoList {
 	ev.gainBatch(h.items)
 	heap.Init(h)
 
-	var selected model.PhotoList
+	picked := s.picked[:0]
 	remaining := capacity
 	round := 0
 	for h.Len() > 0 && remaining > 0 {
@@ -126,13 +128,16 @@ func GreedyFill(ev *Evaluator, pool []Item, capacity int64) model.PhotoList {
 		}
 		heap.Pop(h)
 		ev.Commit(top.item.FP)
-		selected = append(selected, top.item.Photo)
+		picked = append(picked, top.item.Photo)
 		remaining -= top.item.Photo.Size
 		round++
 	}
 	ev.metrics.Rounds.Add(int64(round))
-	s.heapItems = h.items[:0]
-	return selected
+	s.picked = picked[:0]
+	if len(picked) == 0 {
+		return nil
+	}
+	return slices.Clone(picked)
 }
 
 // gainCand refreshes a candidate's gain, compiling its residual on first
@@ -224,14 +229,12 @@ func (s *Session) Reallocate(fpc *coverage.FootprintCache, cfg Config, ccPhotos 
 
 	ev := s.evaluator(m, cfg, ccFPs, bg)
 	firstSel := GreedyFill(ev, pool, first.Capacity)
-	ev.Release()
 
 	bg2 := append(s.bg2[:0], bg...)
 	bg2 = append(bg2, bgNode{p: first.P, fps: s.footprints(fpc, firstSel)})
 	s.bg2 = bg2
 	ev = s.evaluator(m, cfg, ccFPs, bg2)
 	secondSel := GreedyFill(ev, pool, second.Capacity)
-	ev.Release()
 
 	if aFirst {
 		return Result{ASel: firstSel, BSel: secondSel, AFirst: true}
@@ -254,7 +257,6 @@ func SelectForUpload(fpc *coverage.FootprintCache, cfg Config, ccPhotos, nodePho
 func (s *Session) SelectForUpload(fpc *coverage.FootprintCache, cfg Config, ccPhotos, nodePhotos model.PhotoList) model.PhotoList {
 	s.fps = s.fps[:0]
 	ev := s.evaluator(fpc.Map(), cfg, s.footprints(fpc, ccPhotos), nil)
-	defer ev.Release()
 	pool := s.BuildPool(fpc, nodePhotos)
 	// Upload capacity is bounded by the contact budget, not storage; pass
 	// the total pool size and let the transfer phase cut it off.

@@ -1,6 +1,7 @@
 package selection
 
 import (
+	"math/rand"
 	"sync"
 
 	"photodtn/internal/coverage"
@@ -12,8 +13,10 @@ import (
 // rebuilds the same transient machinery from scratch: the candidate pool and
 // its dedup map, the CELF heap, the compiled background residuals, the
 // scenario overlay list, and the evaluator itself. A Session owns all of
-// that storage and recycles it from contact to contact, so steady-state
-// selection allocates almost nothing.
+// that storage, including the evaluator's coverage states (base and
+// scenario overlays), and recycles it from contact to contact, so
+// steady-state selection allocates almost nothing, whatever the map's
+// shared state pool holds.
 //
 // Lifecycle and ownership rules:
 //
@@ -29,7 +32,8 @@ import (
 //
 // A session is not tied to a particular map: all cached storage is reset or
 // recompiled per contact, so one session may serve contacts against
-// different coverage maps.
+// different coverage maps (a change of map returns the coverage states to
+// the old map's pool).
 type Session struct {
 	ev Evaluator // reusable evaluator shell and its scenario family
 
@@ -41,7 +45,9 @@ type Session struct {
 	residFlat []coverage.Residual  // compiled background residuals
 	residIdx  [][]coverage.Residual
 	cands     candArena
-	heapItems []*cand
+	heap      candHeap        // GreedyFill's CELF queue, kept so heap.Init does not allocate it
+	picked    model.PhotoList // GreedyFill's selection, copied out on return
+	rng       *rand.Rand      // Monte Carlo sampler, reseeded per evaluator
 }
 
 // NewSession returns an empty session ready for use.
@@ -65,8 +71,8 @@ func (s *Session) Release() {
 }
 
 // evaluator rebuilds the session's evaluator in place for one selection
-// phase; the caller must Release it (which keeps the shell for reuse)
-// before requesting the next one.
+// phase. The next call ends that phase: the evaluator returned before must
+// not be used afterwards.
 func (s *Session) evaluator(m *coverage.Map, cfg Config, ccFPs []coverage.Footprint, bg []bgNode) *Evaluator {
 	e := &s.ev
 	e.init(m, cfg, ccFPs, bg)

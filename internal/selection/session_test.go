@@ -31,7 +31,6 @@ func TestGreedyFillSessionReuseMatchesFresh(t *testing.T) {
 
 			evSess := s.evaluator(m, sc.cfg, ccFPs, bg)
 			got := GreedyFill(evSess, pool, capacity)
-			evSess.Release()
 			assertSameSelection(t, sc.name+"/session", want, got)
 		}
 	}
@@ -122,9 +121,11 @@ func TestSessionBuildPoolAllocs(t *testing.T) {
 	}
 }
 
-// TestSessionGreedyFillAllocs bounds the steady-state allocation of a full
-// session-backed selection phase: only the returned selection list (which
-// the caller keeps) may allocate.
+// TestSessionGreedyFillAllocs pins the steady-state allocation of a full
+// session-backed selection phase: the returned selection list (which the
+// caller keeps) is its one allocation. The session owns its coverage
+// states, so the count does not depend on what the map's shared state pool
+// holds or on when the collector last emptied it.
 func TestSessionGreedyFillAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -136,7 +137,6 @@ func TestSessionGreedyFillAllocs(t *testing.T) {
 	run := func() int {
 		ev := s.evaluator(m, sc.cfg, ccFPs, bg)
 		sel := GreedyFill(ev, pool, capacity)
-		ev.Release()
 		return len(sel)
 	}
 	selected := run() // warm the arenas
@@ -144,10 +144,8 @@ func TestSessionGreedyFillAllocs(t *testing.T) {
 		t.Fatal("selected nothing")
 	}
 	n := testing.AllocsPerRun(10, func() { run() })
-	// The selected list grows by appending from nil: a handful of
-	// allocations per phase, independent of pool and scenario scale.
-	if limit := float64(8 + selected); n > limit {
-		t.Fatalf("warmed session selection phase allocates %.1f times, want ≤ %.0f", n, limit)
+	if n > 1 {
+		t.Fatalf("warmed session selection phase allocates %.1f times, want ≤ 1", n)
 	}
 }
 

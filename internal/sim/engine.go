@@ -171,19 +171,28 @@ type Result struct {
 	ResumedTransfers int64
 }
 
-// event is the engine's internal tagged union.
+// event is the engine's internal tagged union, kept small because a run
+// sorts one per photo, contact and sample: a photo event refers to its
+// workload item by index, and a contact event carries the contact's fields
+// (start = time) rather than a copy of anything larger.
 type event struct {
 	time float64
-	kind eventKind
-	// photo events
-	pe PhotoEvent
-	// contact events
-	contact trace.Contact
-	// crash events
-	node model.NodeID
+	// end is a contact's end time.
+	end float64
+	// a and b are a contact's endpoints; a is also the node of a photo or
+	// crash event.
+	a, b model.NodeID
+	// photo indexes Config.Photos for photo events.
+	photo int32
+	kind  eventKind
 }
 
-type eventKind int
+// contact rebuilds a contact event's trace contact.
+func (ev *event) contact() trace.Contact {
+	return trace.Contact{Start: ev.time, End: ev.end, A: ev.a, B: ev.b}
+}
+
+type eventKind uint8
 
 // Tie-break order at an instant: a crash wipes storage before anything
 // else happens, a photo taken at a contact instant can ride that contact,
@@ -257,26 +266,28 @@ func RunContext(ctx context.Context, cfg Config, scheme Scheme) (*Result, error)
 		w.now = ev.time
 		switch ev.kind {
 		case evCrash:
-			w.crash(ev.node)
+			w.crash(ev.a)
 		case evPhoto:
+			p := &cfg.Photos[ev.photo].Photo
 			cPhotos.Inc()
 			if o != nil {
 				o.Emit(obs.Event{
 					Time: ev.time, Kind: obs.EvPhotoTaken,
-					A: int32(ev.pe.Node), B: obs.NoNode, Photo: int64(ev.pe.Photo.ID),
+					A: int32(ev.a), B: obs.NoNode, Photo: int64(p.ID),
 				})
 			}
-			scheme.OnPhoto(ev.pe.Node, ev.pe.Photo)
+			scheme.OnPhoto(ev.a, *p)
 		case evContact:
+			c := ev.contact()
 			s := &Session{
-				w: w, A: ev.contact.A, B: ev.contact.B, Time: ev.time,
+				w: w, A: c.A, B: c.B, Time: ev.time,
 				unlimited: bandwidth == 0,
 			}
 			if !s.unlimited {
-				s.budget = int64(ev.contact.Duration() * bandwidth)
+				s.budget = int64(c.Duration() * bandwidth)
 			}
 			if w.faults != nil {
-				s.key = faults.ContactKey(ev.contact)
+				s.key = faults.ContactKey(c)
 			}
 			cContacts.Inc()
 			if o != nil {
@@ -345,8 +356,18 @@ func GatewayContacts(cfg Config, span float64) []trace.Contact {
 // involving a down endpoint (or drawn as dropped/outaged) never fire, and
 // truncated contacts keep a shortened duration (a smaller transfer budget).
 func buildEvents(cfg Config, span float64, fm *faults.Model) []event {
-	var events []event
-	for _, pe := range cfg.Photos {
+	gateways := GatewayContacts(cfg, span)
+	n := len(cfg.Photos) + len(cfg.Trace.Contacts) + len(gateways)
+	if cfg.SampleInterval > 0 {
+		n += int(span / cfg.SampleInterval)
+	}
+	var crashes []faults.Crash
+	if fm != nil {
+		crashes = fm.Crashes()
+		n += len(crashes)
+	}
+	events := make([]event, 0, n)
+	for i, pe := range cfg.Photos {
 		t := pe.Time
 		if fm != nil {
 			t += fm.Skew(pe.Node)
@@ -360,7 +381,10 @@ func buildEvents(cfg Config, span float64, fm *faults.Model) []event {
 		if t > span {
 			continue
 		}
-		events = append(events, event{time: t, kind: evPhoto, pe: pe})
+		events = append(events, event{time: t, kind: evPhoto, a: pe.Node, photo: int32(i)})
+	}
+	addContact := func(c trace.Contact) {
+		events = append(events, event{time: c.Start, end: c.End, kind: evContact, a: c.A, b: c.B})
 	}
 	for _, c := range cfg.Trace.Contacts {
 		if c.Start > span {
@@ -374,26 +398,24 @@ func buildEvents(cfg Config, span float64, fm *faults.Model) []event {
 				c.End = c.Start + c.Duration()*f
 			}
 		}
-		events = append(events, event{time: c.Start, kind: evContact, contact: c})
+		addContact(c)
 	}
-	for _, c := range GatewayContacts(cfg, span) {
+	for _, c := range gateways {
 		if fm != nil && (fm.Down(c.A, c.Start) || fm.GatewayOutage(c)) {
 			continue
 		}
-		events = append(events, event{time: c.Start, kind: evContact, contact: c})
+		addContact(c)
 	}
 	if cfg.SampleInterval > 0 {
 		for t := cfg.SampleInterval; t <= span; t += cfg.SampleInterval {
 			events = append(events, event{time: t, kind: evSample})
 		}
 	}
-	if fm != nil {
-		for _, cr := range fm.Crashes() {
-			if cr.Time > span {
-				continue
-			}
-			events = append(events, event{time: cr.Time, kind: evCrash, node: cr.Node})
+	for _, cr := range crashes {
+		if cr.Time > span {
+			continue
 		}
+		events = append(events, event{time: cr.Time, kind: evCrash, a: cr.Node})
 	}
 	sort.SliceStable(events, func(i, j int) bool {
 		if events[i].time != events[j].time {

@@ -151,12 +151,12 @@ func TestDownNodesDropOutOfContactsAndPhotos(t *testing.T) {
 	for _, ev := range events {
 		switch ev.kind {
 		case evContact:
-			if fm.Down(ev.contact.A, ev.time) || fm.Down(ev.contact.B, ev.time) {
-				t.Fatalf("contact %+v fired while an endpoint was down", ev.contact)
+			if fm.Down(ev.a, ev.time) || fm.Down(ev.b, ev.time) {
+				t.Fatalf("contact %+v fired while an endpoint was down", ev.contact())
 			}
 		case evPhoto:
-			if fm.Down(ev.pe.Node, ev.time) {
-				t.Fatalf("photo event fired on down node %v at %v", ev.pe.Node, ev.time)
+			if fm.Down(ev.a, ev.time) {
+				t.Fatalf("photo event fired on down node %v at %v", ev.a, ev.time)
 			}
 		}
 	}

@@ -104,6 +104,25 @@ func (s *Storage) Remove(id model.PhotoID) {
 	delete(s.copies, id)
 }
 
+// Retain keeps the photos for which keep returns true and removes the rest
+// (with their copy counters) in one pass, preserving FIFO order. keep must
+// not touch the storage.
+func (s *Storage) Retain(keep func(model.Photo) bool) {
+	n := 0
+	for _, p := range s.list {
+		if !keep(p) {
+			s.used -= p.Size
+			delete(s.index, p.ID)
+			delete(s.copies, p.ID)
+			continue
+		}
+		s.list[n] = p
+		s.index[p.ID] = n
+		n++
+	}
+	s.list = s.list[:n]
+}
+
 // Copies returns the spray copy counter of a photo (0 if untracked).
 func (s *Storage) Copies(id model.PhotoID) int { return s.copies[id] }
 

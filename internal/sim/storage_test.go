@@ -189,3 +189,46 @@ func TestStorageCloneIndependent(t *testing.T) {
 		t.Fatal("mutating the clone leaked into the original")
 	}
 }
+
+// TestStorageRetainMatchesRemove: Retain must leave the storage exactly as
+// removing every rejected photo one by one does — order, index, bytes in
+// use and copy counters alike.
+func TestStorageRetainMatchesRemove(t *testing.T) {
+	for mask := 0; mask < 1<<6; mask++ {
+		got, want := NewStorage(100), NewStorage(100)
+		for i := uint32(0); i < 6; i++ {
+			p := photoN(1, i, int64(1+i))
+			for _, st := range []*Storage{got, want} {
+				if err := st.Add(p); err != nil {
+					t.Fatal(err)
+				}
+				st.SetCopies(p.ID, int(i))
+			}
+		}
+		keep := func(p model.Photo) bool { return mask&(1<<(p.ID.Seq()%6)) != 0 }
+		for _, p := range want.List() {
+			if !keep(p) {
+				want.Remove(p.ID)
+			}
+		}
+		got.Retain(keep)
+		if got.Used() != want.Used() || got.Len() != want.Len() {
+			t.Fatalf("mask %06b: used %d len %d, want used %d len %d", mask, got.Used(), got.Len(), want.Used(), want.Len())
+		}
+		for i, p := range want.Photos() {
+			if got.Photos()[i] != p {
+				t.Fatalf("mask %06b: photo %d = %v, want %v", mask, i, got.Photos()[i].ID, p.ID)
+			}
+			if g, ok := got.Get(p.ID); !ok || g != p || got.Copies(p.ID) != want.Copies(p.ID) {
+				t.Fatalf("mask %06b: index or copy counter of %v out of step", mask, p.ID)
+			}
+		}
+		for i := uint32(0); i < 6; i++ {
+			id := photoN(1, i, 0).ID
+			if got.Has(id) != want.Has(id) || got.Copies(id) != want.Copies(id) {
+				t.Fatalf("mask %06b: photo %v held=%v copies=%d, want held=%v copies=%d",
+					mask, id, got.Has(id), got.Copies(id), want.Has(id), want.Copies(id))
+			}
+		}
+	}
+}
