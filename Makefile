@@ -35,13 +35,14 @@ race:
 # race-repeat reruns the concurrency-heavy packages under the race detector
 # with -count=2: the live peer (commit races, the pipelined chunk-ack
 # reader, admission), the wire codec and reassembly store, the guard's
-# per-peer accounting, selection session reuse, and the metadata caches and
-# contact scheme that share photo lists between caches get a second
+# per-peer accounting, selection session reuse, the metadata caches and
+# contact scheme that share photo lists between caches, and the
+# orchestrator's worker pool, aggregator and checkpoint writer get a second
 # schedule in which to trip the detector.
 race-repeat:
 	$(GO) test -race -count=2 ./internal/peer/ ./internal/peer/session/ ./internal/wire/ \
 		./internal/transfer/ ./internal/guard/ ./internal/selection/ ./internal/coverage/ \
-		./internal/metadata/ ./internal/core/
+		./internal/metadata/ ./internal/core/ ./internal/runner/
 
 # chaos is the crash-recovery harness: it sweeps a kill across every
 # mutating disk operation of a durable peer's write sequence (clean and
@@ -51,7 +52,7 @@ chaos:
 	$(GO) test -race -count=1 -v ./internal/peer/ ./internal/journal/ ./internal/faults/
 
 # bench-runner regenerates the committed orchestrator baseline
-# BENCH_runner.json (worker-pool scaling, aggregation, seed derivation).
+# BENCH_runner.json (worker-pool scaling, aggregation).
 bench-runner:
 	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=200ms ./internal/runner/ \
 		| $(GO) run ./cmd/benchjson -o BENCH_runner.json

@@ -30,13 +30,12 @@ func RunAveragedScheme(p Params, label string, factory func() sim.Scheme, opts O
 			}
 			return cfg, factory(), nil
 		}),
-		Seed: sim.LegacySeeds(opts.BaseSeed),
 	}
 	aggs, err := runner.Run(opts.context(), []runner.Job{job}, opts.runnerOptions())
 	if err != nil {
 		return nil, err
 	}
-	return sim.AverageOf(aggs[0]), nil
+	return aggs[0], nil
 }
 
 // AblationPthld sweeps the metadata validity threshold P_thld (DESIGN.md:

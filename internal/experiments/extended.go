@@ -36,7 +36,7 @@ func ExtendedComparison(opts Options) (*Figure, error) {
 	}
 	jobs := make([]runner.Job, len(schemes))
 	for i, scheme := range schemes {
-		jobs[i] = schemeJob(p, scheme, opts.Runs, opts.BaseSeed)
+		jobs[i] = schemeJob(p, scheme, opts.Runs)
 	}
 	avgs, err := runJobs("extended", jobs, opts)
 	if err != nil {

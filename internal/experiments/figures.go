@@ -28,11 +28,7 @@ func runJobs(figID string, jobs []runner.Job, opts Options) ([]*sim.Average, err
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", figID, err)
 	}
-	avgs := make([]*sim.Average, len(aggs))
-	for i, agg := range aggs {
-		avgs[i] = sim.AverageOf(agg)
-	}
-	return avgs, nil
+	return aggs, nil
 }
 
 // Fig5 reproduces Fig. 5: point and aspect coverage over time on the MIT
@@ -54,7 +50,7 @@ func Fig5(opts Options) (*Figure, error) {
 	}
 	jobs := make([]runner.Job, len(AllSchemes))
 	for i, scheme := range AllSchemes {
-		jobs[i] = schemeJob(p, scheme, opts.Runs, opts.BaseSeed)
+		jobs[i] = schemeJob(p, scheme, opts.Runs)
 	}
 	avgs, err := runJobs("fig5", jobs, opts)
 	if err != nil {
@@ -104,7 +100,7 @@ func Fig6(opts Options) (*Figure, error) {
 			p.SpanHours = 60
 			p.SampleHours = 20
 		}
-		jobs[i] = schemeJob(p, v.scheme, opts.Runs, opts.BaseSeed)
+		jobs[i] = schemeJob(p, v.scheme, opts.Runs)
 	}
 	avgs, err := runJobs("fig6", jobs, opts)
 	if err != nil {
@@ -135,7 +131,7 @@ func sweepFigure(id, title, xlabel string, kind TraceKind, values []float64,
 				p.SpanHours = 60
 			}
 			apply(&p, v)
-			jobs = append(jobs, schemeJob(p, scheme, opts.Runs, opts.BaseSeed))
+			jobs = append(jobs, schemeJob(p, scheme, opts.Runs))
 		}
 	}
 	avgs, err := runJobs(id, jobs, opts)

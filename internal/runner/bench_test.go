@@ -7,7 +7,7 @@ import (
 )
 
 // BenchmarkRunner measures orchestration overhead per cell: a 8-job × 8-run
-// matrix of near-free cells, so the cost is scheduling, seeding, aggregation,
+// matrix of near-free cells, so the cost is scheduling, aggregation,
 // and locking rather than simulation work.
 func BenchmarkRunner(b *testing.B) {
 	for _, workers := range []int{1, 4} {
@@ -24,7 +24,7 @@ func BenchmarkRunner(b *testing.B) {
 
 // BenchmarkAggAdd measures the streaming aggregation path alone.
 func BenchmarkAggAdd(b *testing.B) {
-	sum, err := mathCell(20)(context.Background(), 0, CellSeed(1, 0))
+	sum, err := mathCell(20)(context.Background(), 0, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -38,14 +38,4 @@ func BenchmarkAggAdd(b *testing.B) {
 			}
 		}
 	}
-}
-
-// BenchmarkCellSeed pins the seed derivation as O(1) and allocation-free.
-func BenchmarkCellSeed(b *testing.B) {
-	b.ReportAllocs()
-	var sink int64
-	for i := 0; i < b.N; i++ {
-		sink ^= CellSeed(42, i)
-	}
-	_ = sink
 }

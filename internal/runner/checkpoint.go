@@ -22,8 +22,8 @@ type cellRecord struct {
 // Checkpoint records completed cells as JSONL so an interrupted sweep
 // resumes from where it stopped instead of recomputing finished work. A
 // record is matched on (job key, run index, seed): a checkpoint written
-// under a different base seed or seed derivation simply misses and the cell
-// reruns — stale files degrade to extra work, never to wrong results.
+// under a different base seed simply misses and the cell reruns — stale
+// files degrade to extra work, never to wrong results.
 //
 // Loading tolerates a truncated final line (the signature of a kill mid
 // write); any unparsable line is skipped. A nil *Checkpoint is the disabled

@@ -5,11 +5,10 @@
 //
 // The design invariants, in order of importance:
 //
-//   - Determinism: every cell's seed is a pure function of (base seed, run
-//     index) via SplitMix64 (see CellSeed), and aggregation applies run
-//     summaries in run order regardless of completion order, so results are
-//     bit-identical for any worker count, any job ordering, and any
-//     interrupt/resume history.
+//   - Determinism: run i of every job runs under seed BaseSeed+i, and
+//     aggregation applies run summaries in run order regardless of
+//     completion order, so results are bit-identical for any worker count,
+//     any job ordering, and any interrupt/resume history.
 //   - Bounded memory: aggregation is streaming; the orchestrator never
 //     retains more than the out-of-order window of summaries per job.
 //   - Isolation: a panicking or failing cell fails its job, not the sweep;
@@ -38,13 +37,10 @@ import (
 	"photodtn/internal/obs"
 )
 
-// CellFunc executes one run of a job: run index runIdx under the derived
-// seed. It must be safe to call concurrently with other cells and should
-// honour ctx for long computations (sim.RunContext does).
+// CellFunc executes one run of a job: run index runIdx under seed
+// Options.BaseSeed+runIdx. It must be safe to call concurrently with other
+// cells and should honour ctx for long computations (sim.RunContext does).
 type CellFunc func(ctx context.Context, runIdx int, seed int64) (*Summary, error)
-
-// SeedFunc derives the seed of run runIdx within one job.
-type SeedFunc func(runIdx int) int64
 
 // Job is one aggregation group of the run matrix: Runs independent cells
 // whose summaries are averaged together.
@@ -57,11 +53,6 @@ type Job struct {
 	Runs int
 	// Cell executes one run.
 	Cell CellFunc
-	// Seed optionally overrides the seed derivation for this job; nil uses
-	// CellSeed(Options.BaseSeed, runIdx). Callers with a documented legacy
-	// seed family (sim.LegacySeeds: baseSeed, baseSeed+1, ...) override it
-	// here.
-	Seed SeedFunc
 }
 
 // Options configures one orchestrator run.
@@ -69,7 +60,8 @@ type Options struct {
 	// Workers bounds the concurrent cells; <= 0 means GOMAXPROCS. Results
 	// are bit-identical for every value.
 	Workers int
-	// BaseSeed parameterises the default per-cell seed derivation.
+	// BaseSeed is the seed of run 0 of every job; run i runs under
+	// BaseSeed+i.
 	BaseSeed int64
 	// Checkpoint, when non-nil, records completed cells and resumes
 	// previously completed ones. The caller owns Open/Close.
@@ -121,12 +113,7 @@ func Run(ctx context.Context, jobs []Job, opts Options) ([]*Aggregate, error) {
 	cResumed := o.Counter("runner.cells_resumed")
 	hSeconds := o.Histogram("runner.cell_seconds")
 
-	seedOf := func(j *Job, run int) int64 {
-		if j.Seed != nil {
-			return j.Seed(run)
-		}
-		return CellSeed(opts.BaseSeed, run)
-	}
+	seedOf := func(run int) int64 { return opts.BaseSeed + int64(run) }
 
 	var (
 		mu      sync.Mutex
@@ -142,7 +129,7 @@ func Run(ctx context.Context, jobs []Job, opts Options) ([]*Aggregate, error) {
 	var work []cellRef
 	for ji := range jobs {
 		for run := 0; run < jobs[ji].Runs; run++ {
-			if sum, ok := opts.Checkpoint.Lookup(jobs[ji].Key, run, seedOf(&jobs[ji], run)); ok {
+			if sum, ok := opts.Checkpoint.Lookup(jobs[ji].Key, run, seedOf(run)); ok {
 				if err := aggs[ji].Add(run, sum); err != nil {
 					jobErrs[ji] = errors.Join(jobErrs[ji], err)
 					continue
@@ -178,7 +165,7 @@ func Run(ctx context.Context, jobs []Job, opts Options) ([]*Aggregate, error) {
 				if dead {
 					continue // the job already failed; don't burn cores on it
 				}
-				seed := seedOf(job, c.run)
+				seed := seedOf(c.run)
 				cStarted.Inc()
 				start := time.Now()
 				sum, err := runCell(ctx, job, c.run, seed)

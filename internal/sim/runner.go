@@ -13,33 +13,14 @@ import (
 // independent.
 type RunFunc func(seed int64) (Config, Scheme, error)
 
-// AvgSample is a Sample averaged over runs (Delivered becomes fractional).
-type AvgSample struct {
-	Time      float64
-	PointFrac float64
-	AspectRad float64
-	Delivered float64
-}
-
 // Average aggregates the results of repeated runs of one scheme, mirroring
-// the paper's "each data point is the average of 50 simulation runs".
-type Average struct {
-	Scheme            string
-	Runs              int
-	Samples           []AvgSample
-	Final             AvgSample
-	TransferredPhotos float64
-	TransferredBytes  float64
-	// Fault metrics (zero without an enabled fault model).
-	NodeCrashes       float64
-	PhotosLostToCrash float64
-	AbortedTransfers  float64
-	MeanRecoverySec   float64
+// the paper's "each data point is the average of 50 simulation runs": the
+// orchestrator's aggregate, whose embedded Summary is the per-field mean and
+// whose Var is the per-field sample variance.
+type Average = runner.Aggregate
 
-	// FinalVar is the per-field sample variance of Final across runs
-	// (n−1 denominator; all zero for a single run).
-	FinalVar AvgSample
-}
+// AvgSample is a Sample averaged over runs (Delivered becomes fractional).
+type AvgSample = runner.Sample
 
 // Summarize projects a run result onto the orchestrator's numeric summary
 // (dropping the photo collection, which averages cannot use anyway).
@@ -70,36 +51,6 @@ func summarySample(s Sample) runner.Sample {
 	}
 }
 
-// AverageOf converts an orchestrator aggregate back into the simulator's
-// Average (including the Final variance the streaming aggregation provides
-// for free).
-func AverageOf(agg *runner.Aggregate) *Average {
-	m := &agg.Mean
-	avg := &Average{
-		Scheme:            m.Scheme,
-		Runs:              agg.Runs,
-		Final:             avgSample(m.Final),
-		TransferredPhotos: m.TransferredPhotos,
-		TransferredBytes:  m.TransferredBytes,
-		NodeCrashes:       m.NodeCrashes,
-		PhotosLostToCrash: m.PhotosLostToCrash,
-		AbortedTransfers:  m.AbortedTransfers,
-		MeanRecoverySec:   m.MeanRecoverySec,
-		FinalVar:          avgSample(agg.Var.Final),
-	}
-	if len(m.Samples) > 0 {
-		avg.Samples = make([]AvgSample, len(m.Samples))
-		for i, sm := range m.Samples {
-			avg.Samples[i] = avgSample(sm)
-		}
-	}
-	return avg
-}
-
-func avgSample(s runner.Sample) AvgSample {
-	return AvgSample{Time: s.Time, PointFrac: s.PointFrac, AspectRad: s.AspectRad, Delivered: s.Delivered}
-}
-
 // Cell adapts a RunFunc to the orchestrator: one cell builds the run for
 // its seed, executes it under ctx, and returns the numeric summary.
 // experiments uses it to assemble whole sweep matrices over one worker pool.
@@ -115,12 +66,4 @@ func Cell(f RunFunc) runner.CellFunc {
 		}
 		return Summarize(res), nil
 	}
-}
-
-// LegacySeeds is the historical repeated-run seed family — baseSeed,
-// baseSeed+1, ... — kept so committed reports and seed-parity tests keep
-// their exact seeds. New orchestrations should prefer the default
-// runner.CellSeed derivation.
-func LegacySeeds(baseSeed int64) runner.SeedFunc {
-	return func(runIdx int) int64 { return baseSeed + int64(runIdx) }
 }

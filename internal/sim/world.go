@@ -49,14 +49,6 @@ type World struct {
 	transferredBytes  int64
 	transferredPhotos int64
 
-	// Fragment carryover (Config.FragmentCarryover): bytes of budget-cut
-	// transfers parked at their receiver, keyed by (receiver, photo). Nil
-	// unless the knob is on — every touch point is gated on that, so the
-	// default run is bit-identical to earlier builds.
-	carry            map[carryKey]int64
-	salvagedBytes    int64
-	resumedTransfers int64
-
 	// Fault metrics.
 	nodeCrashes       int64
 	photosLostToCrash int64
@@ -174,12 +166,6 @@ func (w *World) crash(n model.NodeID) {
 	w.nodeCrashes++
 	w.photosLostToCrash += int64(lost)
 	_ = st.ReplaceAll(nil) // always fits
-	// Fragments parked on the device die with it (carryover mode).
-	for k := range w.carry {
-		if k.to == n {
-			delete(w.carry, k)
-		}
-	}
 	w.pendingCrashes = append(w.pendingCrashes, w.now)
 	w.cCrashes.Inc()
 	if w.obsv != nil {
@@ -188,13 +174,6 @@ func (w *World) crash(n model.NodeID) {
 			A: int32(n), B: obs.NoNode, Photo: obs.NoPhoto, Value: float64(lost),
 		})
 	}
-}
-
-// carryKey identifies a parked fragment: the node holding the partial
-// bytes and the photo they belong to.
-type carryKey struct {
-	to model.NodeID
-	id model.PhotoID
 }
 
 // Session errors.
@@ -290,30 +269,11 @@ func (s *Session) Transfer(to model.NodeID, p model.Photo) error {
 		}
 		return fmt.Errorf("%w: photo %v lost in flight", ErrAborted, p.ID)
 	}
-	need := p.Size
-	var carried int64
-	if s.w.carry != nil {
-		if carried = s.w.carry[carryKey{to, p.ID}]; carried > need {
-			carried = need
-		}
-		need -= carried
-	}
-	if !s.unlimited && need > s.budget {
-		if s.w.carry != nil && s.budget > 0 {
-			// The bytes that fit this contact survive at the receiver; a
-			// later contact sends only the remainder.
-			s.w.carry[carryKey{to, p.ID}] = carried + s.budget
-			s.w.transferredBytes += s.budget
-		}
+	if !s.unlimited && p.Size > s.budget {
 		s.budget = 0
 		return fmt.Errorf("%w: photo %v (%d bytes)", ErrBudget, p.ID, p.Size)
 	}
-	if carried > 0 {
-		s.w.salvagedBytes += carried
-		s.w.resumedTransfers++
-		delete(s.w.carry, carryKey{to, p.ID})
-	}
-	s.debit(need)
+	s.debit(p.Size)
 	if to.IsCommandCenter() {
 		if s.w.deliver(p) {
 			s.w.cDelivered.Inc()

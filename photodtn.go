@@ -25,9 +25,12 @@
 // Every layer accepts the same observer through one option: pass
 // WithObserver to RunSimulation, DefaultSelectionConfig, or NewPeer and the
 // simulator, the selection machinery, and the live peer all report into the
-// same registry. The per-layer hooks (sim.Config.Obs, selection
-// Config.Metrics, the peer WithObserver option) still work but are
-// deprecated in favour of this single entry point.
+// same registry. The per-layer hooks sim.Config.Obs and the peer
+// WithObserver option still work but are deprecated in favour of this
+// single entry point. The selection Config.Metrics field only takes effect
+// for direct selection calls: the framework scheme and live peers overwrite
+// it with their own observer's metrics, so a value set through
+// FrameworkConfig.Selection or WithSelectionConfig is dropped.
 //
 // Long-running entry points have context-aware forms — RunSimulationContext,
 // Peer.DialContext, Peer.ServeContext — and experiment harnesses run on a
@@ -395,6 +398,12 @@ var (
 	// per-peer rate limiting, and a journaled TTL quarantine. Without it
 	// the contact path is bit-identical to an unguarded peer.
 	WithGuard = peer.WithGuard
+	// WithTransfer configures a peer's resumable chunked transfer: the
+	// chunk size, window and resume flag it negotiates into its contacts,
+	// and the byte budget of each transfer leg it sends. It is a peer
+	// option only — the simulator always applies the §III-D discard rule,
+	// which a peer reproduces with Resume off.
+	WithTransfer = peer.WithTransfer
 )
 
 // Unified observability (see DESIGN.md).
@@ -413,8 +422,8 @@ func NewObserver(traceCap int, sink io.Writer) *Observer { return obs.New(traceC
 // Option configures any layer of the framework from one value: it is a
 // PeerOption (pass it to NewPeer), a simulation option (pass it to
 // RunSimulation), and a selection option (pass it to
-// DefaultSelectionConfig). Implementations live in this package —
-// WithObserver is the canonical one.
+// DefaultSelectionConfig). WithObserver is its one implementation;
+// peer-only settings such as WithTransfer are plain PeerOptions.
 type Option interface {
 	PeerOption
 	applySim(cfg *sim.Config)
@@ -423,9 +432,12 @@ type Option interface {
 
 // WithObserver wires one observer into whichever layer the option is given
 // to: the simulator (RunSimulation), the selection machinery
-// (DefaultSelectionConfig), or a live peer (NewPeer). It replaces the three
-// per-layer hooks sim.Config.Obs, selection Config.Metrics, and the peer
-// WithObserver option, which remain for compatibility but are deprecated.
+// (DefaultSelectionConfig), or a live peer (NewPeer). It replaces the
+// per-layer hooks sim.Config.Obs and the peer WithObserver option, which
+// remain for compatibility but are deprecated. The selection
+// Config.Metrics it fills only takes effect for direct selection calls;
+// the framework scheme and live peers install their own observer's
+// metrics over it.
 func WithObserver(o *Observer) Option { return observerOption{o: o} }
 
 type observerOption struct{ o *Observer }
@@ -438,24 +450,6 @@ func (w observerOption) applySim(cfg *sim.Config) { cfg.Obs = w.o }
 func (w observerOption) applySelection(cfg *selection.Config) {
 	cfg.Metrics = selection.ObserverMetrics(w.o)
 }
-
-// WithTransfer configures resumable chunked transfer in whichever layer the
-// option is given to: a live peer (NewPeer) negotiates the chunk size,
-// window, and resume flag into its contacts, and a simulation
-// (RunSimulation) maps Resume onto the engine's fragment-carryover
-// accounting (SimConfig.FragmentCarryover). The default — no option — keeps
-// resume on for peers and carryover off for simulations, so published
-// figures stay byte-identical.
-func WithTransfer(cfg TransferConfig) Option { return transferOption{cfg: cfg} }
-
-type transferOption struct{ cfg TransferConfig }
-
-// Apply implements PeerOption.
-func (t transferOption) Apply(p *Peer) { peer.WithTransfer(t.cfg).Apply(p) }
-
-func (t transferOption) applySim(cfg *sim.Config) { cfg.FragmentCarryover = t.cfg.Resume }
-
-func (t transferOption) applySelection(*selection.Config) {}
 
 // RunCheckpoint is a durable record of completed experiment cells; pass one
 // through ExperimentOptions.Checkpoint to make interrupted sweeps resumable.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net"
 	"path/filepath"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -230,9 +231,8 @@ func TestFacadeUnifiedObserver(t *testing.T) {
 }
 
 func TestFacadeUnifiedTransfer(t *testing.T) {
-	// One WithTransfer value, two layers: as a PeerOption it configures the
-	// wire-v2 chunked transfer of live peers; as a simulation Option it maps
-	// Resume onto the engine's fragment-carryover model.
+	// WithTransfer is a PeerOption: it configures the chunked transfer of
+	// live peers.
 	if photodtn.ProtocolVersion != 2 {
 		t.Fatalf("ProtocolVersion = %d, want 2", photodtn.ProtocolVersion)
 	}
@@ -273,30 +273,118 @@ func TestFacadeUnifiedTransfer(t *testing.T) {
 	if ts := node.TransferStats(); ts.ChunksSent != 3 {
 		t.Fatalf("node chunks sent = %d, want 3", ts.ChunksSent)
 	}
+}
 
-	// Simulation layer: the same value is a sim Option. Resume off must
-	// leave the engine's figures byte-identical to a run with no option at
-	// all; Resume on switches fragment carryover in and still runs clean.
-	base, err := photodtn.RunSimulation(facadeSimConfig(t), photodtn.NewSprayAndWait())
-	if err != nil {
+// gatewayPhotos are the gateway's three 4 MiB photos of the budget-cut
+// differential. They cover 3, 2 and 1 disjoint PoIs, so the marginal-gain
+// upload order both the simulator and a live peer use is their ID order.
+func gatewayPhotos() (*photodtn.Map, photodtn.PhotoList) {
+	var pois []photodtn.PoI
+	var photos photodtn.PhotoList
+	for i, n := range []int{3, 2, 1} {
+		x := float64(i) * 1000
+		for k := 0; k < n; k++ {
+			pois = append(pois, photodtn.NewPoI(len(pois), photodtn.Vec{X: x, Y: float64(k) * 10}))
+		}
+		photos = append(photos, facadePhoto(1, uint32(i), photodtn.Vec{X: x + 80, Y: 0}, 180))
+	}
+	return photodtn.NewMap(pois, photodtn.Radians(30)), photos
+}
+
+// TestSimLiveGatewayBudgetCutAgree pins the simulator's §III-D discard rule
+// against a live peer. Gateway node 1 holds three 4 MiB photos and reaches
+// the command center at t=100 and t=200 with a 6 MiB budget each: the first
+// contact delivers p1 and cuts p2, the second delivers p2 and cuts p3. A
+// live pair with Resume off must deliver the same set after each contact;
+// with Resume on, p2's surviving prefix lets p3 complete at the second.
+func TestSimLiveGatewayBudgetCutAgree(t *testing.T) {
+	const mib = 1 << 20
+	m, photos := gatewayPhotos()
+	want := [][]photodtn.PhotoID{
+		{photos[0].ID},
+		{photos[0].ID, photos[1].ID},
+	}
+
+	// Simulator: 1 MiB/s over a 6 s gateway contact every 100 s, observed
+	// after the first contact (span 150) and after the second (span 250).
+	for i, span := range []float64{150, 250} {
+		cfg := photodtn.SimConfig{
+			Trace:           &photodtn.Trace{Nodes: 1},
+			Map:             m,
+			StorageBytes:    64 * mib,
+			Bandwidth:       mib,
+			Gateways:        []photodtn.NodeID{1},
+			GatewayInterval: 100,
+			GatewayDuration: 6,
+			Span:            span,
+			Seed:            1,
+		}
+		for k, p := range photos {
+			cfg.Photos = append(cfg.Photos, photodtn.PhotoEvent{Time: float64(10 * (k + 1)), Node: 1, Photo: p})
+		}
+		res, err := photodtn.RunSimulation(cfg, photodtn.NewFramework(photodtn.DefaultFrameworkConfig()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := photoIDs(res.DeliveredPhotos); !slices.Equal(got, want[i]) {
+			t.Fatalf("sim after contact %d delivered %v, want %v", i+1, got, want[i])
+		}
+	}
+
+	// Live: the same budget per transfer leg, cut at 1 MiB chunk
+	// boundaries, over contacts run through ContactConn on a pipe.
+	for _, resume := range []bool{false, true} {
+		var now atomic.Int64
+		clock := func() float64 { return float64(now.Load()) }
+		tc := photodtn.TransferConfig{ChunkSize: mib, BudgetBytes: 6 * mib, Resume: resume}
+		opts := []photodtn.PeerOption{
+			photodtn.WithTransfer(tc), photodtn.WithClock(clock), photodtn.WithPayloadBytes(4 * mib),
+		}
+		cc := photodtn.NewPeer(photodtn.CommandCenter, m, 0, append(opts, photodtn.WithSeed(1))...)
+		gw := photodtn.NewPeer(1, m, 64*mib, append(opts, photodtn.WithSeed(2))...)
+		for _, p := range photos {
+			if err := gw.AddPhoto(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, at := range []int64{100, 200} {
+			now.Store(at)
+			pipeContact(t, gw, cc)
+			got := photoIDs(cc.Photos())
+			switch {
+			case !resume && !slices.Equal(got, want[i]):
+				t.Fatalf("live Resume:false after contact %d delivered %v, want %v (the sim's set)", i+1, got, want[i])
+			case resume && i == 1 && !slices.Equal(got, photoIDs(photos)):
+				t.Fatalf("live Resume:true after contact 2 delivered %v, want all of %v", got, photoIDs(photos))
+			}
+		}
+	}
+}
+
+// pipeContact runs one contact between a (initiator) and b over net.Pipe.
+func pipeContact(t *testing.T, a, b *photodtn.Peer) {
+	t.Helper()
+	ca, cb := net.Pipe()
+	errB := make(chan error, 1)
+	go func() {
+		errB <- b.ContactConn(cb, false)
+		_ = cb.Close()
+	}()
+	errA := a.ContactConn(ca, true)
+	_ = ca.Close()
+	if err := errors.Join(errA, <-errB); err != nil {
 		t.Fatal(err)
 	}
-	off, err := photodtn.RunSimulation(facadeSimConfig(t), photodtn.NewSprayAndWait(),
-		photodtn.WithTransfer(photodtn.TransferConfig{Resume: false}))
-	if err != nil {
-		t.Fatal(err)
+}
+
+// photoIDs returns the IDs of a photo list in ascending order.
+func photoIDs(ps photodtn.PhotoList) []photodtn.PhotoID {
+	ids := make([]photodtn.PhotoID, len(ps))
+	for i, p := range ps {
+		ids[i] = p.ID
 	}
-	if off.Final != base.Final || off.TransferredBytes != base.TransferredBytes ||
-		off.SalvagedBytes != 0 || off.ResumedTransfers != 0 {
-		t.Fatalf("Resume:false diverged from the default run:\n got %+v\nwant %+v", off.Final, base.Final)
-	}
-	on, err := photodtn.RunSimulation(facadeSimConfig(t), photodtn.NewSprayAndWait(), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if on.Final.Delivered < base.Final.Delivered {
-		t.Fatalf("carryover delivered %d < default %d", on.Final.Delivered, base.Final.Delivered)
-	}
+	slices.Sort(ids)
+	return ids
 }
 
 func TestFacadeRunSimulationContextCancelled(t *testing.T) {
