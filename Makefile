@@ -36,13 +36,14 @@ race:
 # with -count=2: the live peer (commit races, the pipelined chunk-ack
 # reader, admission), the wire codec and reassembly store, the guard's
 # per-peer accounting, selection session reuse, the metadata caches and
-# contact scheme that share photo lists between caches, and the
-# orchestrator's worker pool, aggregator and checkpoint writer get a second
-# schedule in which to trip the detector.
+# contact scheme that share photo lists between caches, the orchestrator's
+# worker pool, aggregator and checkpoint writer, and the fault injectors
+# (whose Byzantine adversary runs against a scripted peer over a pipe) get
+# a second schedule in which to trip the detector.
 race-repeat:
 	$(GO) test -race -count=2 ./internal/peer/ ./internal/peer/session/ ./internal/wire/ \
 		./internal/transfer/ ./internal/guard/ ./internal/selection/ ./internal/coverage/ \
-		./internal/metadata/ ./internal/core/ ./internal/runner/
+		./internal/metadata/ ./internal/core/ ./internal/runner/ ./internal/faults/
 
 # chaos is the crash-recovery harness: it sweeps a kill across every
 # mutating disk operation of a durable peer's write sequence (clean and

@@ -46,6 +46,15 @@ const (
 	// chunk of a multi-chunk photo anyway — baiting a resuming receiver
 	// into storing (and journaling) a partial it never asked for.
 	ByzUnrequestedChunk
+	// ByzLyingSummary claims in a well-formed summary to hold a snapshot
+	// of every node stamped at the session time, so the honest node
+	// withholds all its gossip; it then completes the metadata round and
+	// walks away. The lie can only starve the liar: no check trips, and
+	// the honest node's state must not move.
+	ByzLyingSummary
+	// ByzMalformedSummary lists one node twice in its summary — a replayed
+	// pair the wire decoder lets through for the guard to catch.
+	ByzMalformedSummary
 
 	numByzStrategies
 )
@@ -76,6 +85,10 @@ func (s ByzStrategy) String() string {
 		return "flood"
 	case ByzUnrequestedChunk:
 		return "unrequested-chunk"
+	case ByzLyingSummary:
+		return "lying-summary"
+	case ByzMalformedSummary:
+		return "malformed-summary"
 	default:
 		return fmt.Sprintf("ByzStrategy(%d)", int(s))
 	}
@@ -131,7 +144,7 @@ func (b *ByzantinePeer) Contact(conn io.ReadWriter) error {
 	}
 	// Advertise resume like a default honest peer, so a chunk that slips
 	// through lands in the receiver's shared fragment store.
-	params, _, err := wire.Negotiate(conn, hello, wire.Params{Resume: true}, true)
+	params, theirs, err := wire.Negotiate(conn, hello, wire.Params{Resume: true}, true)
 	if err != nil {
 		return err
 	}
@@ -144,6 +157,19 @@ func (b *ByzantinePeer) Contact(conn io.ReadWriter) error {
 	case ByzPhaseDesync:
 		// A plan-phase message where the metadata round is due.
 		return wire.Write(conn, wire.PhotoRequest{IDs: []model.PhotoID{1}})
+	case ByzLyingSummary:
+		return b.lyingSummary(conn, math.Max(hello.Time, theirs.Time))
+	case ByzMalformedSummary:
+		return wire.Write(conn, wire.MetaSummary{Entries: []wire.SummaryEntry{
+			{Node: b.Node + 1, Timestamp: b.Time}, {Node: b.Node + 1, Timestamp: b.Time - 1},
+		}})
+	}
+	// Every other strategy opens the metadata round honestly, so its attack
+	// meets the check it targets.
+	if err := b.summarise(conn, wire.MetaSummary{}); err != nil {
+		return err
+	}
+	switch b.Strategy {
 	case ByzPoisonedMetadata:
 		return wire.Write(conn, wire.Metadata{Entries: []wire.MetaEntry{
 			b.entry(0),
@@ -170,6 +196,47 @@ func (b *ByzantinePeer) Contact(conn io.ReadWriter) error {
 	default:
 		return fmt.Errorf("unknown byzantine strategy %v", b.Strategy)
 	}
+}
+
+// summarise sends the adversary's summary and reads the honest side's.
+func (b *ByzantinePeer) summarise(conn io.ReadWriter, sum wire.MetaSummary) error {
+	if err := wire.Write(conn, sum); err != nil {
+		return err
+	}
+	_, err := wire.Read(conn)
+	return err
+}
+
+// lieNodes is how many node IDs the lying summary claims: more than any
+// world the adversary is dropped into has.
+const lieNodes = 1024
+
+// lyingSummary claims a snapshot of every node stamped at the session time,
+// sends its own collection, reads the honest metadata and leaves. Its
+// error reports any gossip entry the honest side sent despite the claim;
+// the command center's entry always goes, as no stamp covers a union.
+func (b *ByzantinePeer) lyingSummary(conn io.ReadWriter, session float64) error {
+	lie := wire.MetaSummary{Entries: make([]wire.SummaryEntry, lieNodes)}
+	for i := range lie.Entries {
+		lie.Entries[i] = wire.SummaryEntry{Node: model.NodeID(i + 1), Timestamp: session}
+	}
+	if err := b.summarise(conn, lie); err != nil {
+		return err
+	}
+	if err := wire.Write(conn, wire.Metadata{Entries: []wire.MetaEntry{b.entry(0)}}); err != nil {
+		return err
+	}
+	msg, err := wire.Read(conn)
+	if err != nil {
+		return err
+	}
+	md, _ := msg.(wire.Metadata)
+	for _, e := range md.Entries[min(1, len(md.Entries)):] {
+		if !e.Node.IsCommandCenter() {
+			return fmt.Errorf("honest side sent node %v's entry past the lie", e.Node)
+		}
+	}
+	return nil
 }
 
 // unrequestedChunk plays an honest initiator through the plan round with

@@ -351,6 +351,37 @@ func TestCheckMetadata(t *testing.T) {
 	}
 }
 
+func TestCheckMetaSummary(t *testing.T) {
+	c := Config{MaxMetaEntries: 2}.WithDefaults()
+	sum := func(pairs ...wire.SummaryEntry) wire.MetaSummary { return wire.MetaSummary{Entries: pairs} }
+	if v := c.CheckMetaSummary(sum(wire.SummaryEntry{Node: 1, Timestamp: -1e9}, wire.SummaryEntry{Node: 5, Timestamp: 1000}), 1000); v != nil {
+		t.Fatalf("honest summary rejected: %v", v)
+	}
+	if v := c.CheckMetaSummary(sum(), 1000); v != nil {
+		t.Fatalf("empty summary rejected: %v", v)
+	}
+	cases := []struct {
+		name   string
+		s      wire.MetaSummary
+		reason Reason
+	}{
+		{"too many pairs", sum(wire.SummaryEntry{Node: 1}, wire.SummaryEntry{Node: 2}, wire.SummaryEntry{Node: 3}), ReasonOversized},
+		{"duplicate node", sum(wire.SummaryEntry{Node: 4, Timestamp: 1}, wire.SummaryEntry{Node: 4, Timestamp: 2}), ReasonReplay},
+		{"descending nodes", sum(wire.SummaryEntry{Node: 4}, wire.SummaryEntry{Node: 3}), ReasonReplay},
+		{"far-future stamp", sum(wire.SummaryEntry{Node: 1, Timestamp: 1000 + c.MaxClockSkew + 1}), ReasonBadTimestamp},
+		{"NaN stamp", sum(wire.SummaryEntry{Node: 1, Timestamp: math.NaN()}), ReasonBadTimestamp},
+		{"infinite stamp", sum(wire.SummaryEntry{Node: 1, Timestamp: math.Inf(-1)}), ReasonBadTimestamp},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			v := c.CheckMetaSummary(tc.s, 1000)
+			if v == nil || v.Reason != tc.reason {
+				t.Fatalf("violation = %v, want reason %v", v, tc.reason)
+			}
+		})
+	}
+}
+
 func TestCheckChunk(t *testing.T) {
 	c := Config{}.WithDefaults()
 	p := goodPhoto(2, 0)

@@ -104,6 +104,29 @@ func (c Config) CheckMetadata(md wire.Metadata, session float64) *Violation {
 	return nil
 }
 
+// CheckMetaSummary validates a metadata summary against the session clock,
+// under the bounds CheckMetadata applies to the entries it stands for: at
+// most MaxMetaEntries pairs, each node at most once (the wire decoder
+// already enforces ascending order, so a repeat is a replayed pair), and
+// finite stamps no further in the future than the skew allowance. A summary
+// only decides what the remote is sent, so a lie within these bounds costs
+// the liar its own updates and nothing else.
+func (c Config) CheckMetaSummary(s wire.MetaSummary, session float64) *Violation {
+	if len(s.Entries) > c.MaxMetaEntries {
+		return violationf(ReasonOversized, "%d summary entries, cap %d", len(s.Entries), c.MaxMetaEntries)
+	}
+	for i, e := range s.Entries {
+		if i > 0 && e.Node <= s.Entries[i-1].Node {
+			return violationf(ReasonReplay, "summary lists %v after %v", e.Node, s.Entries[i-1].Node)
+		}
+		if !finite(e.Timestamp) || e.Timestamp > session+c.MaxClockSkew {
+			return violationf(ReasonBadTimestamp, "summary stamps %v at %v, session %v",
+				e.Node, e.Timestamp, session)
+		}
+	}
+	return nil
+}
+
 // CheckChunk validates one inbound chunk against the session's negotiated
 // transfer parameters and the pinned want-set: a chunk must carry a photo
 // this node asked for, so an empty or nil want-set admits no chunk at all.

@@ -385,6 +385,44 @@ func (c *Cache) MergeFrom(other *Cache) {
 	}
 }
 
+// Stamp is one line of a cache summary: a node and the timestamp of the
+// snapshot cached for it.
+type Stamp struct {
+	Node      model.NodeID
+	Timestamp float64
+}
+
+// Summary returns the stamp of every cached entry except the command
+// center's, valid or stale, sorted by node ID. It is what a gossip partner
+// needs to skip entries this cache would ignore (see Novel).
+func (c *Cache) Summary() []Stamp {
+	out := make([]Stamp, 0, len(c.entries))
+	for node, e := range c.entries {
+		if !node.IsCommandCenter() {
+			out = append(out, Stamp{Node: node, Timestamp: e.Timestamp})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
+	return out
+}
+
+// Novel reports whether e may change the cache of owner, whose Summary is
+// sum. It is false exactly when Put(e) would return at once: e describes
+// owner, which never caches itself, or e is a non-command-center entry
+// stamped no later than the one owner holds for that node. A
+// command-center entry is always novel, because its merge is a union that
+// the stamp says nothing about.
+func Novel(e Entry, owner model.NodeID, sum []Stamp) bool {
+	if e.Node == owner {
+		return false
+	}
+	if e.Node.IsCommandCenter() {
+		return true
+	}
+	i := sort.Search(len(sum), func(i int) bool { return sum[i].Node >= e.Node })
+	return i == len(sum) || sum[i].Node != e.Node || e.Timestamp > sum[i].Timestamp
+}
+
 // Delivered returns the set of photo IDs known to have reached the command
 // center — the acknowledgement view of §III-B.
 func (c *Cache) Delivered() map[model.PhotoID]bool {

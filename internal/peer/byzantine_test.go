@@ -14,6 +14,7 @@ import (
 	"photodtn/internal/faults"
 	"photodtn/internal/guard"
 	"photodtn/internal/model"
+	"photodtn/internal/obs"
 )
 
 // byzNode is the identity every adversary claims.
@@ -87,11 +88,16 @@ func byzBaseline(t *testing.T, opts ...Option) (uint64, []model.PhotoID) {
 // No strategy may perturb the honest node's durable protocol state — its
 // StateDigest stays at the pre-attack value, and a subsequent honest upload
 // delivers exactly the adversary-free photo set, with no duplicates.
+//
+// Two strategies trip no check: a flood is shed by rate limits rather than
+// validation, and a lying summary is well-formed — it only costs the liar
+// the gossip it claimed to hold.
 func TestByzantineSweep(t *testing.T) {
 	wantDigest, wantIDs := byzBaseline(t, byzGuardOpts()...)
 	for _, strat := range faults.ByzStrategies() {
 		for _, loss := range []float64{0, 0.3} {
 			strat, loss := strat, loss
+			violates := strat != faults.ByzFlood && strat != faults.ByzLyingSummary
 			t.Run(fmt.Sprintf("%v/loss=%v", strat, loss), func(t *testing.T) {
 				v, cc := byzFixture(t, byzGuardOpts()...)
 				pre := v.StateDigest()
@@ -104,7 +110,7 @@ func TestByzantineSweep(t *testing.T) {
 					if err == nil {
 						t.Fatalf("adversarial contact %d succeeded", i)
 					}
-					if loss == 0 && strat != faults.ByzFlood && i < 2 {
+					if loss == 0 && violates && i < 2 {
 						// The first two clean semantic attacks must die as
 						// typed protocol violations (the third may already
 						// hit the quarantine instead).
@@ -116,7 +122,7 @@ func TestByzantineSweep(t *testing.T) {
 				if got := v.StateDigest(); got != pre {
 					t.Fatalf("adversary perturbed honest state: digest %x, want %x", got, pre)
 				}
-				if loss == 0 && strat != faults.ByzFlood {
+				if loss == 0 && violates {
 					// Three weight-1 violations cross the default score
 					// threshold: the adversary is now quarantined.
 					st := v.GuardStats()
@@ -454,5 +460,71 @@ func TestGuardSentinelThroughDialJoin(t *testing.T) {
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled through errors.Join", err)
+	}
+}
+
+// TestByzantineStrategyReasons pins the guard reason each violating
+// strategy trips on a clean link, so opening the metadata round with a
+// summary leaves every attack meeting the check it targets.
+func TestByzantineStrategyReasons(t *testing.T) {
+	want := map[faults.ByzStrategy]guard.Reason{
+		faults.ByzAbsurdClaim:      guard.ReasonBadProphet,
+		faults.ByzPoisonedMetadata: guard.ReasonBadTimestamp,
+		faults.ByzReplay:           guard.ReasonReplay,
+		faults.ByzOversizedClaim:   guard.ReasonOversized,
+		faults.ByzPhaseDesync:      guard.ReasonPhase,
+		faults.ByzUnrequestedChunk: guard.ReasonBadTransfer,
+		faults.ByzMalformedSummary: guard.ReasonReplay,
+	}
+	for strat, reason := range want {
+		v, _ := byzFixture(t, byzGuardOpts()...)
+		err := runByzContact(t, v, &faults.ByzantinePeer{Node: byzNode, Strategy: strat, Time: 1000, Seed: 3}, 0, 1)
+		var viol *guard.Violation
+		if !errors.As(err, &viol) || viol.Reason != reason {
+			t.Fatalf("%v: err = %v, want a %v violation", strat, err, reason)
+		}
+	}
+}
+
+// TestLyingSummaryStarvesOnlyTheLiar: an adversary claiming every node at
+// the session time gets the honest node's self entry and the command
+// center's (a union no stamp covers) and nothing else, trips no check, and
+// leaves the honest node's state where it was.
+func TestLyingSummaryStarvesOnlyTheLiar(t *testing.T) {
+	o := obs.New(0, nil)
+	v, cc := byzFixture(t, append(byzGuardOpts(), WithObserver(o))...)
+	third := newTestPeer(t, 2, poiMap(), 64*mb, byzGuardOpts()...)
+	if err := third.AddPhoto(viewFrom(2, 0, 200)); err != nil {
+		t.Fatal(err)
+	}
+	contact(t, v, cc)
+	contact(t, third, v)
+	valid := len(v.cache.ValidEntries(1000))
+	if valid < 2 {
+		t.Fatalf("fixture caches %d valid entries, want the command center and node 2", valid)
+	}
+	sent0 := o.Counter("metadata.entries_sent").Value()
+	withheld0 := o.Counter("metadata.entries_withheld").Value()
+	pre := v.StateDigest()
+
+	ca, cb := net.Pipe()
+	advErr := make(chan error, 1)
+	go func() {
+		advErr <- (&faults.ByzantinePeer{Node: byzNode, Strategy: faults.ByzLyingSummary, Time: 1000, Seed: 9}).Contact(ca)
+	}()
+	err := v.ContactConn(cb, false)
+	_ = cb.Close()
+	if aerr := <-advErr; aerr != nil {
+		t.Fatalf("adversary's view: %v", aerr)
+	}
+	var viol *guard.Violation
+	if err == nil || errors.As(err, &viol) {
+		t.Fatalf("honest side err = %v, want an abort that is no violation", err)
+	}
+	if got := v.StateDigest(); got != pre {
+		t.Fatalf("lying summary moved honest state: digest %x, want %x", got, pre)
+	}
+	if s, w := o.Counter("metadata.entries_sent").Value()-sent0, o.Counter("metadata.entries_withheld").Value()-withheld0; s != 2 || w != int64(valid-1) {
+		t.Fatalf("sent %d, withheld %d; want the self and command-center entries and the other %d withheld", s, w, valid-1)
 	}
 }

@@ -84,6 +84,9 @@ func TestCommitConflictDedupesConcurrentAdds(t *testing.T) {
 	if got := o.Counter("peer.commit_conflicts").Value(); got != 1 {
 		t.Fatalf("commit_conflicts = %d, want 1", got)
 	}
+	if got := o.Counter("peer.commit_conflict_aborts").Value(); got != 0 {
+		t.Fatalf("commit_conflict_aborts = %d for a reconciled commit, want 0", got)
+	}
 }
 
 // A reallocation planned against a stale snapshot is merged with the
@@ -118,7 +121,8 @@ func TestCommitConflictReplansReallocation(t *testing.T) {
 // When the merged collection no longer fits, the commit aborts with
 // ErrConflict and — §III-D abort semantics — leaves no partial state.
 func TestCommitConflictAbortsCleanly(t *testing.T) {
-	p := newTestPeer(t, 1, poiMap(), 8*mb)
+	o := obs.New(0, nil)
+	p := newTestPeer(t, 1, poiMap(), 8*mb, WithObserver(o))
 	a := viewFrom(1, 0, 0)
 	if err := p.AddPhoto(a); err != nil {
 		t.Fatal(err)
@@ -143,6 +147,10 @@ func TestCommitConflictAbortsCleanly(t *testing.T) {
 	got := p.Photos()
 	if len(got) != 2 || !got.Contains(a.ID) || !got.Contains(x.ID) {
 		t.Fatalf("collection %v, want the winner's [a x]", got.IDs())
+	}
+	// The loser took the reconcile path and aborted there: one of each.
+	if c, a := o.Counter("peer.commit_conflicts").Value(), o.Counter("peer.commit_conflict_aborts").Value(); c != 1 || a != 1 {
+		t.Fatalf("commit_conflicts = %d, commit_conflict_aborts = %d; want 1 and 1", c, a)
 	}
 }
 

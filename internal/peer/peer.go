@@ -277,19 +277,23 @@ type Peer struct {
 	tWastedLocal   atomic.Int64 // wasted bytes outside the shared store
 
 	// Observability (nil — no-op — unless WithObserver is given).
-	obsv           *obs.Observer
-	cContacts      *obs.Counter
-	cRetries       *obs.Counter
-	cAborts        *obs.Counter
-	cConflicts     *obs.Counter
-	cRejects       *obs.Counter
-	cAcceptRetries *obs.Counter
-	cChunksSent    *obs.Counter
-	cChunksRecv    *obs.Counter
-	cChunksResumed *obs.Counter
-	cWastedBytes   *obs.Counter
-	hResumeRate    *obs.Histogram
-	gInflight      *obs.Gauge
+	obsv            *obs.Observer
+	cContacts       *obs.Counter
+	cRetries        *obs.Counter
+	cAborts         *obs.Counter
+	cConflicts      *obs.Counter
+	cConflictAborts *obs.Counter
+	cRejects        *obs.Counter
+	cAcceptRetries  *obs.Counter
+	cChunksSent     *obs.Counter
+	cChunksRecv     *obs.Counter
+	cChunksResumed  *obs.Counter
+	cWastedBytes    *obs.Counter
+	cMetaSent       *obs.Counter
+	cMetaWithheld   *obs.Counter
+	cInvalidations  *obs.Counter
+	hResumeRate     *obs.Histogram
+	gInflight       *obs.Gauge
 
 	// Adversarial hardening (nil — no-op — unless WithGuard is given; see
 	// guard.go).
@@ -353,13 +357,25 @@ func New(id model.NodeID, m *coverage.Map, capacity int64, opts ...Option) *Peer
 	p.cContacts = p.obsv.Counter("peer.contacts")
 	p.cRetries = p.obsv.Counter("peer.contact_retries")
 	p.cAborts = p.obsv.Counter("peer.contact_aborts")
+	// Commits that took the reconcile path because a concurrent commit
+	// moved the store since the snapshot; most still commit.
 	p.cConflicts = p.obsv.Counter("peer.commit_conflicts")
+	// Commits the reconcile path aborted with ErrConflict.
+	p.cConflictAborts = p.obsv.Counter("peer.commit_conflict_aborts")
 	p.cRejects = p.obsv.Counter("peer.admission_rejected")
 	p.cAcceptRetries = p.obsv.Counter("peer.accept_retries")
 	p.cChunksSent = p.obsv.Counter("transfer.chunks_sent")
 	p.cChunksRecv = p.obsv.Counter("transfer.chunks_received")
 	p.cChunksResumed = p.obsv.Counter("transfer.chunks_resumed")
 	p.cWastedBytes = p.obsv.Counter("transfer.wasted_bytes")
+	// Metadata entries written to remotes (self entries included), and
+	// valid cache entries left out because the remote's summary showed its
+	// cache would ignore them.
+	p.cMetaSent = p.obsv.Counter("metadata.entries_sent")
+	p.cMetaWithheld = p.obsv.Counter("metadata.entries_withheld")
+	// Stale entries each contact's metadata round drops from the session's
+	// clone of the cache; journal replay does not count them again.
+	p.cInvalidations = p.obsv.Counter("metadata.invalidations")
 	p.hResumeRate = p.obsv.Histogram("transfer.resume_rate")
 	p.gInflight = p.obsv.Gauge("peer.contacts_inflight")
 	p.frags = transfer.NewStore(p.transfer.MaxFragmentBytes)

@@ -9,6 +9,7 @@ import (
 	"sort"
 
 	"photodtn/internal/guard"
+	"photodtn/internal/metadata"
 	"photodtn/internal/model"
 	fsm "photodtn/internal/peer/session"
 	"photodtn/internal/selection"
@@ -169,6 +170,9 @@ func (s *session) commit() error {
 	}
 	ops, err := s.reconcileLocked()
 	if err != nil {
+		if errors.Is(err, ErrConflict) {
+			p.cConflictAborts.Inc()
+		}
 		return err
 	}
 	if p.jnl != nil {
@@ -342,40 +346,23 @@ func (s *session) run(conn io.ReadWriter, initiator bool) error {
 		return err
 	}
 
-	// Metadata exchange: own collection first, then gossiped cache entries.
-	// Strict turn-taking (initiator writes first) keeps the protocol
-	// deadlock-free even over unbuffered transports.
+	// Metadata exchange: each side first summarises what it caches, then
+	// sends its own collection followed by the gossiped entries the other's
+	// summary shows it lacks.
 	if err := s.to(fsm.PhaseMetadata); err != nil {
 		return err
 	}
-	var md wire.Metadata
-	if initiator {
-		if err := wire.Write(s.conn, s.metadataMsg(session)); err != nil {
-			return err
-		}
-		m, err := readIn[wire.Metadata](s)
-		if err != nil {
-			return err
-		}
-		if err := s.checkMetadata(m, session); err != nil {
-			return err
-		}
-		md = m
-	} else {
-		m, err := readIn[wire.Metadata](s)
-		if err != nil {
-			return err
-		}
-		// Validate before answering: a poisoned snapshot is not worth the
-		// bandwidth of this node's own metadata.
-		if err := s.checkMetadata(m, session); err != nil {
-			return err
-		}
-		if err := wire.Write(s.conn, s.metadataMsg(session)); err != nil {
-			return err
-		}
-		md = m
+	theirSum, err := exchange(s, initiator, s.summaryMsg(), p.guardCfg.CheckMetaSummary, session)
+	if err != nil {
+		return err
 	}
+	mineMD, withheld := s.metadataMsg(session, theirSum)
+	md, err := exchange(s, initiator, mineMD, p.guardCfg.CheckMetadata, session)
+	if err != nil {
+		return err
+	}
+	p.cMetaSent.Add(int64(len(mineMD.Entries)))
+	p.cMetaWithheld.Add(int64(withheld))
 	peerPhotos, err := s.absorbMetadata(theirs, md, session)
 	if err != nil {
 		return err
@@ -398,9 +385,58 @@ func (s *session) deliveryProb(now float64) float64 {
 	return s.st.table.DeliveryProb(now)
 }
 
-// metadataMsg builds the metadata message: self entry first, then the
-// valid cache entries.
-func (s *session) metadataMsg(session float64) wire.Metadata {
+// exchange runs one round of strict turn-taking, which keeps the protocol
+// deadlock-free even over unbuffered transports: the initiator sends mine
+// and then reads the remote's message, the responder reads first and
+// answers. Either side checks what it read against the session clock
+// (guard only) before it is used — and, on the responder, before
+// answering: a poisoned message is not worth the bandwidth of this node's
+// own, and aborts the contact with nothing applied and nothing spent.
+func exchange[M wire.Message](s *session, initiator bool, mine M, check func(M, float64) *guard.Violation, session float64) (M, error) {
+	var zero M
+	if initiator {
+		if err := wire.Write(s.conn, mine); err != nil {
+			return zero, err
+		}
+	}
+	theirs, err := readIn[M](s)
+	if err != nil {
+		return zero, err
+	}
+	if s.p.guard != nil {
+		if v := check(theirs, session); v != nil {
+			return zero, s.violation(v)
+		}
+	}
+	if !initiator {
+		if err := wire.Write(s.conn, mine); err != nil {
+			return zero, err
+		}
+	}
+	return theirs, nil
+}
+
+// summaryMsg summarises the session's cache: the stamp of every
+// non-command-center entry, stale ones included.
+func (s *session) summaryMsg() wire.MetaSummary {
+	sum := s.st.cache.Summary()
+	out := wire.MetaSummary{Entries: make([]wire.SummaryEntry, len(sum))}
+	for i, st := range sum {
+		out.Entries[i] = wire.SummaryEntry{Node: st.Node, Timestamp: st.Timestamp}
+	}
+	return out
+}
+
+// metadataMsg builds the metadata message: the self entry first, then the
+// valid cache entries the remote's summary shows it lacks, in node order.
+// It withholds every entry metadata.Novel rejects — the remote's own, and
+// non-command-center entries no newer than the remote's copy — since the
+// remote's cache would ignore them. It returns how many it withheld.
+func (s *session) metadataMsg(session float64, theirs wire.MetaSummary) (wire.Metadata, int) {
+	sum := make([]metadata.Stamp, len(theirs.Entries))
+	for i, e := range theirs.Entries {
+		sum[i] = metadata.Stamp{Node: e.Node, Timestamp: e.Timestamp}
+	}
 	md := wire.Metadata{Entries: []wire.MetaEntry{{
 		Node:      s.p.id,
 		Lambda:    s.st.rate.Rate(session),
@@ -408,26 +444,17 @@ func (s *session) metadataMsg(session float64) wire.Metadata {
 		Timestamp: session,
 		Photos:    s.st.store.List(),
 	}}}
+	withheld := 0
 	for _, e := range s.st.cache.ValidEntries(session) {
+		if !metadata.Novel(e, s.remote, sum) {
+			withheld++
+			continue
+		}
 		md.Entries = append(md.Entries, wire.MetaEntry{
 			Node: e.Node, Lambda: e.Lambda, P: e.P, Timestamp: e.Timestamp, Photos: e.Photos,
 		})
 	}
-	return md
-}
-
-// checkMetadata validates an inbound metadata message (guard only). It runs
-// before this node answers with its own metadata and before any entry
-// touches even the session clone: poisoned metadata aborts the contact with
-// nothing applied and nothing spent.
-func (s *session) checkMetadata(md wire.Metadata, session float64) error {
-	if s.p.guard == nil {
-		return nil
-	}
-	if v := s.p.guardCfg.CheckMetadata(md, session); v != nil {
-		return s.violation(v)
-	}
-	return nil
+	return md, withheld
 }
 
 // absorbMetadata stores the peer's snapshot and gossip, returning the
@@ -446,9 +473,11 @@ func (s *session) absorbMetadata(h wire.Hello, md wire.Metadata, session float64
 			return nil, err
 		}
 	}
+	held := s.st.cache.Len()
 	if err := s.record(subMetaDrop, encodeMetaDrop(session)); err != nil {
 		return nil, err
 	}
+	s.p.cInvalidations.Add(int64(held - s.st.cache.Len()))
 	return peerPhotos, nil
 }
 

@@ -1,13 +1,13 @@
 // Package session defines the explicit per-contact protocol state machine
 // the peer drives every live contact through. The protocol is a fixed
-// sequence of rounds — handshake, metadata exchange, plan negotiation, one
-// or two transfer legs, close — and within each round only a small set of
-// message types is legal. Before this package the rounds were implicit in
-// the code path (a typed read rejected the wrong concrete type); making
-// them explicit lets the peer reject out-of-order, duplicate, or
-// phase-invalid messages as *protocol violations* with a clean §III-D
-// abort, and hand the guard layer a typed reason instead of a generic
-// decode error.
+// sequence of rounds — handshake, metadata exchange (a summary, then the
+// entries), plan negotiation, one or two transfer legs, close — and within
+// each round only a small set of message types is legal. Before this
+// package the rounds were implicit in the code path (a typed read rejected
+// the wrong concrete type); making them explicit lets the peer reject
+// out-of-order, duplicate, or phase-invalid messages as *protocol
+// violations* with a clean §III-D abort, and hand the guard layer a typed
+// reason instead of a generic decode error.
 //
 // The machine is strictly monotone: phases only move forward, so a
 // replayed round (a second Metadata after the exchange closed) is
@@ -69,7 +69,7 @@ var ErrPhase = errors.New("session: protocol phase violation")
 // allowed is the per-phase set of legal inbound message types.
 var allowed = [numPhases]map[wire.MsgType]bool{
 	PhaseHandshake: {wire.MsgHello: true, wire.MsgHelloAck: true},
-	PhaseMetadata:  {wire.MsgMetadata: true},
+	PhaseMetadata:  {wire.MsgMetaSummary: true, wire.MsgMetadata: true},
 	PhasePlan:      {wire.MsgPhotoRequest: true, wire.MsgResumeOffer: true},
 	// A transfer leg's inbound traffic depends on direction: the sender
 	// reads ChunkAcks (and, as the uploader, the delivery Ack); the
@@ -80,9 +80,15 @@ var allowed = [numPhases]map[wire.MsgType]bool{
 	PhaseDone:      {},
 }
 
+// metadataRound is the inbound order within PhaseMetadata: the remote's
+// summary, then its metadata, each exactly once.
+var metadataRound = [...]wire.MsgType{wire.MsgMetaSummary, wire.MsgMetadata}
+
 // Machine tracks one contact's protocol phase.
 type Machine struct {
 	phase Phase
+	// metaIn counts the metadata-round messages admitted so far.
+	metaIn int
 }
 
 // NewMachine returns a machine in PhaseHandshake.
@@ -106,10 +112,19 @@ func (m *Machine) To(next Phase) error {
 	return nil
 }
 
-// Admit validates one inbound message type against the current phase.
+// Admit validates one inbound message type against the current phase. In
+// PhaseMetadata it also enforces the round's order (see metadataRound) and
+// records the admission, so a second summary, a second metadata message,
+// or a metadata message before the summary is a violation.
 func (m *Machine) Admit(t wire.MsgType) error {
 	if !allowed[m.phase][t] {
 		return fmt.Errorf("%w: %v during %v", ErrPhase, t, m.phase)
+	}
+	if m.phase == PhaseMetadata {
+		if m.metaIn >= len(metadataRound) || t != metadataRound[m.metaIn] {
+			return fmt.Errorf("%w: %v out of turn in the metadata round", ErrPhase, t)
+		}
+		m.metaIn++
 	}
 	return nil
 }

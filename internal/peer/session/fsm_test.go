@@ -65,11 +65,13 @@ func TestAdmitPerPhase(t *testing.T) {
 	all := []wire.MsgType{
 		wire.MsgHello, wire.MsgHelloAck, wire.MsgMetadata, wire.MsgPhotoRequest,
 		wire.MsgAck, wire.MsgBye, wire.MsgChunk, wire.MsgChunkAck,
-		wire.MsgResumeOffer,
+		wire.MsgResumeOffer, wire.MsgMetaSummary,
 	}
+	// A fresh machine per message: in PhaseMetadata only the summary opens
+	// the round (TestMetadataRoundOrder covers what follows it).
 	legal := map[Phase][]wire.MsgType{
 		PhaseHandshake: {wire.MsgHello, wire.MsgHelloAck},
-		PhaseMetadata:  {wire.MsgMetadata},
+		PhaseMetadata:  {wire.MsgMetaSummary},
 		PhasePlan:      {wire.MsgPhotoRequest, wire.MsgResumeOffer},
 		PhaseTransferA: {wire.MsgChunk, wire.MsgAck, wire.MsgChunkAck},
 		PhaseTransferB: {wire.MsgChunk, wire.MsgAck, wire.MsgChunkAck},
@@ -77,12 +79,12 @@ func TestAdmitPerPhase(t *testing.T) {
 		PhaseDone:      {},
 	}
 	for phase, ok := range legal {
-		m := &Machine{phase: phase}
 		okSet := make(map[wire.MsgType]bool, len(ok))
 		for _, typ := range ok {
 			okSet[typ] = true
 		}
 		for _, typ := range all {
+			m := &Machine{phase: phase}
 			err := m.Admit(typ)
 			if okSet[typ] && err != nil {
 				t.Fatalf("%v rejected %v: %v", phase, typ, err)
@@ -91,6 +93,42 @@ func TestAdmitPerPhase(t *testing.T) {
 				t.Fatalf("%v admitted %v (err=%v)", phase, typ, err)
 			}
 		}
+	}
+}
+
+// TestMetadataRoundOrder pins the metadata round: the summary comes
+// first and once, the metadata second and once, and nothing else follows
+// within the phase. A failed admission does not advance the round.
+func TestMetadataRoundOrder(t *testing.T) {
+	m := NewMachine()
+	if err := m.Admit(wire.MsgMetaSummary); !errors.Is(err, ErrPhase) {
+		t.Fatalf("summary during handshake = %v, want ErrPhase", err)
+	}
+	if err := m.To(PhaseMetadata); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Admit(wire.MsgMetadata); !errors.Is(err, ErrPhase) {
+		t.Fatalf("metadata before summary = %v, want ErrPhase", err)
+	}
+	if err := m.Admit(wire.MsgMetaSummary); err != nil {
+		t.Fatalf("summary: %v", err)
+	}
+	if err := m.Admit(wire.MsgMetaSummary); !errors.Is(err, ErrPhase) {
+		t.Fatalf("second summary = %v, want ErrPhase", err)
+	}
+	if err := m.Admit(wire.MsgMetadata); err != nil {
+		t.Fatalf("metadata after summary: %v", err)
+	}
+	for _, typ := range []wire.MsgType{wire.MsgMetadata, wire.MsgMetaSummary} {
+		if err := m.Admit(typ); !errors.Is(err, ErrPhase) {
+			t.Fatalf("%v after the round = %v, want ErrPhase", typ, err)
+		}
+	}
+	if err := m.To(PhasePlan); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Admit(wire.MsgMetaSummary); !errors.Is(err, ErrPhase) {
+		t.Fatalf("summary during plan = %v, want ErrPhase", err)
 	}
 }
 

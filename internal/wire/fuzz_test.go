@@ -24,6 +24,7 @@ func FuzzRead(f *testing.F) {
 		Chunk{Photo: samplePhoto(5, 0), Index: 1, Count: 3, ChunkSize: 4, Total: 11, PayloadCRC: 3, Data: []byte{1, 2, 3, 4}},
 		ChunkAck{ID: model.MakePhotoID(5, 0), Index: 1},
 		ResumeOffer{Entries: []ResumeEntry{{ID: 9, ChunkSize: 4, Count: 3, Total: 11, Bitmap: []byte{0b101}}}},
+		MetaSummary{Entries: []SummaryEntry{{Node: 1, Timestamp: 5}, {Node: 4, Timestamp: 2}}},
 	}
 	for _, msg := range seed {
 		var buf bytes.Buffer
@@ -98,6 +99,8 @@ func FuzzDecodeMessage(f *testing.F) {
 		Chunk{Photo: samplePhoto(5, 0), Index: 2, Count: 3, ChunkSize: 4, Total: 11, PayloadCRC: 3, Data: []byte{1, 2, 3}},
 		ChunkAck{ID: model.MakePhotoID(5, 0), Index: 1},
 		ResumeOffer{Entries: []ResumeEntry{{ID: 9, ChunkSize: 4, Count: 3, Total: 11, Bitmap: []byte{0b101}}}},
+		MetaSummary{Entries: []SummaryEntry{{Node: 2, Timestamp: 3}, {Node: 2, Timestamp: 1}, {Node: 7, Timestamp: -1}}},
+		MetaSummary{},
 	}
 	for _, msg := range seed {
 		var buf bytes.Buffer
@@ -130,7 +133,9 @@ func FuzzDecodeMessage(f *testing.F) {
 		b = appendU64(b, 1<<62)      // total
 		return appendU32(b, 0)       // crc
 	}())
-	f.Add(byte(MsgMetadata), func() []byte { // entry whose photo list claims 2^31 photos
+	f.Add(byte(MsgMetaSummary), []byte{0xFF, 0xFF, 0xFF, 0xFF})                                     // huge summary count
+	f.Add(byte(MsgMetaSummary), []byte{2, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0}) // unsorted, truncated
+	f.Add(byte(MsgMetadata), func() []byte {                                                        // entry whose photo list claims 2^31 photos
 		b := appendU32(nil, 1)
 		b = appendU32(b, 5)
 		b = appendF64(b, 0.1)

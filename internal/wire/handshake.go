@@ -11,6 +11,9 @@
 //
 // Both hellos carry ProtocolVersion; a peer speaking any other version
 // fails the hello decode with ErrBadMessage. There is no downgrade.
+// Version 3 opens the metadata round with a MetaSummary from each side, so
+// a version-2 peer, which would send Metadata where the summary is due,
+// is turned away at the hello instead.
 package wire
 
 import (
@@ -21,7 +24,7 @@ import (
 
 // ProtocolVersion is the wire protocol version this build speaks. Every
 // Hello and HelloAck carries it.
-const ProtocolVersion uint16 = 2
+const ProtocolVersion uint16 = 3
 
 // Default transfer parameters.
 const (

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"errors"
 	"net"
 	"testing"
@@ -62,29 +63,43 @@ func baseHello() []byte {
 	return Hello{Node: 0, Nonce: 5}.appendBody(nil)[:44]
 }
 
-// TestNegotiateMixedVersions pins that a peer speaking the retired 44-byte
-// hello is rejected in either role — never downgraded to.
+// v2Hello is a hello body as a version-2 peer, which has no metadata
+// summary round, sends it.
+func v2Hello() []byte {
+	b := Hello{Node: 0, Nonce: 5}.appendBody(nil)
+	binary.LittleEndian.PutUint16(b[44:], 2)
+	return b
+}
+
+// TestNegotiateMixedVersions pins that a peer speaking a retired version —
+// the 44-byte hello, or version 2 without the summary round — is rejected
+// in either role, never downgraded to.
 func TestNegotiateMixedVersions(t *testing.T) {
-	t.Run("v1 initiator", func(t *testing.T) {
-		ca, cb := net.Pipe()
-		defer func() { _ = ca.Close(); _ = cb.Close() }()
-		go func() { _, _ = ca.Write(reframe(MsgHello, baseHello())) }()
-		if _, _, err := Negotiate(cb, Hello{Node: 2}, Params{}, false); !errors.Is(err, ErrBadMessage) {
-			t.Fatalf("responder err = %v, want ErrBadMessage", err)
-		}
-	})
-	t.Run("v1 responder", func(t *testing.T) {
-		ca, cb := net.Pipe()
-		defer func() { _ = ca.Close(); _ = cb.Close() }()
-		go func() {
-			if _, err := Read(cb); err == nil {
-				_, _ = cb.Write(reframe(MsgHello, baseHello()))
+	for _, old := range []struct {
+		name  string
+		hello []byte
+	}{{"v1", baseHello()}, {"v2", v2Hello()}} {
+		t.Run(old.name+" initiator", func(t *testing.T) {
+			ca, cb := net.Pipe()
+			defer func() { _ = ca.Close(); _ = cb.Close() }()
+			go func() { _, _ = ca.Write(reframe(MsgHello, old.hello)) }()
+			if _, _, err := Negotiate(cb, Hello{Node: 2}, Params{}, false); !errors.Is(err, ErrBadMessage) {
+				t.Fatalf("responder err = %v, want ErrBadMessage", err)
 			}
-		}()
-		if _, _, err := Negotiate(ca, Hello{Node: 1}, Params{}, true); !errors.Is(err, ErrBadMessage) {
-			t.Fatalf("initiator err = %v, want ErrBadMessage", err)
-		}
-	})
+		})
+		t.Run(old.name+" responder", func(t *testing.T) {
+			ca, cb := net.Pipe()
+			defer func() { _ = ca.Close(); _ = cb.Close() }()
+			go func() {
+				if _, err := Read(cb); err == nil {
+					_, _ = cb.Write(reframe(MsgHello, old.hello))
+				}
+			}()
+			if _, _, err := Negotiate(ca, Hello{Node: 1}, Params{}, true); !errors.Is(err, ErrBadMessage) {
+				t.Fatalf("initiator err = %v, want ErrBadMessage", err)
+			}
+		})
+	}
 }
 
 func TestNegotiateRejectsNonHello(t *testing.T) {

@@ -31,6 +31,12 @@ func TestDecodeHostileLengths(t *testing.T) {
 	hugeResume = appendU64(hugeResume, MaxChunks)
 	hugeResume = appendU32(hugeResume, 0)
 
+	unsorted := appendU32(nil, 2) // two summary pairs, node 9 before node 3
+	unsorted = appendU32(unsorted, 9)
+	unsorted = appendF64(unsorted, 1)
+	unsorted = appendU32(unsorted, 3)
+	unsorted = appendF64(unsorted, 1)
+
 	cases := []struct {
 		name string
 		typ  MsgType
@@ -44,6 +50,9 @@ func TestDecodeHostileLengths(t *testing.T) {
 		{"offer count short", MsgResumeOffer, append([]byte{0x10, 0, 0, 0}, make([]byte, 29)...)},
 		{"offer bitmap", MsgResumeOffer, append(appendU32(nil, 1), hugeResume...)},
 		{"chunk geometry", MsgChunk, hugeChunk},
+		{"summary count", MsgMetaSummary, []byte{0xFF, 0xFF, 0xFF, 0xFF}},
+		{"summary short body", MsgMetaSummary, append(appendU32(nil, 2), make([]byte, 23)...)},
+		{"summary unsorted", MsgMetaSummary, unsorted},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

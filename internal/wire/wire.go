@@ -67,6 +67,10 @@ const (
 	// photos it is about to request, so the sender skips chunks that
 	// already landed in an earlier contact.
 	MsgResumeOffer
+	// MsgMetaSummary opens the metadata round: the snapshot timestamp of
+	// every non-command-center entry the sender caches, so the peer's
+	// Metadata can skip entries the sender already holds at least as new.
+	MsgMetaSummary
 )
 
 // String implements fmt.Stringer.
@@ -90,6 +94,8 @@ func (t MsgType) String() string {
 		return "ChunkAck"
 	case MsgResumeOffer:
 		return "ResumeOffer"
+	case MsgMetaSummary:
+		return "MetaSummary"
 	default:
 		return fmt.Sprintf("MsgType(%d)", uint8(t))
 	}
@@ -290,6 +296,58 @@ func decodeMetadata(b []byte) (Metadata, error) {
 	}
 	if len(b) != 0 {
 		return Metadata{}, fmt.Errorf("%w: %d trailing metadata bytes", ErrBadMessage, len(b))
+	}
+	return out, nil
+}
+
+// SummaryEntry is one pair of a MetaSummary: a node and the timestamp of
+// the snapshot the sender caches for it.
+type SummaryEntry struct {
+	Node      model.NodeID
+	Timestamp float64
+}
+
+// MetaSummary lists the sender's cached snapshots by node, in strictly
+// increasing node order, without their photos.
+type MetaSummary struct {
+	Entries []SummaryEntry
+}
+
+// Type implements Message.
+func (MetaSummary) Type() MsgType { return MsgMetaSummary }
+
+// summaryEntryLen is one pair's encoded size: node u32, timestamp f64.
+const summaryEntryLen = 4 + 8
+
+func (m MetaSummary) appendBody(dst []byte) []byte {
+	dst = appendU32(dst, uint32(len(m.Entries)))
+	for _, e := range m.Entries {
+		dst = appendU32(dst, uint32(e.Node))
+		dst = appendF64(dst, e.Timestamp)
+	}
+	return dst
+}
+
+// decodeMetaSummary checks the claimed count against the body length
+// before allocating, and rejects pairs whose node IDs go down. A repeated
+// node decodes; rejecting it is the guard's job (a replayed entry).
+func decodeMetaSummary(b []byte) (MetaSummary, error) {
+	if len(b) < 4 {
+		return MetaSummary{}, fmt.Errorf("%w: summary header", ErrBadMessage)
+	}
+	n := binary.LittleEndian.Uint32(b)
+	b = b[4:]
+	if uint64(n)*summaryEntryLen != uint64(len(b)) {
+		return MetaSummary{}, fmt.Errorf("%w: summary claims %d entries with %d bytes", ErrBadMessage, n, len(b))
+	}
+	out := MetaSummary{Entries: make([]SummaryEntry, n)}
+	for i := range out.Entries {
+		e := &out.Entries[i]
+		e.Node = model.NodeID(binary.LittleEndian.Uint32(b[i*summaryEntryLen:]))
+		e.Timestamp = f64(b[i*summaryEntryLen+4:])
+		if i > 0 && e.Node < out.Entries[i-1].Node {
+			return MetaSummary{}, fmt.Errorf("%w: summary node %v after %v", ErrBadMessage, e.Node, out.Entries[i-1].Node)
+		}
 	}
 	return out, nil
 }
@@ -708,6 +766,8 @@ func DecodeBody(t MsgType, body []byte) (Message, error) {
 		return retErr(decodeChunkAck(body))
 	case MsgResumeOffer:
 		return retErr(decodeResumeOffer(body))
+	case MsgMetaSummary:
+		return retErr(decodeMetaSummary(body))
 	default:
 		return nil, fmt.Errorf("%w: unknown type %d", ErrBadMessage, t)
 	}
