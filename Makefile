@@ -95,14 +95,17 @@ bench-short:
 bench-all:
 	$(GO) test -run='^$$' -bench=. -benchmem ./...
 
-# Fuzz pass over the wire decoders (corruption hardening), the chunk
-# reassembly store (bitmap/eviction/checksum invariants against a model
-# oracle), and the arc-set geometry kernel every coverage computation
-# bottoms out in. The Reassembly patterns are anchored: two targets share
-# the prefix.
+# Fuzz pass over the wire decoders (corruption hardening), the photo-list
+# codec every wire and journal metadata entry decodes through, the contact
+# trace parser behind photodtn-sim -trace FILE, the chunk reassembly store
+# (bitmap/eviction/checksum invariants against a model oracle), and the
+# arc-set geometry kernel every coverage computation bottoms out in. The
+# Reassembly patterns are anchored: two targets share the prefix.
 fuzz:
 	$(GO) test -run=Fuzz -fuzz=FuzzRead -fuzztime=30s ./internal/wire/
 	$(GO) test -run=Fuzz -fuzz=FuzzDecodeMessage -fuzztime=30s ./internal/wire/
+	$(GO) test -run=Fuzz -fuzz=FuzzDecodePhotoList -fuzztime=30s ./internal/model/
+	$(GO) test -run=Fuzz -fuzz=FuzzRead -fuzztime=30s ./internal/trace/
 	$(GO) test -run=Fuzz -fuzz='FuzzReassembly$$' -fuzztime=30s ./internal/transfer/
 	$(GO) test -run=Fuzz -fuzz='FuzzReassemblyImport$$' -fuzztime=30s ./internal/transfer/
 	$(GO) test -run=Fuzz -fuzz=FuzzArcSet -fuzztime=30s ./internal/geo/
@@ -112,6 +115,8 @@ fuzz:
 fuzz-short:
 	$(GO) test -run=Fuzz -fuzz=FuzzRead -fuzztime=5s ./internal/wire/
 	$(GO) test -run=Fuzz -fuzz=FuzzDecodeMessage -fuzztime=5s ./internal/wire/
+	$(GO) test -run=Fuzz -fuzz=FuzzDecodePhotoList -fuzztime=5s ./internal/model/
+	$(GO) test -run=Fuzz -fuzz=FuzzRead -fuzztime=5s ./internal/trace/
 	$(GO) test -run=Fuzz -fuzz='FuzzReassembly$$' -fuzztime=5s ./internal/transfer/
 	$(GO) test -run=Fuzz -fuzz='FuzzReassemblyImport$$' -fuzztime=5s ./internal/transfer/
 	$(GO) test -run=Fuzz -fuzz=FuzzArcSet -fuzztime=5s ./internal/geo/

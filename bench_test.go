@@ -16,6 +16,7 @@ import (
 	"photodtn/internal/experiments"
 	"photodtn/internal/faults"
 	"photodtn/internal/geo"
+	"photodtn/internal/metadata"
 	"photodtn/internal/model"
 	"photodtn/internal/obs"
 	"photodtn/internal/peer"
@@ -192,15 +193,15 @@ func BenchmarkReallocate(b *testing.B) {
 	bb := selection.Alloc{Node: 2, P: 0.3, Capacity: 150 * (4 << 20), Photos: photos[half:]}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		selection.Reallocate(fpc, selection.DefaultConfig(), nil, nil, a, bb)
+		selection.Reallocate(fpc, selection.DefaultConfig(), nil, a, bb)
 	}
 }
 
-func benchParticipants(m *coverage.Map, photos model.PhotoList, n int) []selection.Participant {
-	parts := make([]selection.Participant, 0, n)
+func benchParticipants(m *coverage.Map, photos model.PhotoList, n int) []metadata.Entry {
+	parts := make([]metadata.Entry, 0, n)
 	per := len(photos) / n
 	for i := 0; i < n; i++ {
-		parts = append(parts, selection.Participant{
+		parts = append(parts, metadata.Entry{
 			Node:   model.NodeID(i + 1),
 			Photos: photos[i*per : (i+1)*per],
 			P:      0.3 + 0.05*float64(i),
@@ -250,7 +251,7 @@ func BenchmarkTraceGenerateMITLike(b *testing.B) {
 
 func BenchmarkWirePhotoListCodec(b *testing.B) {
 	_, photos := benchWorkload(200, 7)
-	md := wire.Metadata{Entries: []wire.MetaEntry{{Node: 1, Photos: photos}}}
+	md := wire.Metadata{Entries: []metadata.Entry{{Node: 1, Photos: photos}}}
 	var sink countWriter
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -64,7 +64,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		snapEvery   = fs.Int("snapshot-every", 0, "checkpoint the journal every N contacts (0 = default)")
 		seed        = fs.Int64("seed", 1, "seed for the nonce stream and the synthetic camera")
 		maxContacts = fs.Int("max-contacts", 0, "serve at most N contacts concurrently (0 = 4×GOMAXPROCS)")
-		chunkSize   = fs.Int("chunk-size", 0, "wire v2 chunk size in bytes (0 = default 256 KiB)")
+		chunkSize   = fs.Int("chunk-size", 0, "transfer chunk size in bytes (0 = default 256 KiB)")
 		noResume    = fs.Bool("no-resume", false, "discard partial transfers at contact end instead of resuming later")
 		maxPeerRate = fs.Float64("max-peer-rate", 0, "arm the guard: per-peer contact budget in contacts/sec (0 = guard off unless -quarantine-ttl is set)")
 		quarTTL     = fs.Duration("quarantine-ttl", 0, "arm the guard: quarantine repeat offenders for this long (0 = guard off unless -max-peer-rate is set)")

@@ -31,7 +31,7 @@ func main() {
 
 	pick := func(m *photodtn.Map, budgetPhotos int64) photodtn.PhotoList {
 		fpc := photodtn.NewFootprintCache(m)
-		res := photodtn.Reallocate(fpc, photodtn.DefaultSelectionConfig(), nil, nil,
+		res := photodtn.Reallocate(fpc, photodtn.DefaultSelectionConfig(), nil,
 			photodtn.Alloc{Node: 1, P: 0.9, Capacity: budgetPhotos * (4 << 20), Photos: all},
 			photodtn.Alloc{Node: 2, P: 0.1, Capacity: 0},
 		)

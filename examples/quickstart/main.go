@@ -46,7 +46,7 @@ func main() {
 	// school shots, the north shot, and the bridge shot — and drops the
 	// irrelevant photo for free.
 	fpc := photodtn.NewFootprintCache(m)
-	res := photodtn.Reallocate(fpc, photodtn.DefaultSelectionConfig(), nil, nil,
+	res := photodtn.Reallocate(fpc, photodtn.DefaultSelectionConfig(), nil,
 		photodtn.Alloc{Node: 1, P: 0.9, Capacity: 12 << 20, Photos: photos},
 		photodtn.Alloc{Node: 2, P: 0.1, Capacity: 0},
 	)

@@ -227,10 +227,7 @@ func (s *Scheme) peerContact(sess *sim.Session) {
 	stA, stB := s.w.Storage(a), s.w.Storage(b)
 	photosA, photosB := stA.Photos(), stB.Photos()
 
-	var (
-		ccPhotos   model.PhotoList
-		background []selection.Participant
-	)
+	var view []metadata.Entry
 	if !s.cfg.DisableMetadata {
 		// Gossip caches both ways, then snapshot each other.
 		nsA.cache.MergeFrom(nsB.cache)
@@ -255,24 +252,14 @@ func (s *Scheme) peerContact(sess *sim.Session) {
 			}
 		}
 
-		// The joint optimisation sees the union of both (identical, after
-		// the merge) valid cache views.
-		for _, e := range nsA.cache.ValidEntries(now) {
-			if e.Node == a || e.Node == b {
-				continue
-			}
-			if e.Node.IsCommandCenter() {
-				ccPhotos = e.Photos
-				continue
-			}
-			background = append(background, selection.Participant{
-				Node: e.Node, Photos: e.Photos, P: e.P,
-			})
-		}
+		// The joint optimisation plans over A's valid cache view. After the
+		// merge it equals B's except for the entries each holds about the
+		// other, and Reallocate skips those.
+		view = nsA.cache.ValidEntries(now)
 	}
 
 	cfg := s.selCfg()
-	res := s.sel.Reallocate(s.fpc, cfg, ccPhotos, background,
+	res := s.sel.Reallocate(s.fpc, cfg, view,
 		selection.Alloc{Node: a, P: pa, Capacity: stA.Capacity(), Photos: photosA},
 		selection.Alloc{Node: b, P: pb, Capacity: stB.Capacity(), Photos: photosB},
 	)

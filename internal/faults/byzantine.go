@@ -14,6 +14,7 @@ import (
 	"math/rand"
 
 	"photodtn/internal/geo"
+	"photodtn/internal/metadata"
 	"photodtn/internal/model"
 	"photodtn/internal/wire"
 )
@@ -160,7 +161,7 @@ func (b *ByzantinePeer) Contact(conn io.ReadWriter) error {
 	case ByzLyingSummary:
 		return b.lyingSummary(conn, math.Max(hello.Time, theirs.Time))
 	case ByzMalformedSummary:
-		return wire.Write(conn, wire.MetaSummary{Entries: []wire.SummaryEntry{
+		return wire.Write(conn, wire.MetaSummary{Entries: []metadata.Stamp{
 			{Node: b.Node + 1, Timestamp: b.Time}, {Node: b.Node + 1, Timestamp: b.Time - 1},
 		}})
 	}
@@ -171,22 +172,22 @@ func (b *ByzantinePeer) Contact(conn io.ReadWriter) error {
 	}
 	switch b.Strategy {
 	case ByzPoisonedMetadata:
-		return wire.Write(conn, wire.Metadata{Entries: []wire.MetaEntry{
+		return wire.Write(conn, wire.Metadata{Entries: []metadata.Entry{
 			b.entry(0),
 			{Node: b.Node + 1, Lambda: 0.1, P: 0.5, Timestamp: b.Time + 1e9,
 				Photos: model.PhotoList{b.photo(1, 4<<20, math.NaN())}},
 		}})
 	case ByzReplay:
 		e := b.entry(0)
-		return wire.Write(conn, wire.Metadata{Entries: []wire.MetaEntry{e, e}})
+		return wire.Write(conn, wire.Metadata{Entries: []metadata.Entry{e, e}})
 	case ByzOversizedClaim:
 		e := b.entry(0)
 		e.Photos = model.PhotoList{b.photo(0, 1<<60, 0)}
-		return wire.Write(conn, wire.Metadata{Entries: []wire.MetaEntry{e}})
+		return wire.Write(conn, wire.Metadata{Entries: []metadata.Entry{e}})
 	case ByzFlood:
 		// Well-formed up to the metadata exchange, then walk away; the
 		// damage is in how often the harness redials.
-		if err := wire.Write(conn, wire.Metadata{Entries: []wire.MetaEntry{b.entry(0)}}); err != nil {
+		if err := wire.Write(conn, wire.Metadata{Entries: []metadata.Entry{b.entry(0)}}); err != nil {
 			return err
 		}
 		_, err := wire.Read(conn)
@@ -216,14 +217,14 @@ const lieNodes = 1024
 // error reports any gossip entry the honest side sent despite the claim;
 // the command center's entry always goes, as no stamp covers a union.
 func (b *ByzantinePeer) lyingSummary(conn io.ReadWriter, session float64) error {
-	lie := wire.MetaSummary{Entries: make([]wire.SummaryEntry, lieNodes)}
+	lie := wire.MetaSummary{Entries: make([]metadata.Stamp, lieNodes)}
 	for i := range lie.Entries {
-		lie.Entries[i] = wire.SummaryEntry{Node: model.NodeID(i + 1), Timestamp: session}
+		lie.Entries[i] = metadata.Stamp{Node: model.NodeID(i + 1), Timestamp: session}
 	}
 	if err := b.summarise(conn, lie); err != nil {
 		return err
 	}
-	if err := wire.Write(conn, wire.Metadata{Entries: []wire.MetaEntry{b.entry(0)}}); err != nil {
+	if err := wire.Write(conn, wire.Metadata{Entries: []metadata.Entry{b.entry(0)}}); err != nil {
 		return err
 	}
 	msg, err := wire.Read(conn)
@@ -246,7 +247,7 @@ func (b *ByzantinePeer) lyingSummary(conn io.ReadWriter, session float64) error 
 func (b *ByzantinePeer) unrequestedChunk(conn io.ReadWriter, params wire.Params) error {
 	own := b.entry(0)
 	own.Photos = nil
-	if err := wire.Write(conn, wire.Metadata{Entries: []wire.MetaEntry{own}}); err != nil {
+	if err := wire.Write(conn, wire.Metadata{Entries: []metadata.Entry{own}}); err != nil {
 		return err
 	}
 	if _, err := wire.Read(conn); err != nil { // the honest side's metadata
@@ -276,8 +277,8 @@ func (b *ByzantinePeer) unrequestedChunk(conn io.ReadWriter, params wire.Params)
 
 // entry builds a well-formed metadata entry for the adversary's claimed
 // identity, holding one plausible photo.
-func (b *ByzantinePeer) entry(seq uint32) wire.MetaEntry {
-	return wire.MetaEntry{
+func (b *ByzantinePeer) entry(seq uint32) metadata.Entry {
+	return metadata.Entry{
 		Node:      b.Node,
 		Lambda:    0.01,
 		P:         0.5,

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"photodtn/internal/geo"
+	"photodtn/internal/metadata"
 	"photodtn/internal/model"
 	"photodtn/internal/wire"
 )
@@ -286,15 +287,15 @@ func TestCheckHello(t *testing.T) {
 
 func TestCheckMetadata(t *testing.T) {
 	c := Config{MaxMetaEntries: 2, MaxPhotosPerEntry: 2}.WithDefaults()
-	entry := func(n model.NodeID, ts float64) wire.MetaEntry {
-		return wire.MetaEntry{Node: n, Lambda: 0.01, P: 0.5, Timestamp: ts,
+	entry := func(n model.NodeID, ts float64) metadata.Entry {
+		return metadata.Entry{Node: n, Lambda: 0.01, P: 0.5, Timestamp: ts,
 			Photos: model.PhotoList{goodPhoto(n, 0)}}
 	}
-	if v := c.CheckMetadata(wire.Metadata{Entries: []wire.MetaEntry{entry(1, 900), entry(2, 950)}}, 1000); v != nil {
+	if v := c.CheckMetadata(wire.Metadata{Entries: []metadata.Entry{entry(1, 900), entry(2, 950)}}, 1000); v != nil {
 		t.Fatalf("honest metadata rejected: %v", v)
 	}
 	// Far-past timestamps are fine — they merely decay to useless.
-	if v := c.CheckMetadata(wire.Metadata{Entries: []wire.MetaEntry{entry(1, -1e9)}}, 1000); v != nil {
+	if v := c.CheckMetadata(wire.Metadata{Entries: []metadata.Entry{entry(1, -1e9)}}, 1000); v != nil {
 		t.Fatalf("ancient entry rejected: %v", v)
 	}
 
@@ -304,41 +305,41 @@ func TestCheckMetadata(t *testing.T) {
 		reason Reason
 	}{
 		{"too many entries",
-			wire.Metadata{Entries: []wire.MetaEntry{entry(1, 1), entry(2, 2), entry(3, 3)}},
+			wire.Metadata{Entries: []metadata.Entry{entry(1, 1), entry(2, 2), entry(3, 3)}},
 			ReasonOversized},
 		{"duplicate origin",
-			wire.Metadata{Entries: []wire.MetaEntry{entry(1, 1), entry(1, 2)}},
+			wire.Metadata{Entries: []metadata.Entry{entry(1, 1), entry(1, 2)}},
 			ReasonReplay},
 		{"bad predictability",
-			wire.Metadata{Entries: []wire.MetaEntry{{Node: 1, P: 1.5, Timestamp: 1}}},
+			wire.Metadata{Entries: []metadata.Entry{{Node: 1, P: 1.5, Timestamp: 1}}},
 			ReasonBadProphet},
 		{"negative lambda",
-			wire.Metadata{Entries: []wire.MetaEntry{{Node: 1, Lambda: -1, P: 0.5, Timestamp: 1}}},
+			wire.Metadata{Entries: []metadata.Entry{{Node: 1, Lambda: -1, P: 0.5, Timestamp: 1}}},
 			ReasonBadProphet},
 		{"far-future timestamp",
-			wire.Metadata{Entries: []wire.MetaEntry{entry(1, 1000+c.MaxClockSkew+1)}},
+			wire.Metadata{Entries: []metadata.Entry{entry(1, 1000+c.MaxClockSkew+1)}},
 			ReasonBadTimestamp},
 		{"NaN timestamp",
-			wire.Metadata{Entries: []wire.MetaEntry{entry(1, math.NaN())}},
+			wire.Metadata{Entries: []metadata.Entry{entry(1, math.NaN())}},
 			ReasonBadTimestamp},
 		{"too many photos", func() wire.Metadata {
 			e := entry(1, 1)
 			e.Photos = model.PhotoList{goodPhoto(1, 0), goodPhoto(1, 1), goodPhoto(1, 2)}
-			return wire.Metadata{Entries: []wire.MetaEntry{e}}
+			return wire.Metadata{Entries: []metadata.Entry{e}}
 		}(), ReasonOversized},
 		{"non-finite photo location", func() wire.Metadata {
 			e := entry(1, 1)
 			p := goodPhoto(1, 0)
 			p.Location.X = math.NaN()
 			e.Photos = model.PhotoList{p}
-			return wire.Metadata{Entries: []wire.MetaEntry{e}}
+			return wire.Metadata{Entries: []metadata.Entry{e}}
 		}(), ReasonBadGeometry},
 		{"oversized photo", func() wire.Metadata {
 			e := entry(1, 1)
 			p := goodPhoto(1, 0)
 			p.Size = 1 << 60
 			e.Photos = model.PhotoList{p}
-			return wire.Metadata{Entries: []wire.MetaEntry{e}}
+			return wire.Metadata{Entries: []metadata.Entry{e}}
 		}(), ReasonOversized},
 	}
 	for _, tc := range cases {
@@ -353,8 +354,8 @@ func TestCheckMetadata(t *testing.T) {
 
 func TestCheckMetaSummary(t *testing.T) {
 	c := Config{MaxMetaEntries: 2}.WithDefaults()
-	sum := func(pairs ...wire.SummaryEntry) wire.MetaSummary { return wire.MetaSummary{Entries: pairs} }
-	if v := c.CheckMetaSummary(sum(wire.SummaryEntry{Node: 1, Timestamp: -1e9}, wire.SummaryEntry{Node: 5, Timestamp: 1000}), 1000); v != nil {
+	sum := func(pairs ...metadata.Stamp) wire.MetaSummary { return wire.MetaSummary{Entries: pairs} }
+	if v := c.CheckMetaSummary(sum(metadata.Stamp{Node: 1, Timestamp: -1e9}, metadata.Stamp{Node: 5, Timestamp: 1000}), 1000); v != nil {
 		t.Fatalf("honest summary rejected: %v", v)
 	}
 	if v := c.CheckMetaSummary(sum(), 1000); v != nil {
@@ -365,12 +366,12 @@ func TestCheckMetaSummary(t *testing.T) {
 		s      wire.MetaSummary
 		reason Reason
 	}{
-		{"too many pairs", sum(wire.SummaryEntry{Node: 1}, wire.SummaryEntry{Node: 2}, wire.SummaryEntry{Node: 3}), ReasonOversized},
-		{"duplicate node", sum(wire.SummaryEntry{Node: 4, Timestamp: 1}, wire.SummaryEntry{Node: 4, Timestamp: 2}), ReasonReplay},
-		{"descending nodes", sum(wire.SummaryEntry{Node: 4}, wire.SummaryEntry{Node: 3}), ReasonReplay},
-		{"far-future stamp", sum(wire.SummaryEntry{Node: 1, Timestamp: 1000 + c.MaxClockSkew + 1}), ReasonBadTimestamp},
-		{"NaN stamp", sum(wire.SummaryEntry{Node: 1, Timestamp: math.NaN()}), ReasonBadTimestamp},
-		{"infinite stamp", sum(wire.SummaryEntry{Node: 1, Timestamp: math.Inf(-1)}), ReasonBadTimestamp},
+		{"too many pairs", sum(metadata.Stamp{Node: 1}, metadata.Stamp{Node: 2}, metadata.Stamp{Node: 3}), ReasonOversized},
+		{"duplicate node", sum(metadata.Stamp{Node: 4, Timestamp: 1}, metadata.Stamp{Node: 4, Timestamp: 2}), ReasonReplay},
+		{"descending nodes", sum(metadata.Stamp{Node: 4}, metadata.Stamp{Node: 3}), ReasonReplay},
+		{"far-future stamp", sum(metadata.Stamp{Node: 1, Timestamp: 1000 + c.MaxClockSkew + 1}), ReasonBadTimestamp},
+		{"NaN stamp", sum(metadata.Stamp{Node: 1, Timestamp: math.NaN()}), ReasonBadTimestamp},
+		{"infinite stamp", sum(metadata.Stamp{Node: 1, Timestamp: math.Inf(-1)}), ReasonBadTimestamp},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

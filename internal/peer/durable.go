@@ -144,10 +144,7 @@ func (p *Peer) StateDigest() uint64 {
 
 	photos := p.store.List()
 	sort.Slice(photos, func(i, j int) bool { return photos[i].ID < photos[j].ID })
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(photos)))
-	for _, ph := range photos {
-		buf = ph.AppendBinary(buf)
-	}
+	buf = photos.AppendBinary(buf)
 
 	entries := p.cache.Entries()
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(entries)))
@@ -164,6 +161,16 @@ func (p *Peer) StateDigest() uint64 {
 		}
 	}
 
+	buf = p.appendEncounterState(buf)
+
+	_, _ = h.Write(buf)
+	return h.Sum64()
+}
+
+// appendEncounterState appends what encounters teach a peer — the PROPHET
+// table and the contact-rate estimator — in node order. The snapshot and
+// the state digest share this encoding.
+func (p *Peer) appendEncounterState(buf []byte) []byte {
 	table := p.table.Snapshot()
 	dsts := make([]model.NodeID, 0, len(table))
 	for dst := range table {
@@ -194,9 +201,7 @@ func (p *Peer) StateDigest() uint64 {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(peer))
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(rs.PerPeer[peer]))
 	}
-
-	_, _ = h.Write(buf)
-	return h.Sum64()
+	return buf
 }
 
 // Journal record types.
@@ -207,7 +212,7 @@ const (
 	// of sub-records — a contact that dies mid-protocol leaves no durable
 	// trace, matching the live protocol's discard-unfinished semantics.
 	recContactCommit byte = 2
-	// recFragment journals transfer-fragment events (wire v2 resume). They
+	// recFragment journals transfer-fragment events (chunk resume). They
 	// live deliberately OUTSIDE contact atomicity: a chunk that landed in a
 	// contact that later aborts is exactly the progress resume exists to
 	// save, so each fresh chunk is durable the moment it is accepted. The
@@ -408,41 +413,10 @@ func (p *Peer) encodeSnapshot() []byte {
 	entries := p.cache.Entries()
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(entries)))
 	for _, e := range entries {
-		buf = wire.AppendMetaEntry(buf, wire.MetaEntry{
-			Node: e.Node, Lambda: e.Lambda, P: e.P, Timestamp: e.Timestamp, Photos: e.Photos,
-		})
+		buf = wire.AppendMetaEntry(buf, e)
 	}
 
-	table := p.table.Snapshot()
-	dsts := make([]model.NodeID, 0, len(table))
-	for dst := range table {
-		dsts = append(dsts, dst)
-	}
-	sort.Slice(dsts, func(i, j int) bool { return dsts[i] < dsts[j] })
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p.table.LastAged()))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(dsts)))
-	for _, dst := range dsts {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(dst))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(table[dst]))
-	}
-
-	rs := p.rate.Snapshot()
-	peers := make([]model.NodeID, 0, len(rs.PerPeer))
-	for peer := range rs.PerPeer {
-		peers = append(peers, peer)
-	}
-	sort.Slice(peers, func(i, j int) bool { return peers[i] < peers[j] })
-	if rs.Started {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(rs.Start))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(peers)))
-	for _, peer := range peers {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(peer))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(rs.PerPeer[peer]))
-	}
+	buf = p.appendEncounterState(buf)
 
 	// v2: the reassembly store's partials (bitmap length and data length
 	// are derived from the geometry, so neither is encoded).
@@ -496,14 +470,12 @@ func (p *Peer) restoreSnapshot(buf []byte) error {
 	n := binary.LittleEndian.Uint32(buf)
 	buf = buf[4:]
 	for i := uint32(0); i < n; i++ {
-		var e wire.MetaEntry
+		var e metadata.Entry
 		e, buf, err = wire.DecodeMetaEntry(buf)
 		if err != nil {
 			return fmt.Errorf("snapshot cache entry %d: %w", i, err)
 		}
-		p.cache.Put(metadata.Entry{
-			Node: e.Node, Lambda: e.Lambda, P: e.P, Timestamp: e.Timestamp, Photos: e.Photos,
-		})
+		p.cache.Put(e)
 	}
 
 	if len(buf) < 8+4 {
@@ -722,9 +694,7 @@ func (st peerState) apply(kind byte, payload []byte) error {
 		if len(rest) != 0 {
 			return fmt.Errorf("%d trailing bytes", len(rest))
 		}
-		st.cache.Put(metadata.Entry{
-			Node: e.Node, Lambda: e.Lambda, P: e.P, Timestamp: e.Timestamp, Photos: e.Photos,
-		})
+		st.cache.Put(e)
 		return nil
 	case subMetaDrop:
 		if len(payload) != 8 {

@@ -105,11 +105,8 @@ func WithMaxContacts(n int) Option {
 
 // WithObserver instruments the peer: contact/retry/abort counters, the
 // selection subsystem's metrics, and session-abort trace events. A nil
-// observer (the default) keeps every instrumentation site a no-op.
-//
-// Deprecated: prefer the unified photodtn.WithObserver option, which
-// additionally covers the simulator and the selection layer with the same
-// observer. This constructor keeps working.
+// observer (the default) keeps every instrumentation site a no-op. The
+// facade's photodtn.WithObserver applies it for live peers.
 func WithObserver(o *obs.Observer) Option {
 	return optionFunc(func(p *Peer) { p.obsv = o })
 }

@@ -419,12 +419,7 @@ func exchange[M wire.Message](s *session, initiator bool, mine M, check func(M, 
 // summaryMsg summarises the session's cache: the stamp of every
 // non-command-center entry, stale ones included.
 func (s *session) summaryMsg() wire.MetaSummary {
-	sum := s.st.cache.Summary()
-	out := wire.MetaSummary{Entries: make([]wire.SummaryEntry, len(sum))}
-	for i, st := range sum {
-		out.Entries[i] = wire.SummaryEntry{Node: st.Node, Timestamp: st.Timestamp}
-	}
-	return out
+	return wire.MetaSummary{Entries: s.st.cache.Summary()}
 }
 
 // metadataMsg builds the metadata message: the self entry first, then the
@@ -433,11 +428,7 @@ func (s *session) summaryMsg() wire.MetaSummary {
 // non-command-center entries no newer than the remote's copy — since the
 // remote's cache would ignore them. It returns how many it withheld.
 func (s *session) metadataMsg(session float64, theirs wire.MetaSummary) (wire.Metadata, int) {
-	sum := make([]metadata.Stamp, len(theirs.Entries))
-	for i, e := range theirs.Entries {
-		sum[i] = metadata.Stamp{Node: e.Node, Timestamp: e.Timestamp}
-	}
-	md := wire.Metadata{Entries: []wire.MetaEntry{{
+	md := wire.Metadata{Entries: []metadata.Entry{{
 		Node:      s.p.id,
 		Lambda:    s.st.rate.Rate(session),
 		P:         s.deliveryProb(session),
@@ -446,13 +437,11 @@ func (s *session) metadataMsg(session float64, theirs wire.MetaSummary) (wire.Me
 	}}}
 	withheld := 0
 	for _, e := range s.st.cache.ValidEntries(session) {
-		if !metadata.Novel(e, s.remote, sum) {
+		if !metadata.Novel(e, s.remote, theirs.Entries) {
 			withheld++
 			continue
 		}
-		md.Entries = append(md.Entries, wire.MetaEntry{
-			Node: e.Node, Lambda: e.Lambda, P: e.P, Timestamp: e.Timestamp, Photos: e.Photos,
-		})
+		md.Entries = append(md.Entries, e)
 	}
 	return md, withheld
 }
@@ -462,14 +451,11 @@ func (s *session) metadataMsg(session float64, theirs wire.MetaSummary) (wire.Me
 func (s *session) absorbMetadata(h wire.Hello, md wire.Metadata, session float64) (model.PhotoList, error) {
 	var peerPhotos model.PhotoList
 	for i, e := range md.Entries {
-		entry := wire.MetaEntry{
-			Node: e.Node, Lambda: e.Lambda, P: e.P, Timestamp: e.Timestamp, Photos: e.Photos,
-		}
 		if i == 0 && e.Node == h.Node {
 			peerPhotos = e.Photos
-			entry.Timestamp = session
+			e.Timestamp = session
 		}
-		if err := s.record(subMetaPut, wire.AppendMetaEntry(nil, entry)); err != nil {
+		if err := s.record(subMetaPut, wire.AppendMetaEntry(nil, e)); err != nil {
 			return nil, err
 		}
 	}
@@ -487,18 +473,9 @@ func (s *session) reallocate(initiator bool, mine, theirs wire.Hello, peerPhotos
 	selCfg := p.selCfg
 	selCfg.Seed = int64(mine.Nonce ^ theirs.Nonce)
 
-	var ccPhotos model.PhotoList
-	var background []selection.Participant
-	for _, e := range s.st.cache.ValidEntries(session) {
-		switch {
-		case e.Node.IsCommandCenter():
-			ccPhotos = e.Photos
-		case e.Node == p.id || e.Node == theirs.Node:
-			// The live collections are already in the allocs.
-		default:
-			background = append(background, selection.Participant{Node: e.Node, Photos: e.Photos, P: e.P})
-		}
-	}
+	// The view holds this node's snapshot of the peer, which Reallocate
+	// skips in favour of the live collection in the peer's alloc.
+	view := s.st.cache.ValidEntries(session)
 
 	// Both sides order the allocs identically (initiator first) so the
 	// jointly-seeded greedy is bit-for-bit reproducible.
@@ -507,10 +484,10 @@ func (s *session) reallocate(initiator bool, mine, theirs wire.Hello, peerPhotos
 	var res selection.Result
 	var mySel model.PhotoList
 	if initiator {
-		res = selection.Reallocate(p.fpc, selCfg, ccPhotos, background, myAlloc, peerAlloc)
+		res = selection.Reallocate(p.fpc, selCfg, view, myAlloc, peerAlloc)
 		mySel = res.ASel
 	} else {
-		res = selection.Reallocate(p.fpc, selCfg, ccPhotos, background, peerAlloc, myAlloc)
+		res = selection.Reallocate(p.fpc, selCfg, view, peerAlloc, myAlloc)
 		mySel = res.BSel
 	}
 

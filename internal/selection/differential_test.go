@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"photodtn/internal/coverage"
+	"photodtn/internal/metadata"
 	"photodtn/internal/model"
 )
 
@@ -170,9 +171,9 @@ func TestEvaluatorMatchesExactOracle(t *testing.T) {
 	m, photos := exactInstance(t)
 	ccPhotos := photos[:3]
 	probs := []float64{0, 1, 0.35, 0.8} // includes both edge probabilities
-	var parts []Participant
+	var parts []metadata.Entry
 	for i := 0; i < 4; i++ {
-		parts = append(parts, Participant{
+		parts = append(parts, metadata.Entry{
 			Node:   model.NodeID(i + 1),
 			P:      probs[i%len(probs)],
 			Photos: photos[3+i*3 : 6+i*3],

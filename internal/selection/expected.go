@@ -21,6 +21,7 @@ import (
 	"math/rand"
 
 	"photodtn/internal/coverage"
+	"photodtn/internal/metadata"
 	"photodtn/internal/model"
 	"photodtn/internal/obs"
 )
@@ -65,10 +66,8 @@ type Config struct {
 	// disables it at no cost. It only takes effect for direct selection
 	// calls: core.Scheme.Init and peer.New overwrite it with their own
 	// observer's metrics, so a value set through core.Config.Selection or
-	// peer.WithSelectionConfig is dropped.
-	//
-	// Deprecated: prefer the unified photodtn.WithObserver option, which
-	// fills this field via ObserverMetrics.
+	// peer.WithSelectionConfig is dropped. The facade's
+	// photodtn.WithObserver fills it via ObserverMetrics.
 	Metrics Metrics
 }
 
@@ -87,15 +86,6 @@ func (c Config) normalized() Config {
 		c.Samples = 24
 	}
 	return c
-}
-
-// Participant is one node of the node set M of Definition 2: a photo
-// collection that reaches the command center with probability P.
-type Participant struct {
-	Node   model.NodeID
-	Photos model.PhotoList
-	// P is the node's delivery probability p_i to the command center.
-	P float64
 }
 
 // bgNode is a background participant reduced to its useful footprints.
@@ -300,10 +290,11 @@ func footprintsOf(fpc *coverage.FootprintCache, photos model.PhotoList) []covera
 }
 
 // ExpectedCoverage evaluates Definition 2 for a node set M: the command
-// center's photos (delivered with certainty) plus participants that each
-// deliver independently with their probability. It uses the same
-// exact/Monte-Carlo machinery as the selection algorithm.
-func ExpectedCoverage(m *coverage.Map, cfg Config, ccPhotos model.PhotoList, parts []Participant) coverage.Coverage {
+// center's photos (delivered with certainty) plus participants, each a
+// metadata snapshot whose photos are delivered independently with its
+// probability P. It uses the same exact/Monte-Carlo machinery as the
+// selection algorithm.
+func ExpectedCoverage(m *coverage.Map, cfg Config, ccPhotos model.PhotoList, parts []metadata.Entry) coverage.Coverage {
 	fpc := coverage.NewFootprintCache(m)
 	bg := make([]bgNode, 0, len(parts))
 	for _, p := range parts {
@@ -318,7 +309,7 @@ func ExpectedCoverage(m *coverage.Map, cfg Config, ccPhotos model.PhotoList, par
 // 2^m outcomes, independent of the Evaluator machinery. It exists as an
 // oracle for tests and ablation benchmarks; cost is exponential in
 // len(parts).
-func ExactExpectedCoverage(m *coverage.Map, ccPhotos model.PhotoList, parts []Participant) coverage.Coverage {
+func ExactExpectedCoverage(m *coverage.Map, ccPhotos model.PhotoList, parts []metadata.Entry) coverage.Coverage {
 	var total coverage.Coverage
 	n := len(parts)
 	for mask := 0; mask < 1<<n; mask++ {

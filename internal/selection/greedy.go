@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"photodtn/internal/coverage"
+	"photodtn/internal/metadata"
 	"photodtn/internal/model"
 )
 
@@ -194,28 +195,34 @@ type Result struct {
 //     first node will likely deliver, yet may still double-select a photo
 //     the first node is unlikely to deliver.
 //
-// ccPhotos is the command center's known collection (the ACK view);
-// background holds the other valid metadata entries, excluding a and b
-// themselves.
-func Reallocate(fpc *coverage.FootprintCache, cfg Config, ccPhotos model.PhotoList, background []Participant, a, b Alloc) Result {
+// view is the planning node's valid metadata cache entries in node order,
+// as metadata.Cache.ValidEntries returns them; together with a and b it
+// makes up Definition 2's node set M. The command center's entry is the
+// ACK view, the entries for a and b are skipped (their live collections
+// are in the allocs), and every other entry is a background node.
+func Reallocate(fpc *coverage.FootprintCache, cfg Config, view []metadata.Entry, a, b Alloc) Result {
 	s := AcquireSession()
 	defer s.Release()
-	return s.Reallocate(fpc, cfg, ccPhotos, background, a, b)
+	return s.Reallocate(fpc, cfg, view, a, b)
 }
 
 // Reallocate is the session form of the package-level Reallocate: identical
 // selections, but every working buffer — pools, heaps, residual arenas,
 // scenario overlays — comes from the session's recycled storage.
-func (s *Session) Reallocate(fpc *coverage.FootprintCache, cfg Config, ccPhotos model.PhotoList, background []Participant, a, b Alloc) Result {
+func (s *Session) Reallocate(fpc *coverage.FootprintCache, cfg Config, view []metadata.Entry, a, b Alloc) Result {
 	m := fpc.Map()
 	s.fps = s.fps[:0]
-	ccFPs := s.footprints(fpc, ccPhotos)
+	var ccFPs []coverage.Footprint
 	bg := s.bg[:0]
-	for _, p := range background {
-		if p.Node == a.Node || p.Node == b.Node || p.Node.IsCommandCenter() {
-			continue // never double-count the contacting pair or the CC
+	for _, e := range view {
+		switch {
+		case e.Node.IsCommandCenter():
+			ccFPs = s.footprints(fpc, e.Photos)
+		case e.Node == a.Node || e.Node == b.Node:
+			// The pair's live collections are in the allocs.
+		default:
+			bg = append(bg, bgNode{p: e.P, fps: s.footprints(fpc, e.Photos)})
 		}
-		bg = append(bg, bgNode{p: p.P, fps: s.footprints(fpc, p.Photos)})
 	}
 	s.bg = bg
 	pool := s.BuildPool(fpc, a.Photos, b.Photos)

@@ -8,6 +8,7 @@ import (
 
 	"photodtn/internal/coverage"
 	"photodtn/internal/geo"
+	"photodtn/internal/metadata"
 	"photodtn/internal/model"
 )
 
@@ -66,7 +67,7 @@ func TestExpectedCoverageFormula2(t *testing.T) {
 		Add(c0b.Scale((1 - pa) * pb)).
 		Add(c0ab.Scale(pa * pb))
 
-	parts := []Participant{
+	parts := []metadata.Entry{
 		{Node: 1, Photos: fa, P: pa},
 		{Node: 2, Photos: fb, P: pb},
 	}
@@ -78,10 +79,10 @@ func TestExpectedCoverageEdgeProbabilities(t *testing.T) {
 	m := poiMap()
 	fa := model.PhotoList{viewFrom(1, 0, 0)}
 	// P = 1: deterministic.
-	got := ExpectedCoverage(m, DefaultConfig(), nil, []Participant{{Node: 1, Photos: fa, P: 1}})
+	got := ExpectedCoverage(m, DefaultConfig(), nil, []metadata.Entry{{Node: 1, Photos: fa, P: 1}})
 	covEq(t, got, m.Of(fa), 1e-9)
 	// P = 0: contributes nothing.
-	got = ExpectedCoverage(m, DefaultConfig(), nil, []Participant{{Node: 1, Photos: fa, P: 0}})
+	got = ExpectedCoverage(m, DefaultConfig(), nil, []metadata.Entry{{Node: 1, Photos: fa, P: 0}})
 	covEq(t, got, coverage.Coverage{}, 1e-9)
 }
 
@@ -91,7 +92,7 @@ func TestExpectedCoverageOverlapDiscount(t *testing.T) {
 	// expectations.
 	m := poiMap()
 	pa, pb := 0.5, 0.5
-	parts := []Participant{
+	parts := []metadata.Entry{
 		{Node: 1, Photos: model.PhotoList{viewFrom(1, 0, 0)}, P: pa},
 		{Node: 2, Photos: model.PhotoList{viewFrom(2, 0, 0)}, P: pb},
 	}
@@ -104,9 +105,9 @@ func TestExpectedCoverageOverlapDiscount(t *testing.T) {
 func TestMonteCarloApproximatesExact(t *testing.T) {
 	m := poiMap()
 	rng := rand.New(rand.NewSource(3))
-	parts := make([]Participant, 0, 10)
+	parts := make([]metadata.Entry, 0, 10)
 	for i := 0; i < 10; i++ {
-		parts = append(parts, Participant{
+		parts = append(parts, metadata.Entry{
 			Node:   model.NodeID(i + 1),
 			Photos: model.PhotoList{viewFrom(model.NodeID(i+1), 0, rng.Float64()*360)},
 			P:      0.2 + 0.6*rng.Float64(),
@@ -125,10 +126,10 @@ func TestMonteCarloApproximatesExact(t *testing.T) {
 
 func TestEvaluatorScenarioCounts(t *testing.T) {
 	m := poiMap()
-	mk := func(n int, p float64) []Participant {
-		parts := make([]Participant, 0, n)
+	mk := func(n int, p float64) []metadata.Entry {
+		parts := make([]metadata.Entry, 0, n)
 		for i := 0; i < n; i++ {
-			parts = append(parts, Participant{
+			parts = append(parts, metadata.Entry{
 				Node: model.NodeID(i + 1), P: p,
 				Photos: model.PhotoList{viewFrom(model.NodeID(i+1), 0, float64(i*37))},
 			})
@@ -136,7 +137,7 @@ func TestEvaluatorScenarioCounts(t *testing.T) {
 		return parts
 	}
 	fpc := cacheOf(m)
-	toBG := func(parts []Participant) []bgNode {
+	toBG := func(parts []metadata.Entry) []bgNode {
 		bg := make([]bgNode, 0, len(parts))
 		for _, p := range parts {
 			bg = append(bg, bgNode{p: p.P, fps: footprintsOf(fpc, p.Photos)})
@@ -286,7 +287,7 @@ func TestReallocateHigherProbabilityFirst(t *testing.T) {
 	m := poiMap()
 	a := Alloc{Node: 1, P: 0.2, Capacity: 8 << 20, Photos: model.PhotoList{viewFrom(1, 0, 0)}}
 	b := Alloc{Node: 2, P: 0.9, Capacity: 8 << 20, Photos: model.PhotoList{viewFrom(2, 0, 90)}}
-	res := Reallocate(cacheOf(m), DefaultConfig(), nil, nil, a, b)
+	res := Reallocate(cacheOf(m), DefaultConfig(), nil, a, b)
 	if res.AFirst {
 		t.Fatal("node b has higher P and must select first")
 	}
@@ -305,7 +306,7 @@ func TestReallocateSecondAvoidsLikelyDuplicates(t *testing.T) {
 	// certain, gains are zero and the second node keeps nothing.
 	a := Alloc{Node: 1, P: 1.0, Capacity: 16 << 20, Photos: model.PhotoList{viewFrom(1, 0, 0), viewFrom(1, 1, 90)}}
 	b := Alloc{Node: 2, P: 0.3, Capacity: 4 << 20, Photos: model.PhotoList{viewFrom(2, 0, 0)}}
-	res := Reallocate(cacheOf(m), DefaultConfig(), nil, nil, a, b)
+	res := Reallocate(cacheOf(m), DefaultConfig(), nil, a, b)
 	if !res.AFirst {
 		t.Fatal("node a must select first")
 	}
@@ -321,7 +322,7 @@ func TestReallocateSecondKeepsBackupWhenFirstUnreliable(t *testing.T) {
 	m := poiMap()
 	a := Alloc{Node: 1, P: 0.1, Capacity: 8 << 20, Photos: model.PhotoList{viewFrom(1, 0, 0), viewFrom(1, 1, 90)}}
 	b := Alloc{Node: 2, P: 0.05, Capacity: 8 << 20, Photos: nil}
-	res := Reallocate(cacheOf(m), DefaultConfig(), nil, nil, a, b)
+	res := Reallocate(cacheOf(m), DefaultConfig(), nil, a, b)
 	// First node is unreliable, so b should hold backup copies of the same
 	// photos (the paper's y_j = z_j = 1 case).
 	if len(res.BSel) != 2 {
@@ -338,7 +339,7 @@ func TestReallocateDropsDeliveredAndIrrelevant(t *testing.T) {
 		viewFrom(1, 2, 180),
 	}}
 	b := Alloc{Node: 2, P: 0.4, Capacity: 100 << 20, Photos: nil}
-	res := Reallocate(cacheOf(m), DefaultConfig(), cc, nil, a, b)
+	res := Reallocate(cacheOf(m), DefaultConfig(), []metadata.Entry{{Node: model.CommandCenter, Photos: cc}}, a, b)
 	if len(res.ASel) != 1 || res.ASel[0].ID.Seq() != 2 {
 		t.Fatalf("ASel = %v, want only the west view", res.ASel.IDs())
 	}
@@ -348,10 +349,10 @@ func TestReallocateConsidersBackground(t *testing.T) {
 	m := poiMap()
 	// A background node certainly delivering the east view: the pair should
 	// prioritise the north view.
-	bgPart := []Participant{{Node: 7, P: 1.0, Photos: model.PhotoList{viewFrom(7, 0, 0)}}}
+	bgPart := []metadata.Entry{{Node: 7, P: 1.0, Photos: model.PhotoList{viewFrom(7, 0, 0)}}}
 	a := Alloc{Node: 1, P: 0.5, Capacity: 4 << 20, Photos: model.PhotoList{viewFrom(1, 0, 0), viewFrom(1, 1, 90)}}
 	b := Alloc{Node: 2, P: 0.4, Capacity: 4 << 20, Photos: nil}
-	res := Reallocate(cacheOf(m), DefaultConfig(), nil, bgPart, a, b)
+	res := Reallocate(cacheOf(m), DefaultConfig(), bgPart, a, b)
 	if len(res.ASel) != 1 || res.ASel[0].ID.Seq() != 1 {
 		t.Fatalf("ASel = %v, want the north view only", res.ASel.IDs())
 	}
@@ -361,10 +362,10 @@ func TestReallocateIgnoresContactPairInBackground(t *testing.T) {
 	m := poiMap()
 	// A stale background entry for node 1 itself must be ignored, otherwise
 	// its photos would be double counted.
-	bgPart := []Participant{{Node: 1, P: 0.99, Photos: model.PhotoList{viewFrom(1, 0, 0)}}}
+	bgPart := []metadata.Entry{{Node: 1, P: 0.99, Photos: model.PhotoList{viewFrom(1, 0, 0)}}}
 	a := Alloc{Node: 1, P: 0.5, Capacity: 4 << 20, Photos: model.PhotoList{viewFrom(1, 0, 0)}}
 	b := Alloc{Node: 2, P: 0.4, Capacity: 4 << 20, Photos: nil}
-	res := Reallocate(cacheOf(m), DefaultConfig(), nil, bgPart, a, b)
+	res := Reallocate(cacheOf(m), DefaultConfig(), bgPart, a, b)
 	if len(res.ASel) != 1 {
 		t.Fatalf("ASel = %v: the photo must still be selected", res.ASel.IDs())
 	}
@@ -439,7 +440,7 @@ func TestExpectedCoverageMonotoneInP(t *testing.T) {
 	photos := model.PhotoList{viewFrom(1, 0, 0), viewFrom(1, 1, 90)}
 	prev := coverage.Coverage{}
 	for _, p := range []float64{0, 0.2, 0.5, 0.8, 1} {
-		got := ExactExpectedCoverage(m, nil, []Participant{{Node: 1, Photos: photos, P: p}})
+		got := ExactExpectedCoverage(m, nil, []metadata.Entry{{Node: 1, Photos: photos, P: p}})
 		if got.Less(prev) {
 			t.Fatalf("expected coverage decreased at p=%v: %v < %v", p, got, prev)
 		}
@@ -454,11 +455,11 @@ func TestExpectedCoverageBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 30; trial++ {
 		cc := model.PhotoList{viewFrom(0, uint32(trial), rng.Float64()*360)}
-		var parts []Participant
+		var parts []metadata.Entry
 		union := cc.Clone()
 		for i := 0; i < 4; i++ {
 			ph := model.PhotoList{viewFrom(model.NodeID(i+1), uint32(trial), rng.Float64()*360)}
-			parts = append(parts, Participant{Node: model.NodeID(i + 1), Photos: ph, P: rng.Float64()})
+			parts = append(parts, metadata.Entry{Node: model.NodeID(i + 1), Photos: ph, P: rng.Float64()})
 			union = append(union, ph...)
 		}
 		ex := ExactExpectedCoverage(m, cc, parts)

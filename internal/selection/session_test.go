@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"photodtn/internal/coverage"
+	"photodtn/internal/metadata"
 	"photodtn/internal/model"
 )
 
@@ -53,7 +54,8 @@ func TestSessionReallocateMatchesStandalone(t *testing.T) {
 	}
 	n := len(photos)
 	cc := photos[:n/8]
-	background := []Participant{
+	view := []metadata.Entry{
+		{Node: model.CommandCenter, Photos: cc},
 		{Node: 5, P: 0.45, Photos: photos[n/8 : n/3]},
 		{Node: 6, P: 0.25, Photos: photos[n/4 : n/2]},
 		{Node: 2, P: 0.30, Photos: photos[n/3 : n/2]}, // contacting node: must be skipped
@@ -62,11 +64,11 @@ func TestSessionReallocateMatchesStandalone(t *testing.T) {
 	a := Alloc{Node: 1, P: 0.6, Capacity: capacity, Photos: photos[n/2 : 4*n/5]}
 	b := Alloc{Node: 2, P: 0.35, Capacity: capacity, Photos: photos[7*n/10:]}
 
-	want := Reallocate(fpc, sc.cfg, cc, background, a, b)
+	want := Reallocate(fpc, sc.cfg, view, a, b)
 
 	s := NewSession()
 	for trial := 0; trial < 3; trial++ {
-		got := s.Reallocate(fpc, sc.cfg, cc, background, a, b)
+		got := s.Reallocate(fpc, sc.cfg, view, a, b)
 		if got.AFirst != want.AFirst {
 			t.Fatalf("trial %d: AFirst %v, want %v", trial, got.AFirst, want.AFirst)
 		}

@@ -78,11 +78,8 @@ type Config struct {
 	// Obs optionally observes the run: counters, an event trace, or both.
 	// Nil disables observability entirely; the run is then bit-identical to
 	// (and as fast as) an unobserved one, because every instrumentation site
-	// holds nil metric pointers that no-op.
-	//
-	// Deprecated: prefer the unified photodtn.WithObserver option, which
-	// installs one observer across the simulator, the selection layer, and
-	// live peers. Setting this field directly keeps working.
+	// holds nil metric pointers that no-op. The facade's
+	// photodtn.WithObserver sets it, as do the experiment harnesses.
 	Obs *obs.Observer
 }
 

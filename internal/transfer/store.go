@@ -1,7 +1,8 @@
-// Package transfer is the chunk reassembly store behind wire protocol v2:
-// it tracks, per photo, which CRC-framed chunks have landed, unions
-// duplicates idempotently, and releases the assembled payload only when
-// every chunk is present and the whole-photo checksum verifies.
+// Package transfer is the chunk reassembly store behind the wire
+// protocol's chunked transfer: it tracks, per photo, which CRC-framed
+// chunks have landed, unions duplicates idempotently, and releases the
+// assembled payload only when every chunk is present and the whole-photo
+// checksum verifies.
 //
 // The store deliberately knows nothing about contacts, sessions, or
 // journals. The peer layer decides which store an incoming chunk goes to

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"photodtn/internal/metadata"
 	"photodtn/internal/model"
 )
 
@@ -14,7 +15,7 @@ func FuzzRead(f *testing.F) {
 	// Seed with every valid message type.
 	seed := []Message{
 		Hello{Node: 1, Lambda: 0.1, DeliveryProb: 0.5, Time: 10, Nonce: 7, Capacity: 1 << 20},
-		Metadata{Entries: []MetaEntry{{Node: 2, Photos: model.PhotoList{samplePhoto(2, 0)}}}},
+		Metadata{Entries: []metadata.Entry{{Node: 2, Photos: model.PhotoList{samplePhoto(2, 0)}}}},
 		PhotoRequest{IDs: []model.PhotoID{1, 2, 3}},
 		Chunk{Photo: samplePhoto(1, 1), Count: 1, ChunkSize: 4, Total: 2, Data: []byte{9, 9}},
 		Ack{IDs: []model.PhotoID{4}},
@@ -24,7 +25,7 @@ func FuzzRead(f *testing.F) {
 		Chunk{Photo: samplePhoto(5, 0), Index: 1, Count: 3, ChunkSize: 4, Total: 11, PayloadCRC: 3, Data: []byte{1, 2, 3, 4}},
 		ChunkAck{ID: model.MakePhotoID(5, 0), Index: 1},
 		ResumeOffer{Entries: []ResumeEntry{{ID: 9, ChunkSize: 4, Count: 3, Total: 11, Bitmap: []byte{0b101}}}},
-		MetaSummary{Entries: []SummaryEntry{{Node: 1, Timestamp: 5}, {Node: 4, Timestamp: 2}}},
+		MetaSummary{Entries: []metadata.Stamp{{Node: 1, Timestamp: 5}, {Node: 4, Timestamp: 2}}},
 	}
 	for _, msg := range seed {
 		var buf bytes.Buffer
@@ -88,7 +89,7 @@ func FuzzDecodeMessage(f *testing.F) {
 	// 5-byte header and 4-byte checksum trailer).
 	seed := []Message{
 		Hello{Node: 1, Lambda: 0.1, DeliveryProb: 0.5, Time: 10, Nonce: 7, Capacity: 1 << 20},
-		Metadata{Entries: []MetaEntry{{Node: 2, Lambda: 0.5, P: 0.25, Timestamp: 3, Photos: model.PhotoList{samplePhoto(2, 0)}}}},
+		Metadata{Entries: []metadata.Entry{{Node: 2, Lambda: 0.5, P: 0.25, Timestamp: 3, Photos: model.PhotoList{samplePhoto(2, 0)}}}},
 		Metadata{},
 		PhotoRequest{IDs: []model.PhotoID{1, 2, 3}},
 		Chunk{Photo: samplePhoto(1, 1), Count: 1, ChunkSize: 4, Total: 2, Data: []byte{9, 9}},
@@ -99,7 +100,7 @@ func FuzzDecodeMessage(f *testing.F) {
 		Chunk{Photo: samplePhoto(5, 0), Index: 2, Count: 3, ChunkSize: 4, Total: 11, PayloadCRC: 3, Data: []byte{1, 2, 3}},
 		ChunkAck{ID: model.MakePhotoID(5, 0), Index: 1},
 		ResumeOffer{Entries: []ResumeEntry{{ID: 9, ChunkSize: 4, Count: 3, Total: 11, Bitmap: []byte{0b101}}}},
-		MetaSummary{Entries: []SummaryEntry{{Node: 2, Timestamp: 3}, {Node: 2, Timestamp: 1}, {Node: 7, Timestamp: -1}}},
+		MetaSummary{Entries: []metadata.Stamp{{Node: 2, Timestamp: 3}, {Node: 2, Timestamp: 1}, {Node: 7, Timestamp: -1}}},
 		MetaSummary{},
 	}
 	for _, msg := range seed {

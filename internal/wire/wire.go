@@ -27,6 +27,7 @@ import (
 	"io"
 	"math"
 
+	"photodtn/internal/metadata"
 	"photodtn/internal/model"
 )
 
@@ -206,19 +207,10 @@ type HelloAck struct {
 // Type implements Message.
 func (HelloAck) Type() MsgType { return MsgHelloAck }
 
-// MetaEntry is one metadata snapshot on the wire.
-type MetaEntry struct {
-	Node      model.NodeID
-	Lambda    float64
-	P         float64
-	Timestamp float64
-	Photos    model.PhotoList
-}
-
 // Metadata carries cache entries; by convention the sender's own collection
 // is the first entry.
 type Metadata struct {
-	Entries []MetaEntry
+	Entries []metadata.Entry
 }
 
 // Type implements Message.
@@ -236,7 +228,7 @@ func (m Metadata) appendBody(dst []byte) []byte {
 // element encoding of a Metadata body) to dst. It is exported so other
 // durable encodings — the peer's write-ahead journal records — reuse the
 // wire layout instead of inventing a second one.
-func AppendMetaEntry(dst []byte, e MetaEntry) []byte {
+func AppendMetaEntry(dst []byte, e metadata.Entry) []byte {
 	dst = appendU32(dst, uint32(e.Node))
 	dst = appendF64(dst, e.Lambda)
 	dst = appendF64(dst, e.P)
@@ -246,11 +238,11 @@ func AppendMetaEntry(dst []byte, e MetaEntry) []byte {
 
 // DecodeMetaEntry decodes one metadata entry from the front of b,
 // returning the entry and the remaining bytes.
-func DecodeMetaEntry(b []byte) (MetaEntry, []byte, error) {
+func DecodeMetaEntry(b []byte) (metadata.Entry, []byte, error) {
 	if len(b) < 4+8*3 {
-		return MetaEntry{}, b, fmt.Errorf("%w: metadata entry header", ErrBadMessage)
+		return metadata.Entry{}, b, fmt.Errorf("%w: metadata entry header", ErrBadMessage)
 	}
-	e := MetaEntry{
+	e := metadata.Entry{
 		Node:      model.NodeID(binary.LittleEndian.Uint32(b)),
 		Lambda:    f64(b[4:]),
 		P:         f64(b[12:]),
@@ -259,7 +251,7 @@ func DecodeMetaEntry(b []byte) (MetaEntry, []byte, error) {
 	var err error
 	e.Photos, b, err = model.DecodePhotoList(b[28:])
 	if err != nil {
-		return MetaEntry{}, b, fmt.Errorf("%w: metadata entry photos: %v", ErrBadMessage, err)
+		return metadata.Entry{}, b, fmt.Errorf("%w: metadata entry photos: %v", ErrBadMessage, err)
 	}
 	return e, b, nil
 }
@@ -282,10 +274,10 @@ func decodeMetadata(b []byte) (Metadata, error) {
 	if n < capHint {
 		capHint = n
 	}
-	out := Metadata{Entries: make([]MetaEntry, 0, capHint)}
+	out := Metadata{Entries: make([]metadata.Entry, 0, capHint)}
 	for i := uint32(0); i < n; i++ {
 		var (
-			e   MetaEntry
+			e   metadata.Entry
 			err error
 		)
 		e, b, err = DecodeMetaEntry(b)
@@ -300,17 +292,11 @@ func decodeMetadata(b []byte) (Metadata, error) {
 	return out, nil
 }
 
-// SummaryEntry is one pair of a MetaSummary: a node and the timestamp of
-// the snapshot the sender caches for it.
-type SummaryEntry struct {
-	Node      model.NodeID
-	Timestamp float64
-}
-
-// MetaSummary lists the sender's cached snapshots by node, in strictly
-// increasing node order, without their photos.
+// MetaSummary lists the stamp (node and snapshot timestamp) of every
+// snapshot the sender caches, in strictly increasing node order, without
+// their photos.
 type MetaSummary struct {
-	Entries []SummaryEntry
+	Entries []metadata.Stamp
 }
 
 // Type implements Message.
@@ -340,7 +326,7 @@ func decodeMetaSummary(b []byte) (MetaSummary, error) {
 	if uint64(n)*summaryEntryLen != uint64(len(b)) {
 		return MetaSummary{}, fmt.Errorf("%w: summary claims %d entries with %d bytes", ErrBadMessage, n, len(b))
 	}
-	out := MetaSummary{Entries: make([]SummaryEntry, n)}
+	out := MetaSummary{Entries: make([]metadata.Stamp, n)}
 	for i := range out.Entries {
 		e := &out.Entries[i]
 		e.Node = model.NodeID(binary.LittleEndian.Uint32(b[i*summaryEntryLen:]))

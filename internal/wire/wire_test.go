@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"photodtn/internal/geo"
+	"photodtn/internal/metadata"
 	"photodtn/internal/model"
 )
 
@@ -121,7 +122,7 @@ func TestFrameGolden(t *testing.T) {
 			Node: 2, Lambda: 0.25, DeliveryProb: 1, Time: 99, Nonce: 22, Capacity: 1 << 20,
 			ChunkSize: 32 << 10, Window: 4,
 		}}, "350000000702000000000000000000d03f000000000000f03f0000000000c058401600000000000000000010000000000003000080000004000053ae9807"},
-		{MetaSummary{Entries: []SummaryEntry{{Node: 3, Timestamp: 1234.5}, {Node: 9, Timestamp: -2}}}, "1c0000000b020000000300000000000000004a93400900000000000000000000c0cfa70b55"},
+		{MetaSummary{Entries: []metadata.Stamp{{Node: 3, Timestamp: 1234.5}, {Node: 9, Timestamp: -2}}}, "1c0000000b020000000300000000000000004a93400900000000000000000000c0cfa70b55"},
 		{Chunk{
 			Photo: samplePhoto(3, 9), Index: 1, Count: 3, ChunkSize: 4,
 			Total: 11, PayloadCRC: 0xCAFE, Data: []byte{4, 5, 6, 7},
@@ -183,7 +184,7 @@ func TestChunkAckRoundTrip(t *testing.T) {
 }
 
 func TestMetaSummaryRoundTrip(t *testing.T) {
-	msg := MetaSummary{Entries: []SummaryEntry{{Node: 1, Timestamp: 5}, {Node: 1, Timestamp: 4}, {Node: 8, Timestamp: -3}}}
+	msg := MetaSummary{Entries: []metadata.Stamp{{Node: 1, Timestamp: 5}, {Node: 1, Timestamp: 4}, {Node: 8, Timestamp: -3}}}
 	got := roundTrip(t, msg).(MetaSummary)
 	if len(got.Entries) != len(msg.Entries) {
 		t.Fatalf("entries = %d", len(got.Entries))
@@ -228,7 +229,7 @@ func TestResumeOfferRoundTrip(t *testing.T) {
 }
 
 func TestMetadataRoundTrip(t *testing.T) {
-	msg := Metadata{Entries: []MetaEntry{
+	msg := Metadata{Entries: []metadata.Entry{
 		{Node: 1, Lambda: 0.01, P: 0.5, Timestamp: 10, Photos: model.PhotoList{samplePhoto(1, 0), samplePhoto(1, 1)}},
 		{Node: 2, Lambda: 0.02, P: 0.6, Timestamp: 20, Photos: nil},
 	}}
@@ -270,7 +271,7 @@ func TestMessageStream(t *testing.T) {
 	var buf bytes.Buffer
 	msgs := []Message{
 		Hello{Node: 1, Nonce: 5},
-		Metadata{Entries: []MetaEntry{{Node: 1, Photos: model.PhotoList{samplePhoto(1, 0)}}}},
+		Metadata{Entries: []metadata.Entry{{Node: 1, Photos: model.PhotoList{samplePhoto(1, 0)}}}},
 		PhotoRequest{IDs: []model.PhotoID{7}},
 		Chunk{Photo: samplePhoto(2, 0), Count: 1, ChunkSize: 1024, Total: 1024, Data: bytes.Repeat([]byte{0xAB}, 1024)},
 		Ack{IDs: []model.PhotoID{7}},
@@ -329,7 +330,7 @@ func TestReadRejectsCorruptBodies(t *testing.T) {
 	// A metadata message whose inner photo list is truncated; the checksum
 	// is valid so the failure must come from the body decoder.
 	var buf bytes.Buffer
-	if err := Write(&buf, Metadata{Entries: []MetaEntry{{Node: 1, Photos: model.PhotoList{samplePhoto(1, 0)}}}}); err != nil {
+	if err := Write(&buf, Metadata{Entries: []metadata.Entry{{Node: 1, Photos: model.PhotoList{samplePhoto(1, 0)}}}}); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()

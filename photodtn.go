@@ -25,12 +25,14 @@
 // Every layer accepts the same observer through one option: pass
 // WithObserver to RunSimulation, DefaultSelectionConfig, or NewPeer and the
 // simulator, the selection machinery, and the live peer all report into the
-// same registry. The per-layer hooks sim.Config.Obs and the peer
-// WithObserver option still work but are deprecated in favour of this
-// single entry point. The selection Config.Metrics field only takes effect
-// for direct selection calls: the framework scheme and live peers overwrite
-// it with their own observer's metrics, so a value set through
-// FrameworkConfig.Selection or WithSelectionConfig is dropped.
+// same registry. Underneath, the option sets each layer's own hook:
+// sim.Config.Obs, the selection Config.Metrics, and the peer WithObserver
+// option. The framework scheme, the live peer and the experiment harnesses
+// set those hooks themselves too, so they are plumbing, not aliases. The
+// selection Config.Metrics field only takes effect for direct selection
+// calls: the framework scheme and live peers overwrite it with their own
+// observer's metrics, so a value set through FrameworkConfig.Selection or
+// WithSelectionConfig is dropped.
 //
 // Long-running entry points have context-aware forms — RunSimulationContext,
 // Peer.DialContext, Peer.ServeContext — and experiment harnesses run on a
@@ -131,8 +133,6 @@ func NewPoI(id int, loc Vec) PoI { return model.NewPoI(id, loc) }
 type (
 	// SelectionConfig tunes expected-coverage evaluation.
 	SelectionConfig = selection.Config
-	// Participant is one node of the expected-coverage node set M.
-	Participant = selection.Participant
 	// Alloc describes one side of a contact for reallocation.
 	Alloc = selection.Alloc
 	// ReallocationResult is the outcome of the two-node greedy.
@@ -161,16 +161,19 @@ func DefaultSelectionConfig(opts ...Option) SelectionConfig {
 	return cfg
 }
 
-// ExpectedCoverage evaluates Definition 2 for the node set.
-func ExpectedCoverage(m *Map, cfg SelectionConfig, ccPhotos PhotoList, parts []Participant) Coverage {
+// ExpectedCoverage evaluates Definition 2 for the node set: the command
+// center's photos plus each participant's snapshot, delivered with its P.
+func ExpectedCoverage(m *Map, cfg SelectionConfig, ccPhotos PhotoList, parts []MetadataEntry) Coverage {
 	return selection.ExpectedCoverage(m, cfg, ccPhotos, parts)
 }
 
-// Reallocate runs the §III-D two-node greedy reallocation. It borrows a
-// pooled SelectionSession for the call; hold your own session when running
-// one selection per contact.
-func Reallocate(fpc *FootprintCache, cfg SelectionConfig, ccPhotos PhotoList, background []Participant, a, b Alloc) ReallocationResult {
-	return selection.Reallocate(fpc, cfg, ccPhotos, background, a, b)
+// Reallocate runs the §III-D two-node greedy reallocation. view is the
+// planning node's valid metadata entries (MetadataCache.ValidEntries), or
+// nil to plan with the two collections alone. It borrows a pooled
+// SelectionSession for the call; hold your own session when running one
+// selection per contact.
+func Reallocate(fpc *FootprintCache, cfg SelectionConfig, view []MetadataEntry, a, b Alloc) ReallocationResult {
+	return selection.Reallocate(fpc, cfg, view, a, b)
 }
 
 // SelectForUpload orders a node's photos by marginal gain over the command
@@ -335,9 +338,10 @@ func OpenPeer(dir string, id NodeID, m *Map, capacity int64, opts ...PeerOption)
 // PeerJournalStats describes a durable peer's recovery and commit history.
 type PeerJournalStats = peer.JournalStats
 
-// TransferConfig tunes chunked, resumable photo transfer (wire protocol
-// v2): chunk size, pipeline window, per-contact byte budget, and whether
-// partial transfers persist across contacts. Pass it through WithTransfer.
+// TransferConfig tunes the wire protocol's chunked, resumable photo
+// transfer: chunk size, pipeline window, per-contact byte budget, and
+// whether partial transfers persist across contacts. Pass it through
+// WithTransfer.
 type TransferConfig = peer.TransferConfig
 
 // PeerTransferStats aggregates a live peer's chunked-transfer activity
@@ -433,12 +437,11 @@ type Option interface {
 
 // WithObserver wires one observer into whichever layer the option is given
 // to: the simulator (RunSimulation), the selection machinery
-// (DefaultSelectionConfig), or a live peer (NewPeer). It replaces the
-// per-layer hooks sim.Config.Obs and the peer WithObserver option, which
-// remain for compatibility but are deprecated. The selection
-// Config.Metrics it fills only takes effect for direct selection calls;
-// the framework scheme and live peers install their own observer's
-// metrics over it.
+// (DefaultSelectionConfig), or a live peer (NewPeer), by setting that
+// layer's own hook: sim.Config.Obs, selection Config.Metrics, or the peer
+// WithObserver option. The selection Config.Metrics it fills only takes
+// effect for direct selection calls; the framework scheme and live peers
+// install their own observer's metrics over it.
 func WithObserver(o *Observer) Option { return observerOption{o: o} }
 
 type observerOption struct{ o *Observer }

@@ -59,7 +59,7 @@ func TestFacadeSelection(t *testing.T) {
 		facadePhoto(1, 1, photodtn.Vec{X: 82, Y: 0}, 180), // duplicate view
 		facadePhoto(1, 2, photodtn.Vec{X: 320, Y: 0}, 0),
 	}
-	res := photodtn.Reallocate(fpc, photodtn.DefaultSelectionConfig(), nil, nil,
+	res := photodtn.Reallocate(fpc, photodtn.DefaultSelectionConfig(), nil,
 		photodtn.Alloc{Node: 1, P: 0.8, Capacity: 8 << 20, Photos: photos},
 		photodtn.Alloc{Node: 2, P: 0.1, Capacity: 0},
 	)
@@ -74,7 +74,7 @@ func TestFacadeSelection(t *testing.T) {
 
 func TestFacadeExpectedCoverage(t *testing.T) {
 	m := facadeMap()
-	parts := []photodtn.Participant{{
+	parts := []photodtn.MetadataEntry{{
 		Node: 1, P: 0.5,
 		Photos: photodtn.PhotoList{facadePhoto(1, 0, photodtn.Vec{X: 80, Y: 0}, 180)},
 	}}
@@ -185,7 +185,7 @@ func TestFacadeUnifiedObserver(t *testing.T) {
 	m := facadeMap()
 
 	// Selection layer.
-	parts := []photodtn.Participant{{
+	parts := []photodtn.MetadataEntry{{
 		Node: 1, P: 0.5,
 		Photos: photodtn.PhotoList{facadePhoto(1, 0, photodtn.Vec{X: 80, Y: 0}, 180)},
 	}}
