@@ -15,6 +15,8 @@
 package core
 
 import (
+	"slices"
+
 	"photodtn/internal/metadata"
 	"photodtn/internal/model"
 	"photodtn/internal/obs"
@@ -58,6 +60,11 @@ type nodeState struct {
 	cache *metadata.Cache
 	rate  *metadata.RateEstimator
 	table *prophet.Table
+	// ranks holds the standalone coverage of each stored photo, index for
+	// index with the storage's Photos, while rankGen equals the storage's
+	// Gen. A new storage is empty at generation 0, as ranks is.
+	ranks   []coverage.Coverage
+	rankGen uint64
 }
 
 // Scheme is the framework as a sim.Scheme. Create it with New.
@@ -131,9 +138,16 @@ func (s *Scheme) soloCoverage(p model.Photo) coverage.Coverage {
 	return c
 }
 
-// OnPhoto implements sim.Scheme. A newly taken photo is stored if it fits;
-// when the storage is full, the photos with the least standalone coverage
-// (including possibly the new one) are evicted until it fits.
+// OnPhoto implements sim.Scheme. A newly taken photo is stored if it fits.
+// When the storage is full, the photos with the least standalone coverage
+// are evicted to make room, unless the new photo is itself the least
+// valuable before it fits: it is then rejected and the storage is left
+// unchanged.
+//
+// Victims are chosen on the node's ranks, which are rebuilt from the solo
+// cache only when the storage changed after the node's last capture into a
+// full store (at a contact, or by a capture that fitted), so a run of
+// captures into a full store scans one small array per capture.
 func (s *Scheme) OnPhoto(node model.NodeID, p model.Photo) {
 	if s.cfg.MinQuality > 0 && p.Quality > 0 && p.Quality < s.cfg.MinQuality {
 		return // unqualified photo: filtered before the model sees it
@@ -142,30 +156,62 @@ func (s *Scheme) OnPhoto(node model.NodeID, p model.Photo) {
 	if p.Size > st.Capacity() {
 		return
 	}
-	for p.Size > st.Free() {
-		victim := s.lowestSolo(st, p)
-		if victim == p.ID {
+	if p.Size <= st.Free() {
+		_ = st.Add(p) // fits; duplicate IDs cannot occur
+		return
+	}
+	ns := s.nodes[node]
+	photos := st.Photos()
+	if ns.rankGen != st.Gen() {
+		ns.ranks = slices.Grow(ns.ranks[:0], len(photos)+1) // +1: the capture
+		for _, q := range photos {
+			ns.ranks = append(ns.ranks, s.soloCoverage(q))
+		}
+		ns.rankGen = st.Gen()
+	}
+	// Choose every victim before evicting any, so a rejection changes
+	// nothing.
+	cov := s.soloCoverage(p)
+	var buf [4]int
+	victims := buf[:0]
+	for need := p.Size - st.Free(); need > 0; {
+		i := leastCovering(ns.ranks, photos, victims, cov, p.ID)
+		if i < 0 {
 			return // the new photo is the least valuable: reject it
 		}
-		st.Remove(victim)
+		victims = append(victims, i)
+		need -= photos[i].Size
 	}
-	_ = st.Add(p) // fits by construction; duplicate IDs cannot occur
+	// Evict from the back, so the positions still to go stay valid.
+	slices.Sort(victims)
+	for k := len(victims) - 1; k >= 0; k-- {
+		i := victims[k]
+		st.Remove(photos[i].ID)
+		ns.ranks = slices.Delete(ns.ranks, i, i+1)
+	}
+	_ = st.Add(p) // fits by construction
+	ns.ranks = append(ns.ranks, cov)
+	ns.rankGen = st.Gen()
 }
 
-// lowestSolo returns the stored photo (or the incoming one) with the least
-// standalone coverage, ties broken by ID for determinism. It scans the
-// storage in place (no copy): the minimum is order-independent, and the
-// caller only mutates the storage after the scan returns.
-func (s *Scheme) lowestSolo(st *sim.Storage, incoming model.Photo) model.PhotoID {
-	bestID := incoming.ID
-	bestCov := s.soloCoverage(incoming)
-	for _, q := range st.Photos() {
-		c := s.soloCoverage(q)
-		if c.Less(bestCov) || (c.Cmp(bestCov) == 0 && q.ID < bestID) {
-			bestID, bestCov = q.ID, c
+// leastCovering scans ranks in storage order, starting from the incoming
+// photo (cov, id) as the best, and moves the best to every stored photo
+// whose coverage is Less or, within Cmp's epsilon, equal with a smaller ID.
+// It returns the position it ends on, or -1 if the incoming photo stays the
+// best. The epsilon makes the comparison intransitive, so the scan order is
+// part of the rule. Positions in skip are already victims and are passed
+// over.
+func leastCovering(ranks []coverage.Coverage, photos model.PhotoList, skip []int, cov coverage.Coverage, id model.PhotoID) int {
+	best := -1
+	for i, c := range ranks {
+		if c.Less(cov) || (c.Cmp(cov) == 0 && photos[i].ID < id) {
+			if slices.Contains(skip, i) {
+				continue
+			}
+			best, cov, id = i, c, photos[i].ID
 		}
 	}
-	return bestID
+	return best
 }
 
 // OnContact implements sim.Scheme.

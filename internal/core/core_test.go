@@ -248,6 +248,33 @@ func TestOnPhotoRejectsWorstNewcomer(t *testing.T) {
 	}
 }
 
+// Regression: a capture that needed two evictions evicted the first victim
+// before finding that the newcomer was worth less than the second, then
+// rejected it, leaving the store a photo short for nothing. A rejected
+// capture must leave the store as it was.
+func TestOnPhotoRejectionEvictsNothing(t *testing.T) {
+	big := farAway(1, 2)
+	big.Size = 8 * mb
+	tr := &trace.Trace{Nodes: 1}
+	cfg := sim.Config{
+		Trace: tr, Map: poiMap(), StorageBytes: 8 * mb, Seed: 1, Span: 100,
+		Photos: []sim.PhotoEvent{
+			{Time: 1, Node: 1, Photo: farAway(1, 0)},     // worthless
+			{Time: 2, Node: 1, Photo: viewFrom(1, 1, 0)}, // useful
+			{Time: 3, Node: 1, Photo: big},               // worthless, needs both slots
+		},
+	}
+	scheme := New(DefaultConfig())
+	runScheme(t, cfg, scheme)
+	st := scheme.w.Storage(1)
+	if st.Has(big.ID) {
+		t.Fatal("worthless newcomer must be rejected")
+	}
+	if !st.Has(model.MakePhotoID(1, 0)) || !st.Has(model.MakePhotoID(1, 1)) || st.Free() != 0 {
+		t.Fatalf("rejected capture changed the store: %v, %d bytes free", st.Photos().IDs(), st.Free())
+	}
+}
+
 func TestOnPhotoOversized(t *testing.T) {
 	tr := &trace.Trace{Nodes: 1}
 	big := viewFrom(1, 0, 0)

@@ -8,6 +8,8 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 
 	"photodtn/internal/model"
 )
@@ -25,22 +27,29 @@ var (
 // per-photo copy counter for spray-based schemes (unused counters stay 0).
 // Storage is not safe for concurrent use.
 //
-// The collection is kept as an insertion-ordered slice plus an ID index:
-// schemes walk the collection at every contact (and eviction policies scan
-// it per admitted photo), so iteration must not pay a sort or a map walk.
+// The collection is kept as an insertion-ordered slice, because schemes
+// walk it at every contact and iteration must not pay a sort or a map
+// walk. Each photo also gets an insertion serial: serial runs parallel to
+// list and increases along it, and index maps a photo to its serial, so a
+// lookup is a binary search and a removal re-indexes nothing. Gen counts
+// mutations of the collection, so a scheme can keep its own view aligned
+// with Photos and tell when it went stale.
 type Storage struct {
 	capacity int64
 	used     int64
 	list     model.PhotoList // stored photos in insertion (FIFO) order
-	index    map[model.PhotoID]int
+	serial   []uint64        // serial[i] is list[i]'s insertion serial
+	index    map[model.PhotoID]uint64
 	copies   map[model.PhotoID]int
+	next     uint64 // serial of the next stored photo
+	gen      uint64
 }
 
 // NewStorage returns an empty storage with the given byte capacity.
 func NewStorage(capacity int64) *Storage {
 	return &Storage{
 		capacity: capacity,
-		index:    make(map[model.PhotoID]int),
+		index:    make(map[model.PhotoID]uint64),
 		copies:   make(map[model.PhotoID]int),
 	}
 }
@@ -57,6 +66,32 @@ func (s *Storage) Free() int64 { return s.capacity - s.used }
 // Len returns the number of stored photos.
 func (s *Storage) Len() int { return len(s.list) }
 
+// Gen returns the storage's generation. It changes whenever the collection
+// does (an Add, the Remove of a stored photo, a Retain that drops a photo,
+// a successful ReplaceAll) and on nothing else, so a view built from Photos
+// is current exactly while Gen still returns the value it was built at.
+// Generations compare only within one storage.
+func (s *Storage) Gen() uint64 { return s.gen }
+
+// pos returns the position of a stored photo in list.
+func (s *Storage) pos(id model.PhotoID) (int, bool) {
+	sn, ok := s.index[id]
+	if !ok {
+		return 0, false
+	}
+	i, _ := slices.BinarySearch(s.serial, sn)
+	return i, true
+}
+
+// push appends a photo the storage does not hold, ignoring capacity.
+func (s *Storage) push(p model.Photo) {
+	s.index[p.ID] = s.next
+	s.list = append(s.list, p)
+	s.serial = append(s.serial, s.next)
+	s.next++
+	s.used += p.Size
+}
+
 // Has reports whether the photo is stored.
 func (s *Storage) Has(id model.PhotoID) bool {
 	_, ok := s.index[id]
@@ -65,7 +100,7 @@ func (s *Storage) Has(id model.PhotoID) bool {
 
 // Get returns a stored photo.
 func (s *Storage) Get(id model.PhotoID) (model.Photo, bool) {
-	i, ok := s.index[id]
+	i, ok := s.pos(id)
 	if !ok {
 		return model.Photo{}, false
 	}
@@ -81,27 +116,24 @@ func (s *Storage) Add(p model.Photo) error {
 	if p.Size > s.Free() {
 		return fmt.Errorf("%w: need %d bytes, have %d", ErrNoSpace, p.Size, s.Free())
 	}
-	s.index[p.ID] = len(s.list)
-	s.list = append(s.list, p)
-	s.used += p.Size
+	s.push(p)
+	s.gen++
 	return nil
 }
 
 // Remove drops a photo (and its copy counter); it is a no-op for absent
 // photos. FIFO order of the remaining photos is preserved.
 func (s *Storage) Remove(id model.PhotoID) {
-	i, ok := s.index[id]
+	i, ok := s.pos(id)
 	if !ok {
 		return
 	}
 	s.used -= s.list[i].Size
-	copy(s.list[i:], s.list[i+1:])
-	s.list = s.list[:len(s.list)-1]
-	for j := i; j < len(s.list); j++ {
-		s.index[s.list[j].ID] = j
-	}
+	s.list = slices.Delete(s.list, i, i+1)
+	s.serial = slices.Delete(s.serial, i, i+1)
 	delete(s.index, id)
 	delete(s.copies, id)
+	s.gen++
 }
 
 // Retain keeps the photos for which keep returns true and removes the rest
@@ -109,7 +141,7 @@ func (s *Storage) Remove(id model.PhotoID) {
 // not touch the storage.
 func (s *Storage) Retain(keep func(model.Photo) bool) {
 	n := 0
-	for _, p := range s.list {
+	for i, p := range s.list {
 		if !keep(p) {
 			s.used -= p.Size
 			delete(s.index, p.ID)
@@ -117,10 +149,15 @@ func (s *Storage) Retain(keep func(model.Photo) bool) {
 			continue
 		}
 		s.list[n] = p
-		s.index[p.ID] = n
+		s.serial[n] = s.serial[i]
 		n++
 	}
+	if n == len(s.list) {
+		return
+	}
 	s.list = s.list[:n]
+	s.serial = s.serial[:n]
+	s.gen++
 }
 
 // Copies returns the spray copy counter of a photo (0 if untracked).
@@ -167,20 +204,20 @@ func (s *Storage) ReplaceAll(photos model.PhotoList) error {
 	}
 	kept := s.copies
 	s.list = s.list[:0]
-	s.index = make(map[model.PhotoID]int, len(photos))
+	s.serial = s.serial[:0]
+	s.index = make(map[model.PhotoID]uint64, len(photos))
 	s.copies = make(map[model.PhotoID]int)
 	s.used = 0
 	for _, p := range photos {
 		if s.Has(p.ID) {
 			continue
 		}
-		s.index[p.ID] = len(s.list)
-		s.list = append(s.list, p)
-		s.used += p.Size
+		s.push(p)
 		if n, ok := kept[p.ID]; ok {
 			s.copies[p.ID] = n
 		}
 	}
+	s.gen++
 	return nil
 }
 
@@ -188,18 +225,14 @@ func (s *Storage) ReplaceAll(photos model.PhotoList) error {
 // and copy counters, sharing no mutable state with the original. Contact
 // sessions plan against a clone and commit the result back (internal/peer).
 func (s *Storage) Clone() *Storage {
-	c := &Storage{
+	return &Storage{
 		capacity: s.capacity,
 		used:     s.used,
-		list:     append(model.PhotoList(nil), s.list...),
-		index:    make(map[model.PhotoID]int, len(s.index)),
-		copies:   make(map[model.PhotoID]int, len(s.copies)),
+		list:     slices.Clone(s.list),
+		serial:   slices.Clone(s.serial),
+		index:    maps.Clone(s.index),
+		copies:   maps.Clone(s.copies),
+		next:     s.next,
+		gen:      s.gen,
 	}
-	for id, i := range s.index {
-		c.index[id] = i
-	}
-	for id, n := range s.copies {
-		c.copies[id] = n
-	}
-	return c
 }
