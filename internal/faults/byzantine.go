@@ -56,6 +56,14 @@ const (
 	// ByzMalformedSummary lists one node twice in its summary — a replayed
 	// pair the wire decoder lets through for the guard to catch.
 	ByzMalformedSummary
+	// ByzReplayedRound completes the metadata round honestly, then sends
+	// its metadata a second time where the plan's PhotoRequest is due — a
+	// replayed round.
+	ByzReplayedRound
+	// ByzTransferDesync plays an honest initiator through the plan round,
+	// then sends a MetaSummary where the honest side expects a Chunk — a
+	// frame from the wrong round inside a transfer leg.
+	ByzTransferDesync
 
 	numByzStrategies
 )
@@ -90,6 +98,10 @@ func (s ByzStrategy) String() string {
 		return "lying-summary"
 	case ByzMalformedSummary:
 		return "malformed-summary"
+	case ByzReplayedRound:
+		return "replayed-round"
+	case ByzTransferDesync:
+		return "transfer-desync"
 	default:
 		return fmt.Sprintf("ByzStrategy(%d)", int(s))
 	}
@@ -192,8 +204,25 @@ func (b *ByzantinePeer) Contact(conn io.ReadWriter) error {
 		}
 		_, err := wire.Read(conn)
 		return err
+	case ByzReplayedRound:
+		md := wire.Metadata{Entries: []metadata.Entry{b.entry(0)}}
+		if err := wire.Write(conn, md); err != nil {
+			return err
+		}
+		if _, err := wire.Read(conn); err != nil { // the honest side's metadata
+			return err
+		}
+		return wire.Write(conn, md)
 	case ByzUnrequestedChunk:
-		return b.unrequestedChunk(conn, params)
+		// Chunk 0 of a two-chunk photo the honest side never requested, at
+		// the negotiated chunk size so only the want-set pin can catch it.
+		size := params.ChunkSize
+		return b.inTransfer(conn, wire.Chunk{
+			Photo: b.photo(0, 4<<20, 0), Index: 0, Count: 2, ChunkSize: size,
+			Total: 2 * uint64(size), Data: make([]byte, size),
+		})
+	case ByzTransferDesync:
+		return b.inTransfer(conn, wire.MetaSummary{})
 	default:
 		return fmt.Errorf("unknown byzantine strategy %v", b.Strategy)
 	}
@@ -240,11 +269,10 @@ func (b *ByzantinePeer) lyingSummary(conn io.ReadWriter, session float64) error 
 	return nil
 }
 
-// unrequestedChunk plays an honest initiator through the plan round with
-// an empty collection and an empty request, then sends chunk 0 of a
-// two-chunk photo the honest side never requested, at the negotiated chunk
-// size so only the want-set pin can catch it.
-func (b *ByzantinePeer) unrequestedChunk(conn io.ReadWriter, params wire.Params) error {
+// inTransfer plays an honest initiator through the plan round with an
+// empty collection and an empty request, then sends msg where the honest
+// responder's transfer leg is due and reads its answer.
+func (b *ByzantinePeer) inTransfer(conn io.ReadWriter, msg wire.Message) error {
 	own := b.entry(0)
 	own.Photos = nil
 	if err := wire.Write(conn, wire.Metadata{Entries: []metadata.Entry{own}}); err != nil {
@@ -264,11 +292,7 @@ func (b *ByzantinePeer) unrequestedChunk(conn io.ReadWriter, params wire.Params)
 			return err
 		}
 	}
-	size := params.ChunkSize
-	if err := wire.Write(conn, wire.Chunk{
-		Photo: b.photo(0, 4<<20, 0), Index: 0, Count: 2, ChunkSize: size,
-		Total: 2 * uint64(size), Data: make([]byte, size),
-	}); err != nil {
+	if err := wire.Write(conn, msg); err != nil {
 		return err
 	}
 	_, err := wire.Read(conn)

@@ -475,6 +475,8 @@ func TestByzantineStrategyReasons(t *testing.T) {
 		faults.ByzPhaseDesync:      guard.ReasonPhase,
 		faults.ByzUnrequestedChunk: guard.ReasonBadTransfer,
 		faults.ByzMalformedSummary: guard.ReasonReplay,
+		faults.ByzReplayedRound:    guard.ReasonPhase,
+		faults.ByzTransferDesync:   guard.ReasonPhase,
 	}
 	for strat, reason := range want {
 		v, _ := byzFixture(t, byzGuardOpts()...)
