@@ -144,18 +144,24 @@ func BenchmarkEvaluatorGreedyFill(b *testing.B) {
 		})
 		// The session variant recycles evaluator, heap, candidate, and
 		// residual storage across iterations — the per-contact steady state
-		// core.Scheme runs in.
+		// core.Scheme runs in. One untimed fill grows that storage first, so
+		// the row measures the steady state at any iteration count rather
+		// than the warm-up amortised over b.N.
 		b.Run(sc.name+"/session", func(b *testing.B) {
 			m, ccFPs, bg, pool := benchInstance(b, sc)
 			capacity := int64(max(5, len(pool)/3)) * (4 << 20)
 			s := NewSession()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			fill := func() {
 				ev := s.evaluator(m, sc.cfg, ccFPs, bg)
 				if sel := GreedyFill(ev, pool, capacity); len(sel) == 0 {
 					b.Fatal("selected nothing")
 				}
+			}
+			fill()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				fill()
 			}
 		})
 	}
