@@ -41,7 +41,7 @@ race:
 # (whose Byzantine adversary runs against a scripted peer over a pipe) get
 # a second schedule in which to trip the detector.
 race-repeat:
-	$(GO) test -race -count=2 ./internal/peer/ ./internal/peer/session/ ./internal/wire/ \
+	$(GO) test -race -count=2 ./internal/peer/ ./internal/wire/ \
 		./internal/transfer/ ./internal/guard/ ./internal/selection/ ./internal/coverage/ \
 		./internal/metadata/ ./internal/core/ ./internal/runner/ ./internal/faults/
 

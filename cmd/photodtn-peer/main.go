@@ -22,8 +22,8 @@
 // On shutdown the journal is compacted into a snapshot.
 //
 // Passing -max-peer-rate and/or -quarantine-ttl arms the guard (DESIGN.md
-// §12): inbound messages are semantically validated against the protocol
-// state machine, each remote gets a contact-rate budget, and repeat
+// §12): inbound messages are semantically validated, a message out of its
+// protocol round is scored, each remote gets a contact-rate budget, and repeat
 // offenders are quarantined for the TTL (journaled with -state-dir, so a
 // restart keeps refusing them).
 package main

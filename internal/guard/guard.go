@@ -2,7 +2,7 @@
 // adversarial peers. The paper's setting is opportunistic contacts with
 // untrusted participants: a hostile or buggy remote can inject absurd
 // PROPHET predictabilities, poison the metadata cache with far-future
-// snapshots, replay frames, desynchronize the session state machine, or
+// snapshots, replay frames, send messages out of their protocol round, or
 // flood contacts to starve honest ones. The journal (PR 5) protects the
 // node against its own crashes and the session layer (PR 7) against its
 // own concurrency; this package protects it against *other nodes*.
@@ -56,7 +56,7 @@ type Reason uint8
 // Violation reasons.
 const (
 	// ReasonPhase: out-of-order, duplicate, or phase-invalid message (the
-	// session state machine rejected it).
+	// session's typed read for the current round got another type).
 	ReasonPhase Reason = iota + 1
 	// ReasonReplay: a replayed frame or duplicate entry (second metadata
 	// entry for one origin, duplicate chunk within a session).

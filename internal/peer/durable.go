@@ -399,9 +399,10 @@ func (p *Peer) checkpointLocked() error {
 
 // --- snapshot encoding ---
 
-// peerSnapVersion 2 added the transfer-fragment section (transfer resume);
-// version 3 added the guard's active quarantines. Restore still accepts
-// older images, which simply have no fragments / no quarantines.
+// peerSnapVersion is the snapshot layout this build writes and the only one
+// it restores: version 2 added the transfer-fragment section, version 3 the
+// guard's active quarantines. Wire protocol v3 already refuses the builds
+// that wrote older images.
 const peerSnapVersion = 3
 
 // encodeSnapshot serialises the peer's full protocol state, reusing the
@@ -418,8 +419,8 @@ func (p *Peer) encodeSnapshot() []byte {
 
 	buf = p.appendEncounterState(buf)
 
-	// v2: the reassembly store's partials (bitmap length and data length
-	// are derived from the geometry, so neither is encoded).
+	// The reassembly store's partials (bitmap length and data length are
+	// derived from the geometry, so neither is encoded).
 	frags := p.frags.Export()
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(frags)))
 	for _, f := range frags {
@@ -432,8 +433,8 @@ func (p *Peer) encodeSnapshot() []byte {
 		buf = append(buf, f.Data...)
 	}
 
-	// v3: the guard's active quarantines (empty when the guard is off —
-	// arming it later starts with a clean slate, which is the conservative
+	// The guard's active quarantines (empty when the guard is off — arming
+	// it later starts with a clean slate, which is the conservative
 	// direction).
 	quars := p.guard.ActiveQuarantines(p.clock())
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(quars)))
@@ -450,9 +451,8 @@ func (p *Peer) restoreSnapshot(buf []byte) error {
 	if len(buf) < 1 {
 		return errors.New("empty snapshot")
 	}
-	ver := buf[0]
-	if ver < 1 || ver > peerSnapVersion {
-		return fmt.Errorf("snapshot version %d, want 1..%d", ver, peerSnapVersion)
+	if ver := buf[0]; ver != peerSnapVersion {
+		return fmt.Errorf("snapshot version %d, want %d", ver, peerSnapVersion)
 	}
 	buf = buf[1:]
 
@@ -517,55 +517,50 @@ func (p *Peer) restoreSnapshot(buf []byte) error {
 	}
 	p.rate.Restore(rs)
 
-	if ver >= 2 {
-		if len(buf) < 4 {
-			return errors.New("snapshot fragment header")
+	if len(buf) < 4 {
+		return errors.New("snapshot fragment header")
+	}
+	n = binary.LittleEndian.Uint32(buf)
+	buf = buf[4:]
+	for i := uint32(0); i < n; i++ {
+		var f transfer.Fragment
+		f.Photo, buf, err = model.DecodePhoto(buf)
+		if err != nil {
+			return fmt.Errorf("snapshot fragment %d: %w", i, err)
 		}
-		n = binary.LittleEndian.Uint32(buf)
-		buf = buf[4:]
-		for i := uint32(0); i < n; i++ {
-			var f transfer.Fragment
-			var err error
-			f.Photo, buf, err = model.DecodePhoto(buf)
-			if err != nil {
-				return fmt.Errorf("snapshot fragment %d: %w", i, err)
-			}
-			if len(buf) < 4+4+8+4 {
-				return fmt.Errorf("snapshot fragment %d: geometry header", i)
-			}
-			f.ChunkSize = binary.LittleEndian.Uint32(buf)
-			f.Count = binary.LittleEndian.Uint32(buf[4:])
-			f.Total = binary.LittleEndian.Uint64(buf[8:])
-			f.PayloadCRC = binary.LittleEndian.Uint32(buf[16:])
-			buf = buf[20:]
-			bm := (int(f.Count) + 7) / 8
-			if f.Count > uint32(wire.MaxChunks) || uint64(len(buf)) < uint64(bm)+f.Total {
-				return fmt.Errorf("snapshot fragment %d: truncated", i)
-			}
-			f.Bitmap, buf = buf[:bm:bm], buf[bm:]
-			f.Data, buf = buf[:f.Total:f.Total], buf[f.Total:]
-			if err := p.frags.Import(f); err != nil {
-				return fmt.Errorf("snapshot fragment %d: %w", i, err)
-			}
+		if len(buf) < 4+4+8+4 {
+			return fmt.Errorf("snapshot fragment %d: geometry header", i)
+		}
+		f.ChunkSize = binary.LittleEndian.Uint32(buf)
+		f.Count = binary.LittleEndian.Uint32(buf[4:])
+		f.Total = binary.LittleEndian.Uint64(buf[8:])
+		f.PayloadCRC = binary.LittleEndian.Uint32(buf[16:])
+		buf = buf[20:]
+		bm := (int(f.Count) + 7) / 8
+		if f.Count > uint32(wire.MaxChunks) || uint64(len(buf)) < uint64(bm)+f.Total {
+			return fmt.Errorf("snapshot fragment %d: truncated", i)
+		}
+		f.Bitmap, buf = buf[:bm:bm], buf[bm:]
+		f.Data, buf = buf[:f.Total:f.Total], buf[f.Total:]
+		if err := p.frags.Import(f); err != nil {
+			return fmt.Errorf("snapshot fragment %d: %w", i, err)
 		}
 	}
 
-	if ver >= 3 {
-		if len(buf) < 4 {
-			return errors.New("snapshot quarantine header")
-		}
-		n = binary.LittleEndian.Uint32(buf)
-		buf = buf[4:]
-		if uint64(len(buf)) < uint64(n)*12 {
-			return errors.New("snapshot quarantine entries")
-		}
-		for i := uint32(0); i < n; i++ {
-			node := model.NodeID(binary.LittleEndian.Uint32(buf))
-			until := math.Float64frombits(binary.LittleEndian.Uint64(buf[4:]))
-			buf = buf[12:]
-			if p.guard != nil {
-				p.guard.RestoreQuarantine(node, until, p.clock())
-			}
+	if len(buf) < 4 {
+		return errors.New("snapshot quarantine header")
+	}
+	n = binary.LittleEndian.Uint32(buf)
+	buf = buf[4:]
+	if uint64(len(buf)) < uint64(n)*12 {
+		return errors.New("snapshot quarantine entries")
+	}
+	for i := uint32(0); i < n; i++ {
+		node := model.NodeID(binary.LittleEndian.Uint32(buf))
+		until := math.Float64frombits(binary.LittleEndian.Uint64(buf[4:]))
+		buf = buf[12:]
+		if p.guard != nil {
+			p.guard.RestoreQuarantine(node, until, p.clock())
 		}
 	}
 
@@ -647,6 +642,29 @@ func (p *Peer) replayRecord(rec journal.Record) error {
 	}
 }
 
+// appendOp appends one framed contact sub-record to buf:
+// [kind][payload length u32][payload]. Sessions frame their op logs with it
+// and a contact commit journals the frames as they are.
+func appendOp(buf []byte, kind byte, payload []byte) []byte {
+	buf = append(buf, kind)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+	return append(buf, payload...)
+}
+
+// nextOp splits the first framed sub-record off buf, returning its kind,
+// its payload and the frames after it.
+func nextOp(buf []byte) (kind byte, payload, rest []byte, err error) {
+	if len(buf) < 5 {
+		return 0, nil, nil, fmt.Errorf("contact sub-record header: %d bytes", len(buf))
+	}
+	kind, n := buf[0], binary.LittleEndian.Uint32(buf[1:])
+	buf = buf[5:]
+	if uint64(len(buf)) < uint64(n) {
+		return 0, nil, nil, fmt.Errorf("contact sub-record %d: claims %d bytes, has %d", kind, n, len(buf))
+	}
+	return kind, buf[:n], buf[n:], nil
+}
+
 // applyOps applies a framed batch of contact sub-records in order. It is
 // the single mutation path shared by crash recovery (replaying journaled
 // commits), a session's private clone (mutations recorded mid-contact), and
@@ -654,17 +672,11 @@ func (p *Peer) replayRecord(rec journal.Record) error {
 // a recovered peer converges on the same state the live path produced.
 func (st peerState) applyOps(buf []byte) error {
 	for len(buf) > 0 {
-		if len(buf) < 5 {
-			return fmt.Errorf("contact sub-record header: %d bytes", len(buf))
+		kind, payload, rest, err := nextOp(buf)
+		if err != nil {
+			return err
 		}
-		kind := buf[0]
-		n := binary.LittleEndian.Uint32(buf[1:])
-		buf = buf[5:]
-		if uint64(len(buf)) < uint64(n) {
-			return fmt.Errorf("contact sub-record %d: claims %d bytes, has %d", kind, n, len(buf))
-		}
-		payload := buf[:n]
-		buf = buf[n:]
+		buf = rest
 		if err := st.apply(kind, payload); err != nil {
 			return fmt.Errorf("contact sub-record %d: %w", kind, err)
 		}

@@ -426,11 +426,12 @@ func TestCheckpointCompactsPeerJournal(t *testing.T) {
 	}
 }
 
-// TestRestoreOlderSnapshotVersions pins that a snapshot written by an older
-// build still opens: version 1 images lack the fragment and quarantine
-// sections, version 2 images lack only the quarantine section. Each image
-// is the current encoding trimmed to what its version carried.
-func TestRestoreOlderSnapshotVersions(t *testing.T) {
+// TestRestoreSnapshotVersions pins that restore reads exactly the version
+// this build writes: a current image round-trips with its fragments and
+// quarantines, and every other version is refused. The older images are
+// the current encoding trimmed to what their version carried — version 1
+// lacked the fragment and quarantine sections, version 2 the quarantines.
+func TestRestoreSnapshotVersions(t *testing.T) {
 	m := poiMap()
 	opts := []Option{WithGuard(guard.Config{}), fixedClock(1000)}
 	p := newTestPeer(t, 1, m, 64*mb, opts...)
@@ -466,34 +467,31 @@ func TestRestoreOlderSnapshotVersions(t *testing.T) {
 		return append(img, trailer...)
 	}
 
+	r := newTestPeer(t, 1, m, 64*mb, opts...)
+	if err := r.restoreSnapshot(image); err != nil {
+		t.Fatalf("version %d: %v", peerSnapVersion, err)
+	}
+	if got, want := r.StateDigest(), p.StateDigest(); got != want {
+		t.Fatalf("version %d: digest %x, want %x", peerSnapVersion, got, want)
+	}
+	if got := r.TransferStats().Partials; got != 1 {
+		t.Fatalf("version %d: %d partials, want 1", peerSnapVersion, got)
+	}
+	if got := r.GuardStats().Quarantined; got != 1 {
+		t.Fatalf("version %d: %d quarantined, want 1", peerSnapVersion, got)
+	}
 	for _, tc := range []struct {
-		ver         byte
-		img         []byte
-		partials    int
-		quarantined int
+		ver byte
+		img []byte
 	}{
-		{1, trim(1, quarLen+fragLen), 0, 0},
-		{2, trim(2, quarLen), 1, 0},
-		{3, image, 1, 1},
+		{0, trim(0, 0)},
+		{1, trim(1, quarLen+fragLen)},
+		{2, trim(2, quarLen)},
+		{peerSnapVersion + 1, trim(peerSnapVersion+1, 0)},
 	} {
 		r := newTestPeer(t, 1, m, 64*mb, opts...)
-		if err := r.restoreSnapshot(tc.img); err != nil {
-			t.Fatalf("version %d: %v", tc.ver, err)
-		}
-		if got, want := r.StateDigest(), p.StateDigest(); got != want {
-			t.Fatalf("version %d: digest %x, want %x", tc.ver, got, want)
-		}
-		if got := r.TransferStats().Partials; got != tc.partials {
-			t.Fatalf("version %d: %d partials, want %d", tc.ver, got, tc.partials)
-		}
-		if got := r.GuardStats().Quarantined; got != tc.quarantined {
-			t.Fatalf("version %d: %d quarantined, want %d", tc.ver, got, tc.quarantined)
-		}
-	}
-	for _, ver := range []byte{0, peerSnapVersion + 1} {
-		r := newTestPeer(t, 1, m, 64*mb, opts...)
-		if err := r.restoreSnapshot(trim(ver, 0)); err == nil {
-			t.Fatalf("version %d image restored", ver)
+		if err := r.restoreSnapshot(tc.img); err == nil {
+			t.Fatalf("version %d image restored", tc.ver)
 		}
 	}
 }

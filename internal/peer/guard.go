@@ -24,8 +24,10 @@ import (
 // ErrContactRejected (never retried — a misbehaving remote does not get
 // better on the next attempt).
 var (
-	// ErrProtocolViolation reports an inbound message the protocol state
-	// machine or a semantic validator rejected.
+	// ErrProtocolViolation reports an inbound message of the wrong type
+	// for the contact's current round, or one a semantic validator
+	// rejected. A wrong type aborts the contact with or without the guard;
+	// only an armed guard scores it.
 	ErrProtocolViolation = fmt.Errorf("%w: message rejected by guard", ErrProtocol)
 	// ErrPeerQuarantined reports a contact with a peer inside its
 	// quarantine TTL.
@@ -36,8 +38,8 @@ var (
 )
 
 // WithGuard arms the peer's adversarial hardening with the given
-// configuration (zero fields take guard defaults). It enables the
-// per-session protocol state machine's violation reporting, semantic
+// configuration (zero fields take guard defaults). It enables scoring of
+// out-of-round messages (which abort the contact either way), semantic
 // validation of inbound messages, per-peer contact/byte rate limiting, a
 // misbehavior-scored TTL quarantine (journaled on durable peers), and
 // bounds on the metadata cache.

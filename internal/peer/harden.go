@@ -32,8 +32,8 @@ var ErrContactRejected = errors.New("peer: contact rejected")
 // classifyContactErr tags a final (post-retry) contact failure with the
 // sentinel callers branch on: transient failures that survived every
 // attempt become ErrRetriesExhausted, everything else ErrContactRejected.
-// Guard verdicts — a quarantined or rate-limited remote, a message the
-// state machine or a validator rejected — are explicitly non-transient:
+// Guard verdicts — a quarantined or rate-limited remote, a message out of
+// its round or one a validator rejected — are explicitly non-transient:
 // retrying a misbehaving remote cannot help, and the original sentinel
 // stays in the chain for errors.Is.
 func classifyContactErr(err error) error {

@@ -14,6 +14,13 @@
 // independent session against a snapshot of the peer's state and commits
 // its effects in one short critical section with conflict validation (see
 // session.go and DESIGN.md). WithMaxContacts bounds the concurrency.
+//
+// A session codes the contact's rounds — hellos, metadata, the joint plan,
+// the transfers — as straight-line code, and each read expects the one
+// message type its round allows. An out-of-order, replayed or
+// phase-invalid frame therefore aborts the contact with
+// ErrProtocolViolation before anything is applied; WithGuard also scores it
+// against the remote.
 package peer
 
 import (
@@ -111,9 +118,9 @@ func WithObserver(o *obs.Observer) Option {
 	return optionFunc(func(p *Peer) { p.obsv = o })
 }
 
-// DefaultMaxFragmentBytes caps the cross-contact reassembly store: 256 MiB
-// of tracked partial payloads, after which the least-recently-touched
-// partial is evicted.
+// DefaultMaxFragmentBytes caps every peer's cross-contact reassembly
+// store: 256 MiB of tracked partial payloads, after which the
+// least-recently-touched partial is evicted.
 const DefaultMaxFragmentBytes = 256 << 20
 
 // TransferConfig tunes chunked photo transfer. The zero value of any
@@ -124,9 +131,6 @@ type TransferConfig struct {
 	// wire.DefaultChunkSize, 256 KiB). The contact uses the smaller of the
 	// two peers' preferences.
 	ChunkSize int
-	// Window is the preferred number of unacknowledged chunks in flight
-	// (default wire.DefaultWindow). Negotiated to the pairwise minimum.
-	Window int
 	// Resume persists partial transfers across contacts and offers them
 	// back to senders. Effective only when both peers enable it; otherwise
 	// an unfinished photo is discarded at contact end (§III-D).
@@ -137,61 +141,48 @@ type TransferConfig struct {
 	// resume on, the receiver keeps the prefix and a later contact sends
 	// the rest.
 	BudgetBytes int64
-	// MaxFragmentBytes caps the reassembly store's tracked payload bytes
-	// (default DefaultMaxFragmentBytes; negative = unlimited).
-	MaxFragmentBytes int64
 }
 
 // DefaultTransferConfig is the configuration a peer gets without
 // WithTransfer: chunked transfer with resume enabled.
 func DefaultTransferConfig() TransferConfig {
 	return TransferConfig{
-		ChunkSize:        wire.DefaultChunkSize,
-		Window:           wire.DefaultWindow,
-		Resume:           true,
-		MaxFragmentBytes: DefaultMaxFragmentBytes,
+		ChunkSize: wire.DefaultChunkSize,
+		Resume:    true,
 	}
 }
 
 // normalize resolves zero fields to their defaults and clamps the rest.
 func (tc TransferConfig) normalize() TransferConfig {
-	def := DefaultTransferConfig()
 	if tc.ChunkSize <= 0 {
-		tc.ChunkSize = def.ChunkSize
+		tc.ChunkSize = wire.DefaultChunkSize
 	}
 	if tc.ChunkSize > wire.MaxFrame/2 {
 		tc.ChunkSize = wire.MaxFrame / 2 // headroom for metadata in the frame
 	}
-	if tc.Window <= 0 {
-		tc.Window = def.Window
-	}
-	if tc.Window > math.MaxUint16 {
-		tc.Window = math.MaxUint16 // the hello carries the window as a uint16
-	}
 	if tc.BudgetBytes < 0 {
 		tc.BudgetBytes = 0
-	}
-	switch {
-	case tc.MaxFragmentBytes == 0:
-		tc.MaxFragmentBytes = def.MaxFragmentBytes
-	case tc.MaxFragmentBytes < 0:
-		tc.MaxFragmentBytes = 0 // store treats 0 as unlimited
 	}
 	return tc
 }
 
-// wireParams translates the config into handshake parameters.
+// wireParams translates the config into handshake parameters. Every peer
+// advertises wire.DefaultWindow; the hello still carries the window, as the
+// wire format negotiates it to the pairwise minimum.
 func (tc TransferConfig) wireParams() wire.Params {
 	return wire.Params{
 		ChunkSize: uint32(tc.ChunkSize),
-		Window:    uint16(tc.Window),
+		Window:    wire.DefaultWindow,
 		Resume:    tc.Resume,
 	}
 }
 
-// WithTransfer configures chunked, resumable photo transfer. Without it the
-// peer uses DefaultTransferConfig. Zero-valued fields keep their defaults —
-// except Resume, which the config states explicitly.
+// WithTransfer configures chunked, resumable photo transfer: the chunk size,
+// the resume flag and the per-contact byte budget. Without it the peer uses
+// DefaultTransferConfig. Zero-valued fields keep their defaults — except
+// Resume, which the config states explicitly. The window (wire.DefaultWindow)
+// and the reassembly store's cap (DefaultMaxFragmentBytes) are the same for
+// every peer.
 func WithTransfer(cfg TransferConfig) Option {
 	return optionFunc(func(p *Peer) { p.transfer = cfg.normalize() })
 }
@@ -236,11 +227,6 @@ type Peer struct {
 	payload int
 	rng     *rand.Rand
 	start   time.Time
-	// storeGen counts committed mutations of the photo store (guarded by
-	// mu). Sessions remember the generation they snapshotted; a commit that
-	// would replace the collection re-plans or aborts when the generation
-	// moved (see session.commit).
-	storeGen uint64
 
 	// Hardening knobs (see harden.go).
 	frameTimeout   time.Duration
@@ -375,7 +361,7 @@ func New(id model.NodeID, m *coverage.Map, capacity int64, opts ...Option) *Peer
 	p.cInvalidations = p.obsv.Counter("metadata.invalidations")
 	p.hResumeRate = p.obsv.Histogram("transfer.resume_rate")
 	p.gInflight = p.obsv.Gauge("peer.contacts_inflight")
-	p.frags = transfer.NewStore(p.transfer.MaxFragmentBytes)
+	p.frags = transfer.NewStore(DefaultMaxFragmentBytes)
 	p.selCfg.Metrics = selection.ObserverMetrics(p.obsv)
 	p.fpc.SetMetrics(p.obsv.Counter("coverage.fp_cache_hits"), p.obsv.Counter("coverage.fp_cache_misses"))
 	p.initGuard()
@@ -412,7 +398,6 @@ func (p *Peer) AddPhoto(photo model.Photo) error {
 			return fmt.Errorf("peer %v: %w", p.id, p.journalErr)
 		}
 	}
-	p.storeGen++
 	return nil
 }
 

@@ -1,7 +1,6 @@
 package peer
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -11,7 +10,6 @@ import (
 	"photodtn/internal/guard"
 	"photodtn/internal/metadata"
 	"photodtn/internal/model"
-	fsm "photodtn/internal/peer/session"
 	"photodtn/internal/selection"
 	"photodtn/internal/transfer"
 	"photodtn/internal/wire"
@@ -39,11 +37,10 @@ type session struct {
 
 	now     float64 // peer clock at snapshot time
 	nonce   uint64  // hello nonce, drawn under the peer lock
-	baseGen uint64  // p.storeGen at snapshot time
+	baseGen uint64  // the photo store's generation at snapshot time
 	baseIDs map[model.PhotoID]bool
 
 	ops       []byte // framed sub-records, applied locally as recorded
-	storeOps  bool   // ops touch the photo store (commit bumps storeGen)
 	committed bool   // commit already ran (mid-protocol commit points)
 
 	// Transfer state: the contact's transport, the negotiated transfer
@@ -54,10 +51,9 @@ type session struct {
 	wp         wire.Params
 	localFrags *transfer.Store
 
-	// Protocol state machine (always on) and guard bookkeeping. remote is
-	// known once the hello exchange names the peer; gc is the byte-metering
-	// wrapper installed when the guard is armed.
-	fsm         *fsm.Machine
+	// Guard bookkeeping. remote is known once the hello exchange names the
+	// peer; gc is the byte-metering wrapper installed when the guard is
+	// armed.
 	remote      model.NodeID
 	remoteKnown bool
 	gc          *guardConn
@@ -77,9 +73,8 @@ func (p *Peer) beginSession() (*session, error) {
 		st:      p.peerState.clone(),
 		now:     p.clock(),
 		nonce:   p.rng.Uint64(),
-		baseGen: p.storeGen,
+		baseGen: p.store.Gen(),
 		baseIDs: make(map[model.PhotoID]bool, p.store.Len()),
-		fsm:     fsm.NewMachine(),
 	}
 	for _, photo := range p.store.Photos() {
 		s.baseIDs[photo.ID] = true
@@ -87,45 +82,14 @@ func (p *Peer) beginSession() (*session, error) {
 	return s, nil
 }
 
-// to advances the protocol state machine. Transitions are driven by local
-// code in fixed order, so a failure here is a sequencing bug, not remote
-// misbehaviour — it aborts with ErrProtocol but reports nothing.
-func (s *session) to(next fsm.Phase) error {
-	if err := s.fsm.To(next); err != nil {
-		return fmt.Errorf("%w: %w", ErrProtocol, err)
-	}
-	return nil
-}
-
-// enterTransfer advances to the contact's next transfer leg.
-func (s *session) enterTransfer() error {
-	ph, err := s.fsm.TransferPhase()
-	if err != nil {
-		return fmt.Errorf("%w: %w", ErrProtocol, err)
-	}
-	return s.to(ph)
-}
-
-// readMsg reads one frame and admits its type against the current protocol
-// phase: an out-of-order, duplicate, or phase-invalid message is a typed
-// violation the guard scores, and the contact aborts cleanly.
-func (s *session) readMsg() (wire.Message, error) {
-	msg, err := wire.Read(s.conn)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.fsm.Admit(msg.Type()); err != nil {
-		return nil, s.violationf(guard.ReasonPhase, "%v", err)
-	}
-	return msg, nil
-}
-
-// readIn reads one phase-admitted message and asserts its concrete type; a
-// mismatch within the phase's allowed set is still a violation (the remote
-// broke the round's turn order).
+// readIn reads one frame and asserts its concrete type. The contact's code
+// is its round sequence, so every read site knows the one message type the
+// round allows: any other type — out of order, a replayed round, a frame
+// from another phase — is a phase violation the guard scores, and the
+// contact aborts cleanly.
 func readIn[M wire.Message](s *session) (M, error) {
 	var zero M
-	msg, err := s.readMsg()
+	msg, err := wire.Read(s.conn)
 	if err != nil {
 		return zero, err
 	}
@@ -144,12 +108,7 @@ func (s *session) record(kind byte, payload []byte) error {
 	if err := s.st.apply(kind, payload); err != nil {
 		return err
 	}
-	s.ops = append(s.ops, kind)
-	s.ops = binary.LittleEndian.AppendUint32(s.ops, uint32(len(payload)))
-	s.ops = append(s.ops, payload...)
-	if kind == subStoreReplace || kind == subStoreAdd {
-		s.storeOps = true
-	}
+	s.ops = appendOp(s.ops, kind, payload)
 	return nil
 }
 
@@ -192,9 +151,6 @@ func (s *session) commit() error {
 		}
 		return err
 	}
-	if s.storeOps {
-		p.storeGen++
-	}
 	s.committed = true
 	// Settle the reassembly store before any checkpoint: partials whose
 	// photo this commit admitted or learned was delivered are dropped (and
@@ -205,32 +161,27 @@ func (s *session) commit() error {
 	return p.noteCommitLocked()
 }
 
-// reconcileLocked returns the op batch to commit. The fast path — no
-// concurrent commit touched the store since the snapshot — passes the log
-// through untouched. Otherwise each store op is validated against the live
+// reconcileLocked returns the op batch to commit. The fast path — the
+// session left its clone's store as it found it, or no concurrent commit
+// touched the live store since the snapshot — passes the log through
+// untouched. Otherwise each store op is validated against the live
 // state: duplicate adds are dropped (a racing relay delivered the photo
 // first), adds that no longer fit abort, and a reallocation's ReplaceAll is
 // re-planned (see replanReplace) or aborted.
 func (s *session) reconcileLocked() ([]byte, error) {
 	p := s.p
-	if !s.storeOps || p.storeGen == s.baseGen {
+	if s.st.store.Gen() == s.baseGen || p.store.Gen() == s.baseGen {
 		return s.ops, nil
 	}
 	p.cConflicts.Inc()
 	out := make([]byte, 0, len(s.ops))
 	addFree := p.store.Free()
-	buf := s.ops
-	for len(buf) > 0 {
-		if len(buf) < 5 {
-			return nil, fmt.Errorf("malformed session op log: %d trailing bytes", len(buf))
+	for buf := s.ops; len(buf) > 0; {
+		kind, payload, rest, err := nextOp(buf)
+		if err != nil {
+			return nil, err
 		}
-		n := binary.LittleEndian.Uint32(buf[1:])
-		if uint64(len(buf)) < 5+uint64(n) {
-			return nil, fmt.Errorf("malformed session op %d: claims %d bytes, has %d", buf[0], n, len(buf)-5)
-		}
-		frame := buf[:5+n]
-		kind, payload := frame[0], frame[5:]
-		buf = buf[5+n:]
+		buf = rest
 		switch kind {
 		case subStoreAdd:
 			photo, _, err := model.DecodePhoto(payload)
@@ -244,7 +195,7 @@ func (s *session) reconcileLocked() ([]byte, error) {
 				return nil, fmt.Errorf("%w: concurrent commits left no room for photo %v", ErrConflict, photo.ID)
 			}
 			addFree -= photo.Size
-			out = append(out, frame...)
+			out = appendOp(out, kind, payload)
 		case subStoreReplace:
 			final, _, err := model.DecodePhotoList(payload)
 			if err != nil {
@@ -254,12 +205,9 @@ func (s *session) reconcileLocked() ([]byte, error) {
 			if err != nil {
 				return nil, err
 			}
-			pl := merged.AppendBinary(nil)
-			out = append(out, subStoreReplace)
-			out = binary.LittleEndian.AppendUint32(out, uint32(len(pl)))
-			out = append(out, pl...)
+			out = appendOp(out, kind, merged.AppendBinary(nil))
 		default:
-			out = append(out, frame...)
+			out = appendOp(out, kind, payload)
 		}
 	}
 	return out, nil
@@ -349,9 +297,6 @@ func (s *session) run(conn io.ReadWriter, initiator bool) error {
 	// Metadata exchange: each side first summarises what it caches, then
 	// sends its own collection followed by the gossiped entries the other's
 	// summary shows it lacks.
-	if err := s.to(fsm.PhaseMetadata); err != nil {
-		return err
-	}
 	theirSum, err := exchange(s, initiator, s.summaryMsg(), p.guardCfg.CheckMetaSummary, session)
 	if err != nil {
 		return err
@@ -501,9 +446,6 @@ func (s *session) reallocate(initiator bool, mine, theirs wire.Hello, peerPhotos
 			want = append(want, photo.ID)
 		}
 	}
-	if err := s.to(fsm.PhasePlan); err != nil {
-		return err
-	}
 	if initiator {
 		if err := wire.Write(s.conn, wire.PhotoRequest{IDs: want}); err != nil {
 			return err
@@ -570,9 +512,6 @@ func (s *session) applyPlan(sel model.PhotoList, received map[model.PhotoID]mode
 	if err := s.record(subStoreReplace, final.AppendBinary(nil)); err != nil {
 		return fmt.Errorf("peer %v: apply plan: %w", s.p.id, err)
 	}
-	if err := s.to(fsm.PhaseClose); err != nil {
-		return err
-	}
 	if initiator {
 		if err := wire.Write(s.conn, wire.Bye{}); err != nil {
 			return err
@@ -604,15 +543,11 @@ func (s *session) upload(session float64) error {
 		if err := s.record(subAckDelivered, encodeAckDelivered(session, purged)); err != nil {
 			return err
 		}
-		s.storeOps = true
 	}
 	plan := selection.SelectForUpload(s.p.fpc, s.p.selCfg, ccEntry.Photos, s.st.store.Photos())
 	var ids []model.PhotoID
 	for _, photo := range plan {
 		ids = append(ids, photo.ID)
-	}
-	if err := s.to(fsm.PhasePlan); err != nil {
-		return err
 	}
 	if err := wire.Write(s.conn, wire.PhotoRequest{IDs: ids}); err != nil {
 		return err
@@ -639,10 +574,6 @@ func (s *session) upload(session float64) error {
 	if err := s.record(subAckDelivered, encodeAckDelivered(session, acked)); err != nil {
 		return err
 	}
-	s.storeOps = s.storeOps || len(acked) > 0
-	if err := s.to(fsm.PhaseClose); err != nil {
-		return err
-	}
 	if _, err := readIn[wire.Bye](s); err != nil {
 		return err
 	}
@@ -664,9 +595,6 @@ func (s *session) deliveredHeld(delivered model.PhotoList) model.PhotoList {
 // before the Ack goes out: an acknowledgement the uploader will act on
 // (freeing its copies) must refer to photos this node can no longer forget.
 func (s *session) receiveUpload() error {
-	if err := s.to(fsm.PhasePlan); err != nil {
-		return err
-	}
 	ann, err := readIn[wire.PhotoRequest](s)
 	if err != nil {
 		return err
@@ -691,9 +619,6 @@ func (s *session) receiveUpload() error {
 		}
 	}
 	if err := s.commit(); err != nil {
-		return err
-	}
-	if err := s.to(fsm.PhaseClose); err != nil {
 		return err
 	}
 	if err := wire.Write(s.conn, wire.Ack{IDs: ids}); err != nil {

@@ -2,7 +2,7 @@
 //
 // The sender plans its whole chunk list up front (resume offers and the
 // per-contact byte budget are folded in at plan time), then streams it
-// behind the negotiated window: up to Window chunks ride unacknowledged
+// behind the negotiated window: up to that many chunks ride unacknowledged
 // while a reader goroutine drains the per-chunk acks. Because the plan is
 // fixed before the first write, both sides know exactly how many acks the
 // stream carries — no speculative reads, no deadlock on synchronous
@@ -119,9 +119,6 @@ func (s *session) readOffer(requested []model.PhotoID) (map[model.PhotoID]wire.R
 // a photo cut mid-stream is not acked, but with resume on its prefix
 // survives at the receiver for the next contact.
 func (s *session) sendChunks(ids []model.PhotoID, offers map[model.PhotoID]wire.ResumeEntry) error {
-	if err := s.enterTransfer(); err != nil {
-		return err
-	}
 	p := s.p
 	budget := p.transfer.BudgetBytes
 	var plan []wire.Chunk
@@ -240,9 +237,6 @@ func (s *session) sendChunks(ids []model.PhotoID, offers map[model.PhotoID]wire.
 // for. Photos whose resume offer already covered every chunk complete with
 // zero traffic.
 func (s *session) receiveChunks(want []model.PhotoID) (map[model.PhotoID]model.Photo, error) {
-	if err := s.enterTransfer(); err != nil {
-		return nil, err
-	}
 	p := s.p
 	out := make(map[model.PhotoID]model.Photo)
 	// Pre-contact progress classifies completions as resumed and feeds the
@@ -278,7 +272,7 @@ func (s *session) receiveChunks(want []model.PhotoID) (map[model.PhotoID]model.P
 		seen = make(map[guard.ChunkKey]bool)
 	}
 	for {
-		msg, err := s.readMsg()
+		msg, err := wire.Read(s.conn)
 		if err != nil {
 			return nil, err
 		}
@@ -315,10 +309,7 @@ func (s *session) receiveChunks(want []model.PhotoID) (map[model.PhotoID]model.P
 		case wire.Ack:
 			return out, nil
 		default:
-			if p.guard != nil {
-				return nil, s.violationf(guard.ReasonPhase, "%v during chunk transfer", msg.Type())
-			}
-			return nil, fmt.Errorf("%w: %v during chunk transfer", ErrProtocol, msg.Type())
+			return nil, s.violationf(guard.ReasonPhase, "%v during chunk transfer", msg.Type())
 		}
 	}
 }

@@ -2,7 +2,6 @@ package peer
 
 import (
 	"io"
-	"math"
 	"net"
 	"sync"
 	"testing"
@@ -10,7 +9,6 @@ import (
 
 	"photodtn/internal/faults"
 	"photodtn/internal/model"
-	"photodtn/internal/wire"
 )
 
 const kib = int64(1) << 10
@@ -48,29 +46,6 @@ func killContact(a, b *Peer, cut int64) (errA, errB error) {
 	ca, cb := net.Pipe()
 	kt := faults.NewByteKillTransport(ca, cut)
 	return faultContact(a, b, &faultConn{rw: kt, conn: ca}, ca, cb)
-}
-
-// TestTransferWindowClampsToWire pins the window a peer advertises: values
-// past the hello's uint16 field clamp to its maximum instead of wrapping
-// (65537 would otherwise advertise 1, and 65536 would read as "default").
-func TestTransferWindowClampsToWire(t *testing.T) {
-	for _, tc := range []struct {
-		window int
-		want   uint16
-	}{
-		{0, wire.DefaultWindow},
-		{-3, wire.DefaultWindow},
-		{1, 1},
-		{math.MaxUint16, math.MaxUint16},
-		{math.MaxUint16 + 1, math.MaxUint16},
-		{math.MaxUint16 + 2, math.MaxUint16},
-		{1 << 40, math.MaxUint16},
-	} {
-		got := TransferConfig{Window: tc.window}.normalize().wireParams().Window
-		if got != tc.want {
-			t.Errorf("Window %d advertises %d, want %d", tc.window, got, tc.want)
-		}
-	}
 }
 
 // TestChunkedExchange: two peers with multi-chunk payloads complete a

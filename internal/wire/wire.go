@@ -16,7 +16,7 @@
 //
 // Bodies are fixed layouts built from the model package's binary photo
 // codec. The protocol is symmetric and runs in rounds; see package peer for
-// the session state machine.
+// the session that drives them.
 package wire
 
 import (

@@ -339,9 +339,8 @@ func OpenPeer(dir string, id NodeID, m *Map, capacity int64, opts ...PeerOption)
 type PeerJournalStats = peer.JournalStats
 
 // TransferConfig tunes the wire protocol's chunked, resumable photo
-// transfer: chunk size, pipeline window, per-contact byte budget, and
-// whether partial transfers persist across contacts. Pass it through
-// WithTransfer.
+// transfer: chunk size, per-contact byte budget, and whether partial
+// transfers persist across contacts. Pass it through WithTransfer.
 type TransferConfig = peer.TransferConfig
 
 // PeerTransferStats aggregates a live peer's chunked-transfer activity
@@ -361,8 +360,9 @@ type GuardStats = guard.Stats
 // Guard sentinels, re-exported for errors.Is against Contact/DialContext
 // failures. All three also classify as contact rejections (never retried).
 var (
-	// ErrProtocolViolation reports an inbound message the protocol state
-	// machine or a semantic validator rejected.
+	// ErrProtocolViolation reports an inbound message of the wrong type
+	// for the contact's current round, or one a semantic validator
+	// rejected.
 	ErrProtocolViolation = peer.ErrProtocolViolation
 	// ErrPeerQuarantined reports a contact with a remote inside its
 	// quarantine TTL.
@@ -398,16 +398,16 @@ var (
 	// WithMaxContacts bounds how many contacts a serving peer handles
 	// concurrently (excess accepts are rejected with a clean abort).
 	WithMaxContacts = peer.WithMaxContacts
-	// WithGuard arms a peer's adversarial hardening: protocol state
-	// machine violation scoring, semantic validation of inbound messages,
+	// WithGuard arms a peer's adversarial hardening: scoring of
+	// out-of-round messages, semantic validation of inbound messages,
 	// per-peer rate limiting, and a journaled TTL quarantine. Without it
 	// the contact path is bit-identical to an unguarded peer.
 	WithGuard = peer.WithGuard
 	// WithTransfer configures a peer's resumable chunked transfer: the
-	// chunk size, window and resume flag it negotiates into its contacts,
-	// and the byte budget of each transfer leg it sends. It is a peer
-	// option only — the simulator always applies the §III-D discard rule,
-	// which a peer reproduces with Resume off.
+	// chunk size and resume flag it negotiates into its contacts, and the
+	// byte budget of each transfer leg it sends. It is a peer option only —
+	// the simulator always applies the §III-D discard rule, which a peer
+	// reproduces with Resume off.
 	WithTransfer = peer.WithTransfer
 )
 
