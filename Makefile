@@ -98,7 +98,8 @@ bench-all:
 # Fuzz pass over the wire decoders (corruption hardening), the photo-list
 # codec every wire and journal metadata entry decodes through, the contact
 # trace parser behind photodtn-sim -trace FILE, the chunk reassembly store
-# (bitmap/eviction/checksum invariants against a model oracle), and the
+# (bitmap/eviction/checksum invariants against a model oracle, and the
+# Held → Add round trip a peer snapshot restores partials through), and the
 # arc-set geometry kernel every coverage computation bottoms out in. The
 # Reassembly patterns are anchored: two targets share the prefix.
 fuzz:
@@ -107,7 +108,7 @@ fuzz:
 	$(GO) test -run=Fuzz -fuzz=FuzzDecodePhotoList -fuzztime=30s ./internal/model/
 	$(GO) test -run=Fuzz -fuzz=FuzzRead -fuzztime=30s ./internal/trace/
 	$(GO) test -run=Fuzz -fuzz='FuzzReassembly$$' -fuzztime=30s ./internal/transfer/
-	$(GO) test -run=Fuzz -fuzz='FuzzReassemblyImport$$' -fuzztime=30s ./internal/transfer/
+	$(GO) test -run=Fuzz -fuzz='FuzzReassemblyHeld$$' -fuzztime=30s ./internal/transfer/
 	$(GO) test -run=Fuzz -fuzz=FuzzArcSet -fuzztime=30s ./internal/geo/
 
 # fuzz-short is the tier-1 smoke pass over all fuzz targets: a few seconds
@@ -118,7 +119,7 @@ fuzz-short:
 	$(GO) test -run=Fuzz -fuzz=FuzzDecodePhotoList -fuzztime=5s ./internal/model/
 	$(GO) test -run=Fuzz -fuzz=FuzzRead -fuzztime=5s ./internal/trace/
 	$(GO) test -run=Fuzz -fuzz='FuzzReassembly$$' -fuzztime=5s ./internal/transfer/
-	$(GO) test -run=Fuzz -fuzz='FuzzReassemblyImport$$' -fuzztime=5s ./internal/transfer/
+	$(GO) test -run=Fuzz -fuzz='FuzzReassemblyHeld$$' -fuzztime=5s ./internal/transfer/
 	$(GO) test -run=Fuzz -fuzz=FuzzArcSet -fuzztime=5s ./internal/geo/
 
 # trace-demo produces a sample observability bundle under trace-demo/: a

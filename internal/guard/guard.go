@@ -179,11 +179,6 @@ type Config struct {
 	// MaxPhotosPerEntry caps one metadata entry's photo list (default
 	// DefaultMaxPhotosPerEntry).
 	MaxPhotosPerEntry int
-	// MaxCacheEntries and MaxCacheBytes bound the peer's metadata cache
-	// (enforced by metadata.Cache.SetLimits; defaults
-	// DefaultMaxCacheEntries / DefaultMaxCacheBytes).
-	MaxCacheEntries int
-	MaxCacheBytes   int64
 }
 
 // Defaults.
@@ -199,8 +194,10 @@ const (
 	DefaultMaxPeerCapacity   = 1 << 40
 	DefaultMaxMetaEntries    = 4096
 	DefaultMaxPhotosPerEntry = 65536
-	DefaultMaxCacheEntries   = 4096
-	DefaultMaxCacheBytes     = 256 << 20
+	// DefaultMaxCacheEntries and DefaultMaxCacheBytes bound an armed
+	// peer's metadata cache (metadata.Cache.SetLimits).
+	DefaultMaxCacheEntries = 4096
+	DefaultMaxCacheBytes   = 256 << 20
 )
 
 // WithDefaults resolves zero fields to their defaults and normalises
@@ -247,12 +244,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.MaxPhotosPerEntry <= 0 {
 		c.MaxPhotosPerEntry = DefaultMaxPhotosPerEntry
-	}
-	if c.MaxCacheEntries <= 0 {
-		c.MaxCacheEntries = DefaultMaxCacheEntries
-	}
-	if c.MaxCacheBytes <= 0 {
-		c.MaxCacheBytes = DefaultMaxCacheBytes
 	}
 	return c
 }

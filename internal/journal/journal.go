@@ -87,9 +87,6 @@ type Record struct {
 type Options struct {
 	// FS is the filesystem to operate on; nil means the real one.
 	FS FS
-	// NoSync skips the fsync after each append (tests and bulk loads
-	// only; it voids the durability guarantee).
-	NoSync bool
 }
 
 // Stats describes what recovery found.
@@ -118,7 +115,6 @@ type Stats struct {
 type Journal struct {
 	dir     string
 	fs      FS
-	noSync  bool
 	file    File
 	nextSeq uint64
 	snap    []byte
@@ -150,7 +146,7 @@ func Open(dir string, opts *Options) (*Journal, error) {
 	if o.FS == nil {
 		o.FS = OSFS{}
 	}
-	j := &Journal{dir: dir, fs: o.FS, noSync: o.NoSync, nextSeq: 1}
+	j := &Journal{dir: dir, fs: o.FS, nextSeq: 1}
 	if err := j.fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: create dir: %w", err)
 	}
@@ -195,9 +191,9 @@ func (j *Journal) Records() []Record { return j.records }
 // (0 for a fresh journal).
 func (j *Journal) Seq() uint64 { return j.nextSeq - 1 }
 
-// Append frames and appends one record, fsyncing before returning (unless
-// the journal was opened with NoSync): when Append returns nil the record
-// is durable and will be replayed by the next Open.
+// Append frames and appends one record, fsyncing before returning: when
+// Append returns nil the record is durable and will be replayed by the
+// next Open.
 func (j *Journal) Append(typ byte, payload []byte) error {
 	if err := j.enterWrite(); err != nil {
 		return err
@@ -218,10 +214,8 @@ func (j *Journal) Append(typ byte, payload []byte) error {
 	if _, err := j.file.Write(frame); err != nil {
 		return fmt.Errorf("journal: append: %w", err)
 	}
-	if !j.noSync {
-		if err := j.file.Sync(); err != nil {
-			return fmt.Errorf("journal: sync: %w", err)
-		}
+	if err := j.file.Sync(); err != nil {
+		return fmt.Errorf("journal: sync: %w", err)
 	}
 	j.nextSeq++
 	return nil

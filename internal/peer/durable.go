@@ -119,7 +119,9 @@ func (p *Peer) Checkpoint() error {
 }
 
 // Close releases the journal handle (the state stays recoverable on
-// disk). Memory-only peers close trivially.
+// disk). From then on a durable peer refuses every mutation with
+// ErrJournal, since nothing it did could be made durable; a second Close
+// returns nil. Memory-only peers close trivially.
 func (p *Peer) Close() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -128,6 +130,9 @@ func (p *Peer) Close() error {
 	}
 	err := p.jnl.Close()
 	p.jnl = nil
+	if p.journalErr == nil {
+		p.journalErr = fmt.Errorf("%w: closed", ErrJournal)
+	}
 	return err
 }
 
@@ -206,7 +211,8 @@ func (p *Peer) appendEncounterState(buf []byte) []byte {
 
 // Journal record types.
 const (
-	// recPhotoAdd journals one locally captured photo (AddPhoto).
+	// recPhotoAdd journals one locally captured photo (AddPhoto). Its
+	// payload is a subStoreAdd's, and replay applies it as one.
 	recPhotoAdd byte = 1
 	// recContactCommit journals one completed contact as an atomic batch
 	// of sub-records — a contact that dies mid-protocol leaves no durable
@@ -271,6 +277,10 @@ const (
 	// subAckDelivered: delivery acknowledgement — photos leave the store
 	// and join the command-center cache entry.
 	subAckDelivered byte = 6
+	// subEncounterState: the PROPHET table and the contact-rate estimator,
+	// restored whole (payload: appendEncounterState). Only snapshots write
+	// it; sessions never record it.
+	subEncounterState byte = 7
 )
 
 // openJournal opens/recovers the journal configured by WithJournal. It
@@ -287,7 +297,7 @@ func (p *Peer) openJournal() error {
 		}
 	}
 	for i, rec := range j.Records() {
-		if err := p.replayRecord(rec); err != nil {
+		if err := p.replayRecord(rec.Type, rec.Payload); err != nil {
 			_ = j.Close()
 			return fmt.Errorf("%w: replay record %d (seq %d): %w", ErrJournal, i, rec.Seq, err)
 		}
@@ -400,205 +410,82 @@ func (p *Peer) checkpointLocked() error {
 // --- snapshot encoding ---
 
 // peerSnapVersion is the snapshot layout this build writes and the only one
-// it restores: version 2 added the transfer-fragment section, version 3 the
-// guard's active quarantines. Wire protocol v3 already refuses the builds
-// that wrote older images.
-const peerSnapVersion = 3
+// it restores. Version 4 writes the snapshot as the journal records
+// recovery replays; older images are refused, and wire protocol v3 already
+// refuses the builds that wrote versions 1 and 2.
+const peerSnapVersion = 4
 
-// encodeSnapshot serialises the peer's full protocol state, reusing the
-// wire/model append codecs.
+// encodeSnapshot serialises the peer's full protocol state as
+// [version][commits u64] followed by framed journal records: one contact
+// commit that replaces the store, puts every cache entry and restores the
+// encounter state, one fragment put per held chunk, and one quarantine per
+// active ban (none when the guard is off — arming it later starts with a
+// clean slate, which is the conservative direction). Payloads are appended
+// in place behind their frame headers.
 func (p *Peer) encodeSnapshot() []byte {
-	buf := []byte{peerSnapVersion}
-	buf = p.store.List().AppendBinary(buf)
+	buf := binary.LittleEndian.AppendUint64([]byte{peerSnapVersion}, p.commits)
 
-	entries := p.cache.Entries()
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(entries)))
-	for _, e := range entries {
-		buf = wire.AppendMetaEntry(buf, e)
+	buf, commit := beginOp(buf, recContactCommit)
+	buf, op := beginOp(buf, subStoreReplace)
+	buf = endOp(p.store.List().AppendBinary(buf), op)
+	for _, e := range p.cache.Entries() {
+		buf, op = beginOp(buf, subMetaPut)
+		buf = endOp(wire.AppendMetaEntry(buf, e), op)
 	}
+	buf, op = beginOp(buf, subEncounterState)
+	buf = endOp(p.appendEncounterState(buf), op)
+	buf = endOp(buf, commit)
 
-	buf = p.appendEncounterState(buf)
-
-	// The reassembly store's partials (bitmap length and data length are
-	// derived from the geometry, so neither is encoded).
-	frags := p.frags.Export()
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(frags)))
-	for _, f := range frags {
-		buf = f.Photo.AppendBinary(buf)
-		buf = binary.LittleEndian.AppendUint32(buf, f.ChunkSize)
-		buf = binary.LittleEndian.AppendUint32(buf, f.Count)
-		buf = binary.LittleEndian.AppendUint64(buf, f.Total)
-		buf = binary.LittleEndian.AppendUint32(buf, f.PayloadCRC)
-		buf = append(buf, f.Bitmap...)
-		buf = append(buf, f.Data...)
+	for _, c := range p.frags.Held() {
+		buf, op = beginOp(buf, recFragment)
+		buf = endOp(wire.AppendChunk(append(buf, fragPut), c), op)
 	}
-
-	// The guard's active quarantines (empty when the guard is off — arming
-	// it later starts with a clean slate, which is the conservative
-	// direction).
-	quars := p.guard.ActiveQuarantines(p.clock())
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(quars)))
-	for _, q := range quars {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(q.Node))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(q.Until))
+	// The guard keeps no reason for an active ban; replay ignores the byte.
+	for _, q := range p.guard.ActiveQuarantines(p.clock()) {
+		buf = appendOp(buf, recGuard, encodeQuarantine(q.Node, q.Until, 0))
 	}
-
-	return binary.LittleEndian.AppendUint64(buf, p.commits)
+	return buf
 }
 
-// restoreSnapshot rebuilds the peer's state from an encodeSnapshot image.
+// restoreSnapshot rebuilds the peer's state from an encodeSnapshot image by
+// replaying its records.
 func (p *Peer) restoreSnapshot(buf []byte) error {
-	if len(buf) < 1 {
-		return errors.New("empty snapshot")
+	if len(buf) < 1+8 {
+		return fmt.Errorf("snapshot header: %d bytes", len(buf))
 	}
 	if ver := buf[0]; ver != peerSnapVersion {
 		return fmt.Errorf("snapshot version %d, want %d", ver, peerSnapVersion)
 	}
-	buf = buf[1:]
-
-	photos, buf, err := model.DecodePhotoList(buf)
-	if err != nil {
-		return fmt.Errorf("snapshot photos: %w", err)
+	commits := binary.LittleEndian.Uint64(buf[1:])
+	if err := eachOp(buf[9:], p.replayRecord); err != nil {
+		return err
 	}
-	if err := p.store.ReplaceAll(photos); err != nil {
-		return fmt.Errorf("snapshot photos: %w", err)
-	}
-
-	if len(buf) < 4 {
-		return errors.New("snapshot cache header")
-	}
-	n := binary.LittleEndian.Uint32(buf)
-	buf = buf[4:]
-	for i := uint32(0); i < n; i++ {
-		var e metadata.Entry
-		e, buf, err = wire.DecodeMetaEntry(buf)
-		if err != nil {
-			return fmt.Errorf("snapshot cache entry %d: %w", i, err)
-		}
-		p.cache.Put(e)
-	}
-
-	if len(buf) < 8+4 {
-		return errors.New("snapshot table header")
-	}
-	lastAged := math.Float64frombits(binary.LittleEndian.Uint64(buf))
-	n = binary.LittleEndian.Uint32(buf[8:])
-	buf = buf[12:]
-	if uint64(len(buf)) < uint64(n)*12 {
-		return errors.New("snapshot table entries")
-	}
-	table := make(map[model.NodeID]float64, n)
-	for i := uint32(0); i < n; i++ {
-		dst := model.NodeID(binary.LittleEndian.Uint32(buf))
-		table[dst] = math.Float64frombits(binary.LittleEndian.Uint64(buf[4:]))
-		buf = buf[12:]
-	}
-	p.table.Restore(table, lastAged)
-
-	if len(buf) < 1+8+4 {
-		return errors.New("snapshot rate header")
-	}
-	rs := metadata.RateSnapshot{
-		Started: buf[0] == 1,
-		Start:   math.Float64frombits(binary.LittleEndian.Uint64(buf[1:])),
-	}
-	n = binary.LittleEndian.Uint32(buf[9:])
-	buf = buf[13:]
-	if uint64(len(buf)) < uint64(n)*8 {
-		return errors.New("snapshot rate entries")
-	}
-	if n > 0 {
-		rs.PerPeer = make(map[model.NodeID]int, n)
-	}
-	for i := uint32(0); i < n; i++ {
-		peer := model.NodeID(binary.LittleEndian.Uint32(buf))
-		rs.PerPeer[peer] = int(binary.LittleEndian.Uint32(buf[4:]))
-		buf = buf[8:]
-	}
-	p.rate.Restore(rs)
-
-	if len(buf) < 4 {
-		return errors.New("snapshot fragment header")
-	}
-	n = binary.LittleEndian.Uint32(buf)
-	buf = buf[4:]
-	for i := uint32(0); i < n; i++ {
-		var f transfer.Fragment
-		f.Photo, buf, err = model.DecodePhoto(buf)
-		if err != nil {
-			return fmt.Errorf("snapshot fragment %d: %w", i, err)
-		}
-		if len(buf) < 4+4+8+4 {
-			return fmt.Errorf("snapshot fragment %d: geometry header", i)
-		}
-		f.ChunkSize = binary.LittleEndian.Uint32(buf)
-		f.Count = binary.LittleEndian.Uint32(buf[4:])
-		f.Total = binary.LittleEndian.Uint64(buf[8:])
-		f.PayloadCRC = binary.LittleEndian.Uint32(buf[16:])
-		buf = buf[20:]
-		bm := (int(f.Count) + 7) / 8
-		if f.Count > uint32(wire.MaxChunks) || uint64(len(buf)) < uint64(bm)+f.Total {
-			return fmt.Errorf("snapshot fragment %d: truncated", i)
-		}
-		f.Bitmap, buf = buf[:bm:bm], buf[bm:]
-		f.Data, buf = buf[:f.Total:f.Total], buf[f.Total:]
-		if err := p.frags.Import(f); err != nil {
-			return fmt.Errorf("snapshot fragment %d: %w", i, err)
-		}
-	}
-
-	if len(buf) < 4 {
-		return errors.New("snapshot quarantine header")
-	}
-	n = binary.LittleEndian.Uint32(buf)
-	buf = buf[4:]
-	if uint64(len(buf)) < uint64(n)*12 {
-		return errors.New("snapshot quarantine entries")
-	}
-	for i := uint32(0); i < n; i++ {
-		node := model.NodeID(binary.LittleEndian.Uint32(buf))
-		until := math.Float64frombits(binary.LittleEndian.Uint64(buf[4:]))
-		buf = buf[12:]
-		if p.guard != nil {
-			p.guard.RestoreQuarantine(node, until, p.clock())
-		}
-	}
-
-	if len(buf) != 8 {
-		return fmt.Errorf("snapshot trailer: %d bytes", len(buf))
-	}
-	p.commits = binary.LittleEndian.Uint64(buf)
+	// The contact-commit record counted itself; the header is the truth.
+	p.commits = commits
 	return nil
 }
 
 // --- record replay ---
 
 // replayRecord applies one recovered journal record.
-func (p *Peer) replayRecord(rec journal.Record) error {
-	switch rec.Type {
+func (p *Peer) replayRecord(typ byte, payload []byte) error {
+	switch typ {
 	case recPhotoAdd:
-		photo, rest, err := model.DecodePhoto(rec.Payload)
-		if err != nil {
-			return fmt.Errorf("photo add: %w", err)
-		}
-		if len(rest) != 0 {
-			return fmt.Errorf("photo add: %d trailing bytes", len(rest))
-		}
-		if err := p.store.Add(photo); err != nil {
+		if err := p.peerState.apply(subStoreAdd, payload); err != nil {
 			return fmt.Errorf("photo add: %w", err)
 		}
 		return nil
 	case recContactCommit:
-		if err := p.peerState.applyOps(rec.Payload); err != nil {
+		if err := p.peerState.applyOps(payload); err != nil {
 			return err
 		}
 		p.commits++
 		return nil
 	case recFragment:
-		if len(rec.Payload) < 1 {
+		if len(payload) < 1 {
 			return errors.New("fragment record: empty")
 		}
-		sub, body := rec.Payload[0], rec.Payload[1:]
+		sub, body := payload[0], payload[1:]
 		switch sub {
 		case fragPut:
 			c, err := wire.DecodeChunk(body)
@@ -619,10 +506,10 @@ func (p *Peer) replayRecord(rec journal.Record) error {
 			return fmt.Errorf("unknown fragment sub-kind %d", sub)
 		}
 	case recGuard:
-		if len(rec.Payload) < 1 {
+		if len(payload) < 1 {
 			return errors.New("guard record: empty")
 		}
-		sub, body := rec.Payload[0], rec.Payload[1:]
+		sub, body := payload[0], payload[1:]
 		switch sub {
 		case guardQuarantine:
 			if len(body) != 4+8+1 {
@@ -638,50 +525,68 @@ func (p *Peer) replayRecord(rec journal.Record) error {
 			return fmt.Errorf("unknown guard sub-kind %d", sub)
 		}
 	default:
-		return fmt.Errorf("unknown record type %d", rec.Type)
+		return fmt.Errorf("unknown record type %d", typ)
 	}
 }
 
-// appendOp appends one framed contact sub-record to buf:
-// [kind][payload length u32][payload]. Sessions frame their op logs with it
-// and a contact commit journals the frames as they are.
+// appendOp appends one framed record to buf: [kind][payload length
+// u32][payload]. Sessions frame their op logs with it, a contact commit
+// journals the frames as they are, and a snapshot is a run of such frames.
 func appendOp(buf []byte, kind byte, payload []byte) []byte {
-	buf = append(buf, kind)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	return append(buf, payload...)
+	buf, at := beginOp(buf, kind)
+	return endOp(append(buf, payload...), at)
 }
 
-// nextOp splits the first framed sub-record off buf, returning its kind,
-// its payload and the frames after it.
+// beginOp appends a frame header with a zero length and returns where the
+// frame starts; the caller appends the payload to buf and calls endOp,
+// which patches the length in.
+func beginOp(buf []byte, kind byte) ([]byte, int) {
+	return append(buf, kind, 0, 0, 0, 0), len(buf)
+}
+
+// endOp closes the frame beginOp opened at offset at.
+func endOp(buf []byte, at int) []byte {
+	binary.LittleEndian.PutUint32(buf[at+1:], uint32(len(buf)-at-5))
+	return buf
+}
+
+// nextOp splits the first framed record off buf, returning its kind, its
+// payload and the frames after it.
 func nextOp(buf []byte) (kind byte, payload, rest []byte, err error) {
 	if len(buf) < 5 {
-		return 0, nil, nil, fmt.Errorf("contact sub-record header: %d bytes", len(buf))
+		return 0, nil, nil, fmt.Errorf("op header: %d bytes", len(buf))
 	}
 	kind, n := buf[0], binary.LittleEndian.Uint32(buf[1:])
 	buf = buf[5:]
 	if uint64(len(buf)) < uint64(n) {
-		return 0, nil, nil, fmt.Errorf("contact sub-record %d: claims %d bytes, has %d", kind, n, len(buf))
+		return 0, nil, nil, fmt.Errorf("op %d: claims %d bytes, has %d", kind, n, len(buf))
 	}
 	return kind, buf[:n], buf[n:], nil
 }
 
-// applyOps applies a framed batch of contact sub-records in order. It is
-// the single mutation path shared by crash recovery (replaying journaled
-// commits), a session's private clone (mutations recorded mid-contact), and
-// the live commit (re-applying the session's ops under the peer lock) — so
-// a recovered peer converges on the same state the live path produced.
-func (st peerState) applyOps(buf []byte) error {
+// eachOp hands every framed record in buf to fn, in order.
+func eachOp(buf []byte, fn func(kind byte, payload []byte) error) error {
 	for len(buf) > 0 {
 		kind, payload, rest, err := nextOp(buf)
 		if err != nil {
 			return err
 		}
-		buf = rest
-		if err := st.apply(kind, payload); err != nil {
-			return fmt.Errorf("contact sub-record %d: %w", kind, err)
+		if err := fn(kind, payload); err != nil {
+			return fmt.Errorf("op %d: %w", kind, err)
 		}
+		buf = rest
 	}
 	return nil
+}
+
+// applyOps applies a framed batch of contact sub-records in order. It is
+// the single mutation path shared by crash recovery (replaying journaled
+// commits and snapshots), a session's private clone (mutations recorded
+// mid-contact), and the live commit (re-applying the session's ops under
+// the peer lock) — so a recovered peer converges on the same state the live
+// path produced.
+func (st peerState) applyOps(buf []byte) error {
+	return eachOp(buf, st.apply)
 }
 
 // apply executes one contact sub-record against the state bundle.
@@ -752,6 +657,45 @@ func (st peerState) apply(kind byte, payload []byte) error {
 			Photos:    acked,
 			Timestamp: session,
 		})
+		return nil
+	case subEncounterState:
+		if len(payload) < 8+4 {
+			return errors.New("table header")
+		}
+		lastAged := math.Float64frombits(binary.LittleEndian.Uint64(payload))
+		n := binary.LittleEndian.Uint32(payload[8:])
+		payload = payload[12:]
+		if uint64(len(payload)) < uint64(n)*12 {
+			return errors.New("table entries")
+		}
+		table := make(map[model.NodeID]float64, n)
+		for i := uint32(0); i < n; i++ {
+			dst := model.NodeID(binary.LittleEndian.Uint32(payload))
+			table[dst] = math.Float64frombits(binary.LittleEndian.Uint64(payload[4:]))
+			payload = payload[12:]
+		}
+		if len(payload) < 1+8+4 {
+			return errors.New("rate header")
+		}
+		rs := metadata.RateSnapshot{
+			Started: payload[0] == 1,
+			Start:   math.Float64frombits(binary.LittleEndian.Uint64(payload[1:])),
+		}
+		n = binary.LittleEndian.Uint32(payload[9:])
+		payload = payload[13:]
+		if uint64(len(payload)) != uint64(n)*8 {
+			return errors.New("rate entries")
+		}
+		if n > 0 {
+			rs.PerPeer = make(map[model.NodeID]int, n)
+		}
+		for i := uint32(0); i < n; i++ {
+			peer := model.NodeID(binary.LittleEndian.Uint32(payload))
+			rs.PerPeer[peer] = int(binary.LittleEndian.Uint32(payload[4:]))
+			payload = payload[8:]
+		}
+		st.table.Restore(table, lastAged)
+		st.rate.Restore(rs)
 		return nil
 	default:
 		return errors.New("unknown sub-record kind")

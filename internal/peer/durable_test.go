@@ -1,6 +1,7 @@
 package peer
 
 import (
+	"bytes"
 	"errors"
 	"net"
 	"sort"
@@ -334,6 +335,60 @@ func TestJournalFailurePoisonsPeer(t *testing.T) {
 	}
 }
 
+// TestClosedDurablePeerRefusesMutation: after Close nothing a durable peer
+// does can reach its journal, so it must refuse every mutation — photo
+// capture, contacts, resumable chunks, checkpoints — rather than drift in
+// memory away from the state a reopen recovers.
+func TestClosedDurablePeerRefusesMutation(t *testing.T) {
+	m := poiMap()
+	dir := t.TempDir()
+	v, err := Open(dir, 1, m, 8*mb, WithSeed(7), fixedClock(1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := v.AddPhoto(viewFrom(1, 0, 0)); err != nil {
+		t.Fatal(err)
+	}
+	want := v.StateDigest()
+	if err := v.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := v.AddPhoto(viewFrom(1, 1, 10)); !errors.Is(err, ErrJournal) {
+		t.Fatalf("AddPhoto after Close = %v, want ErrJournal", err)
+	}
+	cc := New(model.CommandCenter, m, 0, WithSeed(8), fixedClock(1000))
+	if errV, _ := tryContact(v, cc); !errors.Is(errV, ErrJournal) {
+		t.Fatalf("contact after Close = %v, want ErrJournal", errV)
+	}
+	s := &session{p: v, wp: wire.Params{Resume: true}}
+	chunk := wire.Chunk{Photo: viewFrom(5, 0, 45), Index: 0, Count: 2, ChunkSize: 4, Total: 8, Data: []byte{1, 2, 3, 4}}
+	if _, err := s.addChunk(chunk); !errors.Is(err, ErrJournal) {
+		t.Fatalf("resumable chunk after Close = %v, want ErrJournal", err)
+	}
+	if err := v.Checkpoint(); !errors.Is(err, ErrJournal) {
+		t.Fatalf("Checkpoint after Close = %v, want ErrJournal", err)
+	}
+	if st := v.JournalStats(); st.Commits != 0 {
+		t.Fatalf("closed peer counted %d commits", st.Commits)
+	}
+	if got := v.StateDigest(); got != want {
+		t.Fatalf("closed peer's digest moved: %x, want %x", got, want)
+	}
+	if err := v.Close(); err != nil {
+		t.Fatalf("second Close = %v", err)
+	}
+
+	r, err := Open(dir, 1, m, 8*mb, WithSeed(7), fixedClock(1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = r.Close() }()
+	if got := r.StateDigest(); got != want {
+		t.Fatalf("reopened digest %x, want %x", got, want)
+	}
+}
+
 // TestRecoveryObservability: a recovery surfaces through the journal
 // counters and an EvPeerRecovery trace event.
 func TestRecoveryObservability(t *testing.T) {
@@ -453,19 +508,9 @@ func TestRestoreSnapshotVersions(t *testing.T) {
 	p.guard.RestoreQuarantine(42, 1e6, 1000)
 
 	p.mu.Lock()
+	p.commits = 7
 	image := p.encodeSnapshot()
 	p.mu.Unlock()
-	fragLen := 4
-	for _, f := range p.frags.Export() {
-		fragLen += len(f.Photo.AppendBinary(nil)) + 4 + 4 + 8 + 4 + len(f.Bitmap) + len(f.Data)
-	}
-	const quarLen = 4 + 12 // one quarantine
-	trailer := image[len(image)-8:]
-	trim := func(ver byte, drop int) []byte {
-		img := append([]byte(nil), image[:len(image)-8-drop]...)
-		img[0] = ver
-		return append(img, trailer...)
-	}
 
 	r := newTestPeer(t, 1, m, 64*mb, opts...)
 	if err := r.restoreSnapshot(image); err != nil {
@@ -480,18 +525,34 @@ func TestRestoreSnapshotVersions(t *testing.T) {
 	if got := r.GuardStats().Quarantined; got != 1 {
 		t.Fatalf("version %d: %d quarantined, want 1", peerSnapVersion, got)
 	}
-	for _, tc := range []struct {
-		ver byte
-		img []byte
-	}{
-		{0, trim(0, 0)},
-		{1, trim(1, quarLen+fragLen)},
-		{2, trim(2, quarLen)},
-		{peerSnapVersion + 1, trim(peerSnapVersion+1, 0)},
+	if got := r.JournalStats().Commits; got != 7 {
+		t.Fatalf("version %d: %d commits, want 7", peerSnapVersion, got)
+	}
+	r.mu.Lock()
+	again := r.encodeSnapshot()
+	r.mu.Unlock()
+	if !bytes.Equal(again, image) {
+		t.Fatalf("version %d: restored peer encodes %d bytes that differ from the %d-byte image", peerSnapVersion, len(again), len(image))
+	}
+
+	withVersion := func(ver byte) []byte {
+		img := append([]byte(nil), image...)
+		img[0] = ver
+		return img
+	}
+	for name, img := range map[string][]byte{
+		"version 0":           withVersion(0),
+		"version 1":           withVersion(1),
+		"version 2":           withVersion(2),
+		"version 3":           withVersion(3),
+		"version 5":           withVersion(peerSnapVersion + 1),
+		"cut in the header":   image[:5],
+		"cut inside a record": image[:len(image)-3],
+		"unknown record type": appendOp(append([]byte(nil), image...), 99, nil),
 	} {
 		r := newTestPeer(t, 1, m, 64*mb, opts...)
-		if err := r.restoreSnapshot(tc.img); err == nil {
-			t.Fatalf("version %d image restored", tc.ver)
+		if err := r.restoreSnapshot(img); err == nil {
+			t.Fatalf("%s: image restored", name)
 		}
 	}
 }

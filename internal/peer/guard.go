@@ -68,7 +68,7 @@ func (p *Peer) initGuard() {
 	}
 	p.guard = guard.New(p.guardCfg, p.obsv)
 	p.guard.OnQuarantine(p.noteQuarantine)
-	p.cache.SetLimits(p.guardCfg.MaxCacheEntries, p.guardCfg.MaxCacheBytes)
+	p.cache.SetLimits(guard.DefaultMaxCacheEntries, guard.DefaultMaxCacheBytes)
 }
 
 // noteQuarantine runs once per quarantine imposition (outside the guard

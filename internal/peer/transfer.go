@@ -332,7 +332,7 @@ func (s *session) noteResumed(prior, count uint32) {
 func (s *session) addChunk(c wire.Chunk) (transfer.AddResult, error) {
 	p := s.p
 	if s.wp.Resume && c.Count > 1 {
-		if p.jnl == nil {
+		if p.stateDir == "" {
 			return p.frags.Add(c)
 		}
 		p.mu.Lock()

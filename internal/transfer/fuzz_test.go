@@ -2,6 +2,7 @@ package transfer
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"photodtn/internal/model"
@@ -151,10 +152,10 @@ func FuzzReassembly(f *testing.F) {
 	})
 }
 
-// FuzzReassemblyImport round-trips arbitrary fragments through
-// Export/Import: whatever Import accepts must export back identically and
-// keep assembling correctly.
-func FuzzReassemblyImport(f *testing.F) {
+// FuzzReassemblyHeld round-trips arbitrary partials through Held and Add:
+// adding what Held returns to an empty store must rebuild a store that
+// holds the same chunks and still assembles the exact payload.
+func FuzzReassemblyHeld(f *testing.F) {
 	f.Add([]byte{4, 20, 0b10101}, uint32(4))
 	f.Add([]byte{1, 0, 0}, uint32(1))
 	f.Fuzz(func(t *testing.T, meta []byte, size uint32) {
@@ -177,18 +178,23 @@ func FuzzReassemblyImport(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		for _, frag := range s.Export() {
-			r := NewStore(0)
-			if err := r.Import(frag); err != nil {
-				t.Fatalf("reimport of own export: %v", err)
+		held := s.Held()
+		r := NewStore(0)
+		for _, c := range held {
+			if _, err := r.Add(c); err != nil {
+				t.Fatalf("re-add of held chunk %d: %v", c.Index, err)
 			}
-			again := r.Export()
-			if len(again) != 1 {
-				t.Fatalf("re-export lost the fragment")
+		}
+		if !reflect.DeepEqual(r.Held(), held) {
+			t.Fatal("held/add drift")
+		}
+		for _, c := range chunks {
+			if _, err := r.Add(c); err != nil {
+				t.Fatal(err)
 			}
-			if !bytes.Equal(again[0].Bitmap, frag.Bitmap) || !bytes.Equal(again[0].Data, frag.Data) {
-				t.Fatal("export/import drift")
-			}
+		}
+		if res, ok := r.Assemble(photo.ID); !ok || !bytes.Equal(res.Payload, payload) {
+			t.Fatal("restored partial does not assemble the source payload")
 		}
 	})
 }

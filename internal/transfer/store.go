@@ -12,7 +12,9 @@
 // partial once the photo is durably admitted. That split preserves the
 // paper's §III-D atomicity argument at the photo level — a photo either
 // appears whole in storage or not at all — while salvaging chunk progress
-// across contact disruptions.
+// across contact disruptions. A peer's snapshot journals the chunks Held
+// returns and recovery hands them back to Add, so a restored partial passes
+// the same checks as one built live.
 package transfer
 
 import (
@@ -64,7 +66,6 @@ type partial struct {
 	received  int64 // bytes landed so far
 	data      []byte
 	touched   int64
-	complete  bool
 }
 
 // NewStore returns a store capping tracked partials at maxBytes of
@@ -142,7 +143,6 @@ func (s *Store) Add(c wire.Chunk) (AddResult, error) {
 			s.dropLocked(c.Photo.ID, true)
 			return res, fmt.Errorf("%w: photo %v", ErrChecksum, c.Photo.ID)
 		}
-		p.complete = true
 		s.completed++
 		res.Complete = true
 		res.Photo = p.photo
@@ -191,22 +191,13 @@ func (s *Store) Has(id model.PhotoID, index uint32) bool {
 
 // Assemble returns the verified payload of a photo whose partial is
 // already complete — the zero-traffic path when a resume offer advertised
-// a full bitmap. A complete partial that fails verification (cannot happen
-// unless the store was restored from corrupt state) is dropped.
+// a full bitmap. Add verified the payload when its last chunk landed.
 func (s *Store) Assemble(id model.PhotoID) (AddResult, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	p := s.parts[id]
 	if p == nil || p.haveCount != p.count {
 		return AddResult{}, false
-	}
-	if !p.complete {
-		if wire.PayloadCRC(p.data) != p.crc {
-			s.dropLocked(id, true)
-			return AddResult{}, false
-		}
-		p.complete = true
-		s.completed++
 	}
 	return AddResult{Complete: true, Photo: p.photo, Payload: p.data}, true
 }
@@ -277,79 +268,37 @@ func (s *Store) IDs() []model.PhotoID {
 	return out
 }
 
-// Fragment is one partial's full exportable state, used by the peer's
-// snapshot encoder. Data holds the received chunks' bytes at their payload
-// offsets (missing regions zero); Bitmap says which regions are real.
-type Fragment struct {
-	Photo      model.Photo
-	ChunkSize  uint32
-	Count      uint32
-	Total      uint64
-	PayloadCRC uint32
-	Bitmap     []byte
-	Data       []byte
-}
-
-// Export snapshots every tracked partial, ordered by photo ID.
-func (s *Store) Export() []Fragment {
+// Held returns every chunk the store holds, ordered by photo ID and then
+// by index, with its data copied. Adding them to an empty store rebuilds
+// the same partials; the peer's snapshot journals them that way.
+func (s *Store) Held() []wire.Chunk {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]Fragment, 0, len(s.parts))
-	for _, p := range s.parts {
-		out = append(out, Fragment{
-			Photo:      p.photo,
-			ChunkSize:  p.chunkSize,
-			Count:      p.count,
-			Total:      p.total,
-			PayloadCRC: p.crc,
-			Bitmap:     bitmapBytes(p.have, p.count),
-			Data:       append([]byte(nil), p.data...),
-		})
+	ids := make([]model.PhotoID, 0, len(s.parts))
+	for id := range s.parts {
+		ids = append(ids, id)
 	}
-	sortFragments(out)
-	return out
-}
-
-// Import restores one exported partial, replacing any tracked state for
-// the photo. Geometry is validated like a wire decode.
-func (s *Store) Import(f Fragment) error {
-	if f.ChunkSize == 0 || f.Count == 0 || uint64(f.Count) > wire.MaxChunks {
-		return fmt.Errorf("transfer: import photo %v: bad geometry", f.Photo.ID)
-	}
-	if want := wire.ChunkCount(int64(f.Total), int(f.ChunkSize)); int(f.Count) != want {
-		return fmt.Errorf("transfer: import photo %v: %d chunks, want %d", f.Photo.ID, f.Count, want)
-	}
-	if len(f.Bitmap) != (int(f.Count)+7)/8 || uint64(len(f.Data)) != f.Total {
-		return fmt.Errorf("transfer: import photo %v: bitmap/data length", f.Photo.ID)
-	}
-	have := bitmapWords(f.Bitmap, f.Count)
-	var haveCount uint32
-	var received int64
-	for i := uint32(0); i < f.Count; i++ {
-		if have[i/64]&(1<<(i%64)) != 0 {
-			haveCount++
-			received += chunkLen(i, f.Count, f.ChunkSize, f.Total)
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	var out []wire.Chunk
+	for _, id := range ids {
+		p := s.parts[id]
+		for i := uint32(0); i < p.count; i++ {
+			if p.have[i/64]&(1<<(i%64)) == 0 {
+				continue
+			}
+			off := int64(i) * int64(p.chunkSize)
+			out = append(out, wire.Chunk{
+				Photo:      p.photo,
+				Index:      i,
+				Count:      p.count,
+				ChunkSize:  p.chunkSize,
+				Total:      p.total,
+				PayloadCRC: p.crc,
+				Data:       append([]byte(nil), p.data[off:off+chunkLen(i, p.count, p.chunkSize, p.total)]...),
+			})
 		}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.dropLocked(f.Photo.ID, false)
-	s.seq++
-	s.parts[f.Photo.ID] = &partial{
-		photo:     f.Photo,
-		chunkSize: f.ChunkSize,
-		count:     f.Count,
-		total:     f.Total,
-		crc:       f.PayloadCRC,
-		have:      have,
-		haveCount: haveCount,
-		received:  received,
-		data:      append([]byte(nil), f.Data...),
-		touched:   s.seq,
-	}
-	s.bytes += received
-	s.alloc += int64(f.Total)
-	return nil
+	return out
 }
 
 // Stats are the store's lifetime counters plus its current footprint.
@@ -432,8 +381,4 @@ func popcount(words []uint64) int {
 		n += bits.OnesCount64(w)
 	}
 	return n
-}
-
-func sortFragments(fs []Fragment) {
-	sort.Slice(fs, func(i, j int) bool { return fs[i].Photo.ID < fs[j].Photo.ID })
 }

@@ -3,6 +3,7 @@ package transfer
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 
 	"photodtn/internal/model"
@@ -156,25 +157,38 @@ func TestStoreOfferRoundTrip(t *testing.T) {
 	}
 }
 
-func TestStoreExportImport(t *testing.T) {
+func TestStoreHeldRoundTrip(t *testing.T) {
 	s := NewStore(0)
-	payload := []byte("export/import round trip payload")
+	payload := []byte("held/add round trip payload")
 	chunks := chunksFor(testPhoto(5), payload, 8)
-	for _, i := range []int{0, 3} {
-		if _, err := s.Add(chunks[i]); err != nil {
+	other := chunksFor(testPhoto(4), []byte("second"), 4)
+	for _, c := range []wire.Chunk{chunks[3], other[1], chunks[0]} {
+		if _, err := s.Add(c); err != nil {
 			t.Fatal(err)
 		}
 	}
-	frags := s.Export()
-	if len(frags) != 1 {
-		t.Fatalf("exported %d fragments", len(frags))
+	held := s.Held()
+	if want := []wire.Chunk{other[1], chunks[0], chunks[3]}; !reflect.DeepEqual(held, want) {
+		t.Fatalf("held %+v, want photo then index order %+v", held, want)
 	}
+	// The data is a copy: scribbling on it leaves the store intact.
+	held[1].Data[0] ^= 0xFF
+	if again := s.Held(); again[1].Data[0] != chunks[0].Data[0] {
+		t.Fatal("Held shares chunk data with the store")
+	}
+	held[1].Data[0] ^= 0xFF
+
 	r := NewStore(0)
-	if err := r.Import(frags[0]); err != nil {
-		t.Fatal(err)
+	for _, c := range held {
+		if _, err := r.Add(c); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if have, count := r.Chunks(testPhoto(5).ID); have != 2 || count != 4 {
 		t.Fatalf("restored chunks = %d/%d", have, count)
+	}
+	if !reflect.DeepEqual(r.Held(), held) {
+		t.Fatal("re-added chunks do not hold what Held returned")
 	}
 	// Completing the restored partial yields the exact original payload.
 	var got []byte
@@ -189,9 +203,6 @@ func TestStoreExportImport(t *testing.T) {
 	}
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("assembled %q", got)
-	}
-	if err := r.Import(Fragment{Photo: testPhoto(6), ChunkSize: 4, Count: 9, Total: 8}); err == nil {
-		t.Fatal("bad geometry import accepted")
 	}
 }
 
