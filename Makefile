@@ -62,13 +62,13 @@ bench-runner:
 # bench regenerates the committed performance baselines: the selection
 # micro-benchmarks (construction / Gain / Commit / GreedyFill / stale
 # recompute at several scales) into BENCH_selection.json, and the
-# engine-level Table-I run plus the slow-link transfer into
-# BENCH_engine.json.
+# engine-level Table-I and Fig. 8 (50 photos/h) runs plus the slow-link
+# transfer into BENCH_engine.json.
 bench:
 	$(GO) test -run='^$$' -bench=BenchmarkEvaluator -benchmem -benchtime=500ms ./internal/selection/ \
 		| $(GO) run ./cmd/benchjson -o BENCH_selection.json
 	@echo "wrote BENCH_selection.json"
-	$(GO) test -run='^$$' -bench='BenchmarkEngineTable1|BenchmarkTransferSlowLink' -benchmem -benchtime=5x . \
+	$(GO) test -run='^$$' -bench='BenchmarkEngineTable1|BenchmarkEngineFig8Rate50|BenchmarkTransferSlowLink' -benchmem -benchtime=5x . \
 		| $(GO) run ./cmd/benchjson -o BENCH_engine.json
 	@echo "wrote BENCH_engine.json"
 
@@ -80,7 +80,7 @@ bench-diff:
 	$(GO) test -run='^$$' -bench=BenchmarkEvaluator -benchmem -benchtime=300ms ./internal/selection/ \
 		| $(GO) run ./cmd/benchjson -o .bench_selection_new.json
 	$(GO) run ./cmd/benchjson -diff -threshold 1.6 BENCH_selection.json .bench_selection_new.json
-	$(GO) test -run='^$$' -bench='BenchmarkEngineTable1|BenchmarkTransferSlowLink' -benchmem -benchtime=3x . \
+	$(GO) test -run='^$$' -bench='BenchmarkEngineTable1|BenchmarkEngineFig8Rate50|BenchmarkTransferSlowLink' -benchmem -benchtime=3x . \
 		| $(GO) run ./cmd/benchjson -o .bench_engine_new.json
 	$(GO) run ./cmd/benchjson -diff -threshold 1.6 BENCH_engine.json .bench_engine_new.json
 	@rm -f .bench_selection_new.json .bench_engine_new.json

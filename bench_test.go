@@ -313,6 +313,34 @@ func BenchmarkEngineTable1(b *testing.B) {
 	})
 }
 
+// BenchmarkEngineFig8Rate50 measures a full engine run over the whole
+// MIT-like trace at Fig. 8's 50 photos/h, otherwise at Table I settings.
+// With few photos per contact, the per-contact selection is nearly the
+// whole run, so this row isolates the selection machinery the way
+// BenchmarkEngineTable1 isolates selection plus capture. The world is built
+// once outside the timer.
+func BenchmarkEngineFig8Rate50(b *testing.B) {
+	p := experiments.DefaultParams(experiments.MIT)
+	p.PhotosPerHour = 50
+	cfg, _, err := experiments.Build(p, experiments.SchemeOurs, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var delivered int
+	for i := 0; i < b.N; i++ {
+		res, err := sim.Run(cfg, core.New(core.DefaultConfig()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		delivered = res.Final.Delivered
+	}
+	if delivered == 0 {
+		b.Fatal("nothing delivered")
+	}
+}
+
 // BenchmarkEngineWithFaults compares the engine's fault-free path with the
 // fault layer absent, present-but-zero (must cost ~nothing: the model is
 // never built), and active. Watch the off/zero pair: they should be within
