@@ -68,6 +68,33 @@ func (c *FootprintCache) Of(p model.Photo) Footprint {
 	return fp
 }
 
+// AppendUseful appends the non-empty footprints of the photos to dst, in
+// order, and returns the extended slice. It reads the cached prefix of the
+// list under one shared lock and sends the rest, from the first miss on,
+// through Of, so the hit and miss counts are exactly those of one Of per
+// photo.
+func (c *FootprintCache) AppendUseful(dst []Footprint, photos model.PhotoList) []Footprint {
+	i := 0
+	c.mu.RLock()
+	for ; i < len(photos); i++ {
+		fp, ok := c.fps[photos[i].ID]
+		if !ok {
+			break
+		}
+		if !fp.IsEmpty() {
+			dst = append(dst, fp)
+		}
+	}
+	c.mu.RUnlock()
+	c.hits.Add(int64(i))
+	for _, p := range photos[i:] {
+		if fp := c.Of(p); !fp.IsEmpty() {
+			dst = append(dst, fp)
+		}
+	}
+	return dst
+}
+
 // Len returns the number of memoized footprints.
 func (c *FootprintCache) Len() int {
 	c.mu.RLock()

@@ -19,8 +19,19 @@ import (
 //     by all scenarios and all selection rounds (the base never mutates
 //     after construction).
 //   - Gain is fused into a single footprint walk: each scenario pays only
-//     an overlay lookup (usually nil, answered by a precomputed measure)
-//     plus, rarely, a small subtraction against its own overlay.
+//     an overlay lookup (usually nil, answered by a measure computed once
+//     per entry) plus, rarely, a small subtraction against its own overlay.
+//
+// Commits go to one committed layer that all scenarios share, not into every
+// overlay. After scenario construction, a scenario's overlay at a PoI where
+// it delivered nothing would only ever receive the committed pieces, in
+// commit order, so it would hold exactly the committed layer's arcs there.
+// The layer stands in for all those copies: an overlay changes only at PoIs
+// where its scenario has delivery arcs of its own, and a scenario whose
+// overlay misses a PoI reads the committed layer there. Every measure is
+// the one the per-overlay copy would give, from the same arcs by the same
+// expression, so the results are bit-identical to committing into each
+// overlay.
 //
 // Scenario weights are the outcome probabilities. Gain sums per-entry
 // contributions in entry order, each reduced over scenarios in insertion
@@ -34,20 +45,28 @@ import (
 // A DeltaSet is not safe for concurrent use: selection drives it from one
 // goroutine per contact.
 type DeltaSet struct {
-	base  *State
-	scens []scenOverlay
+	base *State
+	// comm is the committed layer: the union of every Commit's residual
+	// pieces, read by each scenario at the PoIs its overlay misses. It is
+	// acquired by the first Commit over two or more scenarios: with one
+	// scenario, that scenario's overlay is the only copy and takes the
+	// commits itself.
+	comm      *State
+	committed bool // the scenario family has a Commit
+	scens     []scenOverlay
 	// overlays holds every overlay state d owns; scenario i runs on
 	// overlays[i], and those past len(scens) are reset and idle.
 	overlays []*State
-	buf      []geo.Arc // residual pieces minus a scenario overlay (profile path)
+	buf      []geo.Arc // residual pieces minus an arc set (profile path)
 	commn    Residual  // reusable residual for Commit and Gain
 }
 
 // scenOverlay is one delivery outcome: probability weight, the arcs added
-// beyond the base, and the coverage those arcs contribute beyond the base.
+// beyond the base, and the coverage the outcome holds beyond the base
+// (its delivery arcs plus every commit).
 type scenOverlay struct {
 	w     float64
-	st    *State // overlay arcs; its cov field is unused
+	st    *State // delivery arcs, plus commits at their PoIs; cov is unused
 	extra Coverage
 }
 
@@ -73,10 +92,10 @@ type residEntry struct {
 
 // Begin starts a new life of d against map m and returns its empty base
 // state. The caller fills the base before the first AddScenario and must
-// not mutate it afterwards. The base and the overlays of d's previous life
-// on m are reset and handed out again in the same order, each with the
-// storage it grew; states of another map go back to that map's pool.
-// Begin is valid on the zero value and after Release.
+// not mutate it afterwards. The base, the committed layer and the overlays
+// of d's previous life on m are reset and handed out again in the same
+// order, each with the storage it grew; states of another map go back to
+// that map's pool. Begin is valid on the zero value and after Release.
 func (d *DeltaSet) Begin(m *Map) *State {
 	if d.base != nil && d.base.m != m {
 		d.Release()
@@ -86,11 +105,22 @@ func (d *DeltaSet) Begin(m *Map) *State {
 	} else {
 		d.base.Reset()
 	}
+	d.ClearScenarios()
+	return d.base
+}
+
+// ClearScenarios drops every scenario and every commit but keeps the base,
+// so residuals compiled against it stay valid. The next AddScenario starts
+// a new scenario family on the same base.
+func (d *DeltaSet) ClearScenarios() {
 	for i := range d.scens {
 		d.scens[i].st.Reset()
 	}
 	d.scens = d.scens[:0]
-	return d.base
+	if d.comm != nil {
+		d.comm.Reset()
+	}
+	d.committed = false
 }
 
 // Base returns the shared base state (read-only).
@@ -111,8 +141,11 @@ func (d *DeltaSet) Reserve(n int) {
 }
 
 // AddScenario appends a delivery outcome with probability weight w and
-// returns its index. Populate it with AddResidual.
+// returns its index. Populate it with AddResidual. Scenarios are built
+// before the first Commit: one added later would read the committed layer
+// as its own.
 func (d *DeltaSet) AddScenario(w float64) int {
+	d.mustNotHaveCommitted()
 	si := len(d.scens)
 	if si == len(d.overlays) {
 		d.overlays = append(d.overlays, d.base.m.AcquireState())
@@ -158,48 +191,118 @@ func (d *DeltaSet) CompileResidual(fp Footprint, r *Residual) {
 
 // AddResidual merges a compiled residual into the scenario's overlay: the
 // outcome now includes the photo. Only base-uncovered pieces are stored, so
-// overlays stay small.
+// overlays stay small. It builds scenarios, so it too must precede the
+// first Commit.
 func (d *DeltaSet) AddResidual(si int, r *Residual) {
-	m := d.base.m
+	d.mustNotHaveCommitted()
+	d.addResidual(si, r)
+}
+
+// addResidual merges the residual into the scenario's own overlay.
+func (d *DeltaSet) addResidual(si int, r *Residual) {
 	sd := &d.scens[si]
 	for i := range r.entries {
 		re := &r.entries[i]
-		poi := int(re.poi)
 		pieces := r.arcs[re.lo:re.hi]
-		os := sd.st.arcs[poi]
-		if !re.basePt && os == nil {
+		if os := sd.st.arcs[re.poi]; os != nil {
+			d.unionInto(sd, re, os, pieces)
+			continue
+		}
+		if !re.basePt {
 			sd.extra.Point += re.w
 		}
-		if os == nil {
-			sd.extra.Aspect += re.w * re.freeAs
-			os = sd.st.arena.take()
-			sd.st.arcs[poi] = os
-			sd.st.touched = append(sd.st.touched, re.poi)
-		} else {
-			if prof, ok := m.profiles[poi]; ok {
-				buf := d.buf[:0]
-				for _, p := range pieces {
-					buf = os.AppendUncovered(p, buf)
-				}
-				d.buf = buf[:0]
-				sd.extra.Aspect += re.w * prof.MeasureArcs(buf)
-			} else {
-				sd.extra.Aspect += re.w * os.GainArcs(pieces)
-			}
-		}
+		sd.extra.Aspect += re.w * re.freeAs
+		os := sd.st.open(re.poi)
 		for _, p := range pieces {
 			os.Add(p)
 		}
 	}
 }
 
+// mustNotHaveCommitted panics when d has a commit in its current scenario
+// family: building scenarios on top of commits would break the committed
+// layer's contract.
+func (d *DeltaSet) mustNotHaveCommitted() {
+	if d.committed {
+		panic("coverage: scenario built after Commit")
+	}
+}
+
+// unionInto credits the scenario with the entry's pieces beyond its own
+// overlay arcs os at the entry's PoI, then unions the pieces into os.
+func (d *DeltaSet) unionInto(sd *scenOverlay, re *residEntry, os *geo.ArcSet, pieces []geo.Arc) {
+	sd.extra.Aspect += re.w * d.measureBeyond(int(re.poi), os, pieces)
+	for _, p := range pieces {
+		os.Add(p)
+	}
+}
+
+// measureBeyond returns the (profile-weighted) measure of the pieces that
+// the arc set does not cover.
+func (d *DeltaSet) measureBeyond(poi int, s *geo.ArcSet, pieces []geo.Arc) float64 {
+	prof, ok := d.base.m.profiles[poi]
+	if !ok {
+		return s.GainArcs(pieces)
+	}
+	buf := d.buf[:0]
+	for _, p := range pieces {
+		buf = s.AppendUncovered(p, buf)
+	}
+	d.buf = buf[:0]
+	return prof.MeasureArcs(buf)
+}
+
+// beyondComm returns what the entry adds to a scenario whose overlay misses
+// its PoI: whether it newly point-covers the PoI, and the aspect measure of
+// its pieces beyond the committed layer there.
+func (d *DeltaSet) beyondComm(re *residEntry, pieces []geo.Arc) (newPt bool, as float64) {
+	if d.comm == nil || d.comm.arcs[re.poi] == nil {
+		return !re.basePt, re.freeAs
+	}
+	return false, d.measureBeyond(int(re.poi), d.comm.arcs[re.poi], pieces)
+}
+
 // Commit adds the footprint to every scenario — the fused form of "the
 // selected photo is now part of each outcome". The base subtraction runs
-// once and is shared by all scenarios.
+// once, and so does the subtraction of the committed layer: every scenario
+// whose overlay misses an entry's PoI gains the same measure there. Only
+// scenarios with delivery arcs of their own at the PoI subtract and store
+// the pieces themselves. A lone scenario takes the whole residual into its
+// overlay, as it would any delivery: there is nothing to share, and a
+// DeltaSet that never has two scenarios never pays for the layer's state.
 func (d *DeltaSet) Commit(fp Footprint) {
-	d.CompileResidual(fp, &d.commn)
-	for si := range d.scens {
-		d.AddResidual(si, &d.commn)
+	r := &d.commn
+	d.CompileResidual(fp, r)
+	d.committed = true
+	if len(d.scens) == 1 {
+		d.addResidual(0, r)
+		return
+	}
+	if d.comm == nil {
+		d.comm = d.base.m.AcquireState()
+	}
+	for i := range r.entries {
+		re := &r.entries[i]
+		pieces := r.arcs[re.lo:re.hi]
+		newPt, as := d.beyondComm(re, pieces)
+		for si := range d.scens {
+			sd := &d.scens[si]
+			if os := sd.st.arcs[re.poi]; os != nil {
+				d.unionInto(sd, re, os, pieces)
+				continue
+			}
+			if newPt {
+				sd.extra.Point += re.w
+			}
+			sd.extra.Aspect += re.w * as
+		}
+		cs := d.comm.arcs[re.poi]
+		if cs == nil {
+			cs = d.comm.open(re.poi)
+		}
+		for _, p := range pieces {
+			cs.Add(p)
+		}
 	}
 }
 
@@ -226,33 +329,21 @@ func (d *DeltaSet) GainResidual(r *Residual) Coverage {
 }
 
 // entryGain computes one residual entry's scenario-weighted contribution:
-// Σ_si w_si · gain(entry, scenario si). No geometry runs for scenarios whose
-// overlay misses the entry's PoI — the common case — and the rest subtract
-// only against the (small) overlay.
+// Σ_si w_si · gain(entry, scenario si). Scenarios whose overlay misses the
+// entry's PoI — the common case — share one subtraction of the committed
+// layer, and the rest subtract only against their own (small) overlay.
 func (d *DeltaSet) entryGain(re *residEntry, pieces []geo.Arc) (pt, as float64) {
-	m := d.base.m
-	poi := int(re.poi)
-	prof, hasProf := m.profiles[poi]
+	newPt, free := d.beyondComm(re, pieces)
 	for si := range d.scens {
 		w := d.scens[si].w
-		os := d.scens[si].st.arcs[poi]
-		if os == nil {
-			if !re.basePt {
-				pt += w * re.w
-			}
-			as += w * re.w * re.freeAs
+		if os := d.scens[si].st.arcs[re.poi]; os != nil {
+			as += w * re.w * d.measureBeyond(int(re.poi), os, pieces)
 			continue
 		}
-		if hasProf {
-			buf := d.buf[:0]
-			for _, p := range pieces {
-				buf = os.AppendUncovered(p, buf)
-			}
-			d.buf = buf[:0]
-			as += w * re.w * prof.MeasureArcs(buf)
-		} else {
-			as += w * re.w * os.GainArcs(pieces)
+		if newPt {
+			pt += w * re.w
 		}
+		as += w * re.w * free
 	}
 	return pt, as
 }
@@ -267,13 +358,14 @@ func (d *DeltaSet) Expected() Coverage {
 	return c
 }
 
-// Release returns the base and every overlay to the map's state pool. The
-// DeltaSet must not be used afterwards except through Begin; compiled
-// Residuals die either way.
+// Release returns the base, the committed layer and every overlay to the
+// map's state pool. The DeltaSet must not be used afterwards except through
+// Begin; compiled Residuals die either way.
 func (d *DeltaSet) Release() {
 	m := d.base.m
 	m.ReleaseState(d.base)
-	d.base = nil
+	m.ReleaseState(d.comm)
+	d.base, d.comm = nil, nil
 	for i, st := range d.overlays {
 		m.ReleaseState(st)
 		d.overlays[i] = nil

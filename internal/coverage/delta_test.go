@@ -1,6 +1,7 @@
 package coverage
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -8,6 +9,7 @@ import (
 
 	"photodtn/internal/geo"
 	"photodtn/internal/model"
+	"photodtn/internal/obs"
 )
 
 // deltaInstance is a randomized DeltaSet workload plus the brute-force
@@ -227,6 +229,242 @@ func TestDeltaSetResidualReuse(t *testing.T) {
 	}
 }
 
+// refCommit is Commit as it was before the committed layer: the residual
+// pieces are unioned into every scenario's overlay. It is the reference the
+// shared layer must match bit for bit, so it is kept as it was written.
+func (d *DeltaSet) refCommit(fp Footprint) {
+	var r Residual
+	d.CompileResidual(fp, &r)
+	m := d.base.m
+	for si := range d.scens {
+		sd := &d.scens[si]
+		for i := range r.entries {
+			re := &r.entries[i]
+			poi := int(re.poi)
+			pieces := r.arcs[re.lo:re.hi]
+			os := sd.st.arcs[poi]
+			if !re.basePt && os == nil {
+				sd.extra.Point += re.w
+			}
+			if os == nil {
+				sd.extra.Aspect += re.w * re.freeAs
+				os = sd.st.arena.take()
+				sd.st.arcs[poi] = os
+				sd.st.touched = append(sd.st.touched, re.poi)
+			} else {
+				if prof, ok := m.profiles[poi]; ok {
+					buf := d.buf[:0]
+					for _, p := range pieces {
+						buf = os.AppendUncovered(p, buf)
+					}
+					d.buf = buf[:0]
+					sd.extra.Aspect += re.w * prof.MeasureArcs(buf)
+				} else {
+					sd.extra.Aspect += re.w * os.GainArcs(pieces)
+				}
+			}
+			for _, p := range pieces {
+				os.Add(p)
+			}
+		}
+	}
+}
+
+// refGainResidual is GainResidual over refCommit's overlays: every
+// scenario reads only its own overlay.
+func (d *DeltaSet) refGainResidual(r *Residual) Coverage {
+	m := d.base.m
+	var g Coverage
+	for i := range r.entries {
+		re := &r.entries[i]
+		pieces := r.arcs[re.lo:re.hi]
+		poi := int(re.poi)
+		prof, hasProf := m.profiles[poi]
+		var pt, as float64
+		for si := range d.scens {
+			w := d.scens[si].w
+			os := d.scens[si].st.arcs[poi]
+			if os == nil {
+				if !re.basePt {
+					pt += w * re.w
+				}
+				as += w * re.w * re.freeAs
+				continue
+			}
+			if hasProf {
+				buf := d.buf[:0]
+				for _, p := range pieces {
+					buf = os.AppendUncovered(p, buf)
+				}
+				d.buf = buf[:0]
+				as += w * re.w * prof.MeasureArcs(buf)
+			} else {
+				as += w * re.w * os.GainArcs(pieces)
+			}
+		}
+		g.Point += pt
+		g.Aspect += as
+	}
+	return g
+}
+
+// TestCommittedLayerMatchesPerOverlayCommit pins the committed layer to the
+// per-overlay reference: two DeltaSets built the same way, one committing
+// through the shared layer and one into every overlay, must report equal —
+// not merely close — Gain, GainResidual and Expected after every commit.
+// Maps mix weighted and profiled PoIs. The sparse regime gives each
+// scenario a few delivered photos over a wide area, so most overlays miss
+// most PoIs; the dense regime packs many photos onto few PoIs, so most
+// commits land where scenarios have arcs of their own. A lone scenario
+// takes its commits into its own overlay.
+func TestCommittedLayerMatchesPerOverlayCommit(t *testing.T) {
+	regimes := []struct {
+		name          string
+		pois, perScen int
+		area          float64
+		scens         int // 0: between 3 and 22
+	}{
+		{"sparse", 60, 3, 900, 0},
+		{"dense", 12, 12, 250, 0},
+		{"single", 40, 3, 600, 1},
+	}
+	for _, rg := range regimes {
+		for seed := int64(1); seed <= 6; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			pl := make([]model.PoI, rg.pois)
+			var opts []MapOption
+			for i := range pl {
+				pl[i] = model.NewPoI(i, geo.Vec{X: rng.Float64() * rg.area, Y: rng.Float64() * rg.area})
+				if rng.Intn(3) == 0 {
+					pl[i].Weight = 1 + 2*rng.Float64()
+				}
+				if rng.Intn(3) == 0 {
+					opts = append(opts, WithAspectProfile(i, AspectProfile{
+						Base:     0.5 + rng.Float64(),
+						Segments: []WeightedArc{{Arc: ArcAroundDeg(rng.Float64()*360, 20+rng.Float64()*60), Weight: 3 * rng.Float64()}},
+					}))
+				}
+			}
+			m := NewMap(pl, geo.Radians(30), opts...)
+			randomFP := func() Footprint {
+				p := photoAt(rng.Uint32(), geo.Vec{X: rng.Float64() * rg.area, Y: rng.Float64() * rg.area},
+					rng.Float64()*geo.TwoPi, 60+rng.Float64()*120)
+				return m.Footprint(p)
+			}
+			var baseFPs []Footprint
+			for i := 0; i < 4; i++ {
+				baseFPs = append(baseFPs, randomFP())
+			}
+			nScens := 3 + rng.Intn(20)
+			if rg.scens > 0 {
+				nScens = rg.scens
+			}
+			ws := make([]float64, nScens)
+			scenFPs := make([][]Footprint, nScens)
+			for si := range scenFPs {
+				ws[si] = rng.Float64()
+				for k := rng.Intn(rg.perScen + 1); k > 0; k-- {
+					scenFPs[si] = append(scenFPs[si], randomFP())
+				}
+			}
+			build := func() *DeltaSet {
+				d := &DeltaSet{}
+				base := d.Begin(m)
+				for _, fp := range baseFPs {
+					base.Add(fp)
+				}
+				var r Residual
+				for si, fps := range scenFPs {
+					d.AddScenario(ws[si])
+					for _, fp := range fps {
+						d.CompileResidual(fp, &r)
+						d.AddResidual(si, &r)
+					}
+				}
+				return d
+			}
+			got, ref := build(), build()
+			probes := make([]Footprint, 30)
+			for i := range probes {
+				probes[i] = randomFP()
+			}
+			label := fmt.Sprintf("%s seed %d", rg.name, seed)
+			var rGot, rRef Residual
+			for ci := 0; ci <= 12; ci++ {
+				if ci > 0 {
+					fp := probes[rng.Intn(len(probes))]
+					if rng.Intn(4) == 0 {
+						fp = randomFP()
+					}
+					got.Commit(fp)
+					ref.refCommit(fp)
+				}
+				if g, w := got.Expected(), ref.Expected(); g != w {
+					t.Fatalf("%s commit %d: Expected = %+v, reference %+v", label, ci, g, w)
+				}
+				for pi, fp := range probes {
+					got.CompileResidual(fp, &rGot)
+					ref.CompileResidual(fp, &rRef)
+					w := ref.refGainResidual(&rRef)
+					if g := got.GainResidual(&rGot); g != w {
+						t.Fatalf("%s commit %d probe %d: GainResidual = %+v, reference %+v", label, ci, pi, g, w)
+					}
+					if g := got.Gain(fp); g != w {
+						t.Fatalf("%s commit %d probe %d: Gain = %+v, reference %+v", label, ci, pi, g, w)
+					}
+				}
+			}
+			if rg.scens == 1 && got.comm != nil {
+				t.Fatalf("%s: a lone scenario acquired the committed layer", label)
+			}
+			got.Release()
+			ref.Release()
+		}
+	}
+}
+
+// TestDeltaSetRefusesScenariosAfterCommit: a scenario built after a Commit
+// would read the committed layer as its own, so building one panics until
+// ClearScenarios starts a new family on the same base.
+func TestDeltaSetRefusesScenariosAfterCommit(t *testing.T) {
+	di := newDeltaInstance(t, 5, 40, 6, 3)
+	defer di.ds.Release()
+	var committed Footprint
+	for _, fp := range di.probes {
+		var r Residual
+		if di.ds.CompileResidual(fp, &r); len(r.entries) > 0 {
+			committed = fp
+			break
+		}
+	}
+	di.ds.Commit(committed)
+	for name, build := range map[string]func(){
+		"AddScenario": func() { di.ds.AddScenario(0.5) },
+		"AddResidual": func() { var r Residual; di.ds.AddResidual(0, &r) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s after Commit did not panic", name)
+				}
+			}()
+			build()
+		}()
+	}
+	base := di.ds.Base().Coverage()
+	di.ds.ClearScenarios()
+	if di.ds.Scenarios() != 0 || di.ds.Base().Coverage() != base {
+		t.Fatal("ClearScenarios did not keep the base and drop the scenarios")
+	}
+	si := di.ds.AddScenario(1)
+	if got := di.ds.Expected(); got != base {
+		t.Fatalf("empty scenario after ClearScenarios: Expected = %+v, base %+v", got, base)
+	}
+	var r Residual
+	di.ds.CompileResidual(committed, &r)
+	di.ds.AddResidual(si, &r)
+}
+
 // TestStatePoolRoundtrip checks the Map's state recycler: released states
 // come back empty, and foreign or nil states are ignored.
 func TestStatePoolRoundtrip(t *testing.T) {
@@ -264,13 +502,23 @@ func TestFootprintCacheConcurrent(t *testing.T) {
 			rng.Float64()*geo.TwoPi, 60+rng.Float64()*60)
 	}
 	c := NewFootprintCache(m)
+	reg := obs.NewRegistry()
+	c.SetMetrics(reg.Counter("hits"), reg.Counter("misses"))
 	const workers = 8
 	got := make([][]Footprint, workers)
+	useful := make([][]Footprint, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			if w%2 == 1 {
+				// Odd workers take the whole list at once, in two halves so
+				// the second often starts on photos others have published.
+				useful[w] = c.AppendUseful(nil, photos[:len(photos)/2])
+				useful[w] = c.AppendUseful(useful[w], photos[len(photos)/2:])
+				return
+			}
 			got[w] = make([]Footprint, len(photos))
 			for i, p := range photos {
 				got[w][i] = c.Of(p)
@@ -281,17 +529,92 @@ func TestFootprintCacheConcurrent(t *testing.T) {
 	if c.Len() != len(photos) {
 		t.Fatalf("cache Len = %d, want %d", c.Len(), len(photos))
 	}
+	if n := reg.Counter("hits").Value() + reg.Counter("misses").Value(); n != workers*int64(len(photos)) {
+		t.Fatalf("hits + misses = %d, want one per lookup (%d)", n, workers*len(photos))
+	}
+	var want []Footprint
+	for _, fp := range got[0] {
+		if !fp.IsEmpty() {
+			want = append(want, fp)
+		}
+	}
 	for w := 1; w < workers; w++ {
-		for i := range photos {
-			a, b := got[0][i], got[w][i]
-			if len(a.Entries) != len(b.Entries) {
-				t.Fatalf("worker %d photo %d: entry count differs", w, i)
+		if w%2 == 1 {
+			assertSameFootprints(t, fmt.Sprintf("worker %d", w), useful[w], want)
+			continue
+		}
+		assertSameFootprints(t, fmt.Sprintf("worker %d", w), got[w], got[0])
+	}
+}
+
+func assertSameFootprints(t *testing.T, label string, got, want []Footprint) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d footprints, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		a, b := got[i], want[i]
+		if len(a.Entries) != len(b.Entries) {
+			t.Fatalf("%s footprint %d: entry count differs", label, i)
+		}
+		for k := range a.Entries {
+			if a.Entries[k] != b.Entries[k] {
+				t.Fatalf("%s footprint %d entry %d differs", label, i, k)
 			}
-			for k := range a.Entries {
-				if a.Entries[k] != b.Entries[k] {
-					t.Fatalf("worker %d photo %d entry %d differs", w, i, k)
-				}
+		}
+	}
+}
+
+// TestAppendUsefulMatchesOf: AppendUseful must append exactly what a loop
+// of Of calls keeps — the non-empty footprints, in order, after what dst
+// already holds — and count the same hits and misses, whether the list is
+// all cached, all cold, or has misses in the middle.
+func TestAppendUsefulMatchesOf(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	pl := make([]model.PoI, 20)
+	for i := range pl {
+		pl[i] = model.NewPoI(i, geo.Vec{X: rng.Float64() * 400, Y: rng.Float64() * 400})
+	}
+	m := NewMap(pl, geo.Radians(30))
+	photos := make(model.PhotoList, 40)
+	for i := range photos {
+		photos[i] = photoAt(uint32(i+1), geo.Vec{X: rng.Float64() * 400, Y: rng.Float64() * 400},
+			rng.Float64()*geo.TwoPi, 60+rng.Float64()*60)
+		if i%5 == 2 {
+			photos[i].Location = geo.Vec{X: 1e6, Y: 1e6} // covers nothing
+		}
+	}
+	type side struct {
+		c            *FootprintCache
+		hits, misses *obs.Counter
+	}
+	newSide := func() *side {
+		reg := obs.NewRegistry()
+		sd := &side{c: NewFootprintCache(m), hits: reg.Counter("h"), misses: reg.Counter("m")}
+		sd.c.SetMetrics(sd.hits, sd.misses)
+		return sd
+	}
+	batch, loop := newSide(), newSide()
+	// Warm both caches with the first ten photos and a few later ones, so
+	// the list has a cached prefix and misses in the middle.
+	for _, sd := range []*side{batch, loop} {
+		for _, i := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 22, 23, 31} {
+			sd.c.Of(photos[i])
+		}
+	}
+	lead := m.Footprint(photos[0])
+	for pass, list := range []model.PhotoList{photos, photos, photos[30:], nil} {
+		got := batch.c.AppendUseful([]Footprint{lead}, list)
+		want := []Footprint{lead}
+		for _, p := range list {
+			if fp := loop.c.Of(p); !fp.IsEmpty() {
+				want = append(want, fp)
 			}
+		}
+		assertSameFootprints(t, fmt.Sprintf("pass %d", pass), got, want)
+		if batch.hits.Value() != loop.hits.Value() || batch.misses.Value() != loop.misses.Value() {
+			t.Fatalf("pass %d: %d hits and %d misses, Of loop %d and %d", pass,
+				batch.hits.Value(), batch.misses.Value(), loop.hits.Value(), loop.misses.Value())
 		}
 	}
 }

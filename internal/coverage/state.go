@@ -126,6 +126,15 @@ func (s *State) AspectOf(i int) float64 {
 // caller must not mutate it.
 func (s *State) arcsAt(i int) *geo.ArcSet { return s.arcs[i] }
 
+// open gives the uncovered PoI slot an empty arc set and returns it. The
+// state's coverage is the caller's to maintain.
+func (s *State) open(poi int32) *geo.ArcSet {
+	as := s.arena.take()
+	s.arcs[poi] = as
+	s.touched = append(s.touched, poi)
+	return as
+}
+
 // Add unions a footprint into the state and returns the realised coverage
 // gain.
 func (s *State) Add(fp Footprint) Coverage {

@@ -18,8 +18,6 @@
 package selection
 
 import (
-	"math/rand"
-
 	"photodtn/internal/coverage"
 	"photodtn/internal/metadata"
 	"photodtn/internal/model"
@@ -65,9 +63,9 @@ type Config struct {
 	// Metrics optionally observes the selection machinery; the zero value
 	// disables it at no cost. It only takes effect for direct selection
 	// calls: core.Scheme.Init and peer.New overwrite it with their own
-	// observer's metrics, so a value set through core.Config.Selection or
-	// peer.WithSelectionConfig is dropped. The facade's
-	// photodtn.WithObserver fills it via ObserverMetrics.
+	// observer's metrics, so a value set through core.Config.Selection is
+	// dropped. The facade's photodtn.WithObserver fills it via
+	// ObserverMetrics.
 	Metrics Metrics
 }
 
@@ -141,52 +139,83 @@ func (e *Evaluator) init(m *coverage.Map, cfg Config, ccFPs []coverage.Footprint
 		}
 		live = append(live, b)
 	}
+	s.live = live
+	e.compileLive(0)
+	e.build(cfg)
+}
+
+// extend turns the evaluator of phase 1 into the one a fresh init would
+// build with node appended to phase 1's background: phase 2 of Reallocate,
+// whose background differs only by the first node's selection. The base
+// and every compiled live residual stay; only node's residuals are
+// compiled, and the scenarios are rebuilt by the same exact-or-sampled
+// rule, with sampling continuing phase 1's draws. It returns false, and
+// changes nothing, when node would join the base: the caller must then
+// init afresh.
+func (e *Evaluator) extend(cfg Config, node bgNode) bool {
+	cfg = cfg.normalized()
+	useful := len(node.fps) > 0
+	if useful && node.p >= 1 {
+		return false
+	}
+	e.ds.ClearScenarios()
+	if s := e.sess; useful && node.p > 0 {
+		s.live = append(s.live, node)
+		e.compileLive(len(s.live) - 1)
+	}
+	e.build(cfg)
+	return true
+}
+
+// build adds the scenario family of the session's live nodes to the
+// evaluator: all outcomes up to ExactLimit live nodes, sampled ones beyond.
+func (e *Evaluator) build(cfg Config) {
 	e.metrics = cfg.Metrics
-	if len(live) <= cfg.ExactLimit {
+	if live := e.sess.live; len(live) <= cfg.ExactLimit {
 		e.enumerate(live)
 	} else {
 		e.sample(live, cfg)
 	}
-	s.live = live[:0] // return the (possibly grown) buffer
 	e.metrics.Evaluators.Inc()
 	e.metrics.Scenarios.Observe(float64(e.ds.Scenarios()))
 }
 
-// compileLive subtracts the (now final) base from every live node's
-// footprints once; scenario construction then replays the cheap residuals
-// instead of re-subtracting the base per outcome. The residuals and the
-// index come from the session's arenas, so compiled arc and entry storage
-// survives from contact to contact.
-func (e *Evaluator) compileLive(live []bgNode) [][]coverage.Residual {
+// compileLive subtracts the (now final) base from the footprints of the
+// session's live nodes from index from on, once; scenario construction then
+// replays the cheap residuals instead of re-subtracting the base per
+// outcome. Residuals of earlier nodes are kept as compiled. The residuals
+// and the index come from the session's arenas, so compiled arc and entry
+// storage survives from contact to contact.
+func (e *Evaluator) compileLive(from int) {
 	s := e.sess
 	total := 0
-	for _, b := range live {
+	for _, b := range s.live {
 		total += len(b.fps)
 	}
 	if len(s.residFlat) < total {
 		grown := make([]coverage.Residual, total)
-		copy(grown, s.residFlat) // keep the recycled piece storage
+		copy(grown, s.residFlat) // keep the compiled and the recycled storage
 		s.residFlat = grown
 	}
-	flat := s.residFlat[:total]
 	resid := s.residIdx[:0]
 	k := 0
-	for _, b := range live {
-		sub := flat[k : k+len(b.fps) : k+len(b.fps)]
+	for i, b := range s.live {
+		sub := s.residFlat[k : k+len(b.fps) : k+len(b.fps)]
 		k += len(b.fps)
-		for j, fp := range b.fps {
-			e.ds.CompileResidual(fp, &sub[j])
+		if i >= from {
+			for j, fp := range b.fps {
+				e.ds.CompileResidual(fp, &sub[j])
+			}
 		}
 		resid = append(resid, sub)
 	}
-	s.residIdx = resid[:0]
-	return resid
+	s.residIdx = resid
 }
 
 // enumerate builds all 2^k delivery outcomes of the live background nodes
 // as overlays on the shared base.
 func (e *Evaluator) enumerate(live []bgNode) {
-	resid := e.compileLive(live)
+	resid := e.sess.residIdx
 	n := len(live)
 	total := 1 << n
 	e.ds.Reserve(total)
@@ -213,22 +242,18 @@ func (e *Evaluator) enumerate(live []bgNode) {
 	}
 }
 
-// sample builds Monte Carlo delivery outcomes with common random numbers.
+// sample builds Monte Carlo delivery outcomes with common random numbers:
+// sample s delivers live node i when draw s·len(live)+i of cfg.Seed's
+// stream falls below its probability.
 func (e *Evaluator) sample(live []bgNode, cfg Config) {
-	resid := e.compileLive(live)
+	resid := e.sess.residIdx
 	e.ds.Reserve(cfg.Samples)
-	rng := e.sess.rng
-	if rng == nil {
-		rng = rand.New(rand.NewSource(cfg.Seed))
-		e.sess.rng = rng
-	} else {
-		rng.Seed(cfg.Seed) // the same stream as a fresh source: no 5 KB allocation
-	}
+	draws := e.sess.draws(cfg.Seed, cfg.Samples*len(live))
 	w := 1.0 / float64(cfg.Samples)
 	for s := 0; s < cfg.Samples; s++ {
 		si := e.ds.AddScenario(w)
 		for i, b := range live {
-			if rng.Float64() < b.p {
+			if draws[s*len(live)+i] < b.p {
 				for j := range resid[i] {
 					e.ds.AddResidual(si, &resid[i][j])
 				}
@@ -280,13 +305,7 @@ func (e *Evaluator) Release() {
 // footprintsOf compiles the useful (non-empty) footprints of a collection
 // through the memoizing cache.
 func footprintsOf(fpc *coverage.FootprintCache, photos model.PhotoList) []coverage.Footprint {
-	var out []coverage.Footprint
-	for _, p := range photos {
-		if fp := fpc.Of(p); !fp.IsEmpty() {
-			out = append(out, fp)
-		}
-	}
-	return out
+	return fpc.AppendUseful(nil, photos)
 }
 
 // ExpectedCoverage evaluates Definition 2 for a node set M: the command

@@ -237,10 +237,16 @@ func (s *Session) Reallocate(fpc *coverage.FootprintCache, cfg Config, view []me
 	ev := s.evaluator(m, cfg, ccFPs, bg)
 	firstSel := GreedyFill(ev, pool, first.Capacity)
 
-	bg2 := append(s.bg2[:0], bg...)
-	bg2 = append(bg2, bgNode{p: first.P, fps: s.footprints(fpc, firstSel)})
-	s.bg2 = bg2
-	ev = s.evaluator(m, cfg, ccFPs, bg2)
+	// Phase 2's background is phase 1's plus the first node's selection,
+	// so phase 2 extends phase 1's evaluator unless that node joins the
+	// base.
+	firstNode := bgNode{p: first.P, fps: s.footprints(fpc, firstSel)}
+	if !ev.extend(cfg, firstNode) {
+		bg2 := append(s.bg2[:0], bg...)
+		bg2 = append(bg2, firstNode)
+		s.bg2 = bg2
+		ev = s.evaluator(m, cfg, ccFPs, bg2)
+	}
 	secondSel := GreedyFill(ev, pool, second.Capacity)
 
 	if aFirst {

@@ -47,7 +47,12 @@ type Session struct {
 	cands     candArena
 	heap      candHeap        // GreedyFill's CELF queue, kept so heap.Init does not allocate it
 	picked    model.PhotoList // GreedyFill's selection, copied out on return
-	rng       *rand.Rand      // Monte Carlo sampler, reseeded per evaluator
+	// rng is the Monte Carlo sampler, and drawn memoises every number it
+	// drew since it was last seeded with drawSeed: the prefix of that
+	// seed's stream, so both phases of a contact read one stream.
+	rng      *rand.Rand
+	drawSeed int64
+	drawn    []float64
 }
 
 // NewSession returns an empty session ready for use.
@@ -85,12 +90,27 @@ func (s *Session) evaluator(m *coverage.Map, cfg Config, ccFPs []coverage.Footpr
 // array, whose entries never change.
 func (s *Session) footprints(fpc *coverage.FootprintCache, photos model.PhotoList) []coverage.Footprint {
 	start := len(s.fps)
-	for _, p := range photos {
-		if fp := fpc.Of(p); !fp.IsEmpty() {
-			s.fps = append(s.fps, fp)
-		}
-	}
+	s.fps = fpc.AppendUseful(s.fps, photos)
 	return s.fps[start:len(s.fps):len(s.fps)]
+}
+
+// draws returns the first n numbers of seed's Float64 stream. The sampler
+// is reseeded only when the seed changes; the numbers it already drew are
+// memoised, so a later phase with the same seed reads them again and draws
+// only those past the memo.
+func (s *Session) draws(seed int64, n int) []float64 {
+	switch {
+	case s.rng == nil:
+		s.rng = rand.New(rand.NewSource(seed))
+	case seed != s.drawSeed:
+		s.rng.Seed(seed) // the same stream as a fresh source: no 5 KB allocation
+		s.drawn = s.drawn[:0]
+	}
+	s.drawSeed = seed
+	for len(s.drawn) < n {
+		s.drawn = append(s.drawn, s.rng.Float64())
+	}
+	return s.drawn[:n]
 }
 
 // BuildPool is the session form of the package-level BuildPool: identical

@@ -5,11 +5,14 @@ package selection
 // not allocate.
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"photodtn/internal/coverage"
 	"photodtn/internal/metadata"
 	"photodtn/internal/model"
+	"photodtn/internal/obs"
 )
 
 // TestGreedyFillSessionReuseMatchesFresh pins selections bit-identical
@@ -148,6 +151,95 @@ func TestSessionGreedyFillAllocs(t *testing.T) {
 	n := testing.AllocsPerRun(10, func() { run() })
 	if n > 1 {
 		t.Fatalf("warmed session selection phase allocates %.1f times, want ≤ 1", n)
+	}
+}
+
+// TestExtendMatchesFreshEvaluator pins phase 2 of Reallocate: extending
+// phase 1's evaluator with the first node must give exactly — with ==, not
+// within an epsilon — what a fresh evaluator over the extended background
+// gives: the scenario count, Expected, every pool gain and the greedy
+// selection. Cases cover a first node that is dropped (P = 0), one that
+// joins the live set (P = 0.3) and one that joins the base (P = 1, where
+// extend must refuse), an empty first selection, a live count that crosses
+// ExactLimit, and one session reused across alternating sampling seeds.
+func TestExtendMatchesFreshEvaluator(t *testing.T) {
+	sc := benchScales()[0] // four live background nodes
+	m, ccFPs, bg, pool := benchInstance(t, sc)
+	fpc := coverage.NewFootprintCache(m)
+	bg = slices.Clip(bg)
+	configs := []Config{
+		{ExactLimit: 5, Samples: 24, Seed: 1}, // exact in both phases
+		{ExactLimit: 4, Samples: 20, Seed: 2}, // exact, then sampled
+		{ExactLimit: 2, Samples: 24, Seed: 3}, // sampled in both phases
+	}
+	cap1 := int64(len(pool)/3) * (4 << 20)
+	cap2 := int64(len(pool)/4) * (4 << 20)
+	s := NewSession()
+	for round := 0; round < 2; round++ {
+		for _, cfg := range configs {
+			for _, p := range []float64{0, 0.3, 1} {
+				for _, empty := range []bool{false, true} {
+					label := fmt.Sprintf("round %d seed %d P %v empty %v", round, cfg.Seed, p, empty)
+					reg := obs.NewRegistry()
+					metered := cfg
+					metered.Metrics = Metrics{Evaluators: reg.Counter("ev"), Scenarios: reg.Histogram("sc")}
+
+					fresh1 := NewEvaluator(m, cfg, ccFPs, bg)
+					scen1 := fresh1.Scenarios()
+					want1 := GreedyFill(fresh1, pool, cap1)
+					fresh1.Release()
+					ev := s.evaluator(m, metered, ccFPs, bg)
+					sel1 := GreedyFill(ev, pool, cap1)
+					if len(want1) == 0 {
+						t.Fatalf("%s: phase 1 selected nothing", label)
+					}
+					assertSameSelection(t, label+" phase 1", want1, sel1)
+
+					var firstSel model.PhotoList
+					if !empty {
+						firstSel = sel1
+					}
+					node := bgNode{p: p, fps: footprintsOf(fpc, firstSel)}
+					before := ev.Expected()
+					extended := ev.extend(metered, node)
+					bg2 := append(bg, node)
+					if !extended {
+						if ev.Expected() != before {
+							t.Fatalf("%s: a refused extend changed the evaluator", label)
+						}
+						ev = s.evaluator(m, metered, ccFPs, bg2)
+					}
+					if got := reg.Counter("ev").Value(); got != 2 {
+						t.Fatalf("%s: %d evaluators counted, want one per phase", label, got)
+					}
+
+					fresh := NewEvaluator(m, cfg, ccFPs, bg2)
+					if got, want := ev.Scenarios(), fresh.Scenarios(); got != want {
+						t.Fatalf("%s: %d scenarios, fresh %d", label, got, want)
+					}
+					if h := reg.Histogram("sc"); h.Count() != 2 || h.Sum() != float64(scen1+fresh.Scenarios()) {
+						t.Fatalf("%s: scenario histogram count %d sum %v, want one observation per phase", label, h.Count(), h.Sum())
+					}
+					if got, want := ev.Expected(), fresh.Expected(); got != want {
+						t.Fatalf("%s: Expected = %+v, fresh %+v", label, got, want)
+					}
+					for i, it := range pool {
+						if got, want := ev.Gain(it.FP), fresh.Gain(it.FP); got != want {
+							t.Fatalf("%s: pool item %d gain = %+v, fresh %+v", label, i, got, want)
+						}
+					}
+					want2 := GreedyFill(fresh, pool, cap2)
+					assertSameSelection(t, label+" phase 2", want2, GreedyFill(ev, pool, cap2))
+					if got, want := ev.Expected(), fresh.Expected(); got != want {
+						t.Fatalf("%s: Expected after phase 2 = %+v, fresh %+v", label, got, want)
+					}
+					fresh.Release()
+					if joinsBase := !empty && p >= 1; extended == joinsBase {
+						t.Fatalf("%s: extend returned %v for a node that joins the base: %v", label, extended, joinsBase)
+					}
+				}
+			}
+		}
 	}
 }
 
