@@ -69,13 +69,6 @@ func WithFrameTimeout(d time.Duration) Option {
 	return optionFunc(func(p *Peer) { p.frameTimeout = d })
 }
 
-// WithContactTimeout bounds the whole contact with an absolute deadline,
-// mirroring the finite contact duration of the DTN model. Zero (the
-// default) means only per-frame deadlines apply.
-func WithContactTimeout(d time.Duration) Option {
-	return optionFunc(func(p *Peer) { p.contactTimeout = d })
-}
-
 // WithRetry configures Contact's capped exponential backoff for transient
 // dial and IO failures: at most attempts tries, sleeping base, 2*base, ...
 // capped at max between them. attempts <= 1 disables retrying.
@@ -134,66 +127,34 @@ type deadliner interface {
 	SetWriteDeadline(t time.Time) error
 }
 
-// timedConn enforces a per-frame timeout and an absolute contact deadline
-// by refreshing the connection deadline before every read and write. It
-// translates deadline errors to ErrTimeout so callers can classify them.
+// timedConn enforces a per-frame timeout by refreshing the connection
+// deadline before every read and write. It translates deadline errors to
+// ErrTimeout so callers can classify them.
 type timedConn struct {
 	rw    io.ReadWriter
 	dl    deadliner
 	frame time.Duration
-	until time.Time // absolute contact deadline; zero = none
 }
 
 // newTimedConn wraps rw with deadline enforcement. Transports without
 // deadline support (plain io.ReadWriter pairs) are returned unchanged —
 // the minimal protection degrades gracefully rather than failing.
-func newTimedConn(rw io.ReadWriter, frame, contact time.Duration) io.ReadWriter {
+func newTimedConn(rw io.ReadWriter, frame time.Duration) io.ReadWriter {
 	dl, ok := rw.(deadliner)
-	if !ok || (frame <= 0 && contact <= 0) {
+	if !ok || frame <= 0 {
 		return rw
 	}
-	tc := &timedConn{rw: rw, dl: dl, frame: frame}
-	if contact > 0 {
-		tc.until = time.Now().Add(contact)
-	}
-	return tc
-}
-
-// next computes the effective deadline for the next IO operation: the
-// sooner of now+frame and the absolute contact deadline. It fails fast
-// once the contact deadline has already passed.
-func (c *timedConn) next() (time.Time, error) {
-	var d time.Time
-	if c.frame > 0 {
-		d = time.Now().Add(c.frame)
-	}
-	if !c.until.IsZero() {
-		if !time.Now().Before(c.until) {
-			return time.Time{}, fmt.Errorf("%w: contact deadline passed", ErrTimeout)
-		}
-		if d.IsZero() || c.until.Before(d) {
-			d = c.until
-		}
-	}
-	return d, nil
+	return &timedConn{rw: rw, dl: dl, frame: frame}
 }
 
 func (c *timedConn) Read(b []byte) (int, error) {
-	d, err := c.next()
-	if err != nil {
-		return 0, err
-	}
-	_ = c.dl.SetReadDeadline(d)
+	_ = c.dl.SetReadDeadline(time.Now().Add(c.frame))
 	n, err := c.rw.Read(b)
 	return n, timeoutErr(err)
 }
 
 func (c *timedConn) Write(b []byte) (int, error) {
-	d, err := c.next()
-	if err != nil {
-		return 0, err
-	}
-	_ = c.dl.SetWriteDeadline(d)
+	_ = c.dl.SetWriteDeadline(time.Now().Add(c.frame))
 	n, err := c.rw.Write(b)
 	return n, timeoutErr(err)
 }

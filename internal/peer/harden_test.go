@@ -89,24 +89,6 @@ func TestStalledRemoteNeverReads(t *testing.T) {
 	}
 }
 
-// TestContactDeadline: with per-frame deadlines off, the absolute contact
-// timeout still bounds the contact (the live equivalent of nodes moving
-// out of range).
-func TestContactDeadline(t *testing.T) {
-	a := newTestPeer(t, 1, poiMap(), 8*mb,
-		WithFrameTimeout(0), WithContactTimeout(100*time.Millisecond))
-	ca, cb := net.Pipe()
-	defer func() { _ = ca.Close(); _ = cb.Close() }()
-	done := make(chan error, 1)
-	go func() { done <- a.ContactConn(ca, true) }()
-	if _, err := wire.Read(cb); err != nil {
-		t.Fatal(err)
-	}
-	if err := waitErr(t, done, 5*time.Second); !errors.Is(err, ErrTimeout) {
-		t.Fatalf("err = %v, want ErrTimeout", err)
-	}
-}
-
 // TestCorruptingRemoteAbortsContact: frames mangled in flight (simulated
 // with the faults transport at corruption probability 1) fail the wire
 // checksum and end the contact cleanly.

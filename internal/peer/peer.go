@@ -80,16 +80,6 @@ func WithClock(clock func() float64) Option {
 	return optionFunc(func(p *Peer) { p.clock = clock })
 }
 
-// WithSelectionConfig overrides the expected-coverage evaluation settings.
-func WithSelectionConfig(cfg selection.Config) Option {
-	return optionFunc(func(p *Peer) { p.selCfg = cfg })
-}
-
-// WithPthld overrides the metadata validity threshold.
-func WithPthld(v float64) Option {
-	return optionFunc(func(p *Peer) { p.pthld = v })
-}
-
 // WithPayloadBytes makes every photo transfer carry n synthetic payload
 // bytes (stand-ins for image files); 0 sends metadata only.
 func WithPayloadBytes(n int) Option {
@@ -229,13 +219,12 @@ type Peer struct {
 	start   time.Time
 
 	// Hardening knobs (see harden.go).
-	frameTimeout   time.Duration
-	contactTimeout time.Duration
-	retryAttempts  int
-	retryBase      time.Duration
-	retryMax       time.Duration
-	dial           func(ctx context.Context, addr string) (net.Conn, error)
-	sleep          func(time.Duration)
+	frameTimeout  time.Duration
+	retryAttempts int
+	retryBase     time.Duration
+	retryMax      time.Duration
+	dial          func(ctx context.Context, addr string) (net.Conn, error)
+	sleep         func(time.Duration)
 
 	errMu          sync.Mutex
 	contactErrs    int64
@@ -620,14 +609,13 @@ func (p *Peer) wait(ctx context.Context, d time.Duration) error {
 
 // ContactConn runs one contact over an established connection. When the
 // transport supports deadlines (net.Conn does), every frame read/write is
-// bounded by the frame timeout and the whole contact by the contact
-// timeout, so a stalled remote ends the contact with ErrTimeout instead of
-// hanging. Any mid-contact failure aborts gracefully: unfinished transfers
+// bounded by the frame timeout, so a stalled remote ends the contact with
+// ErrTimeout instead of hanging. Any mid-contact failure aborts gracefully: unfinished transfers
 // are discarded and the peer's storage and metadata caches stay exactly as
 // the last committed session left them — an aborted session leaves no
 // partial state, in memory or on disk.
 func (p *Peer) ContactConn(conn io.ReadWriter, initiator bool) error {
-	conn = newTimedConn(conn, p.frameTimeout, p.contactTimeout)
+	conn = newTimedConn(conn, p.frameTimeout)
 	if err := p.runContact(conn, initiator); err != nil {
 		return fmt.Errorf("peer %v: contact aborted: %w", p.id, err)
 	}

@@ -10,7 +10,6 @@ import (
 	"photodtn/internal/coverage"
 	"photodtn/internal/geo"
 	"photodtn/internal/model"
-	"photodtn/internal/selection"
 	"photodtn/internal/wire"
 )
 
@@ -273,14 +272,6 @@ func TestAddPhotoCapacity(t *testing.T) {
 	}
 	if err := n.AddPhoto(viewFrom(1, 1, 90)); err == nil {
 		t.Fatal("expected capacity error")
-	}
-}
-
-func TestWithSelectionConfig(t *testing.T) {
-	cfg := selection.Config{ExactLimit: 2, Samples: 8}
-	n := New(1, poiMap(), 4*mb, WithSelectionConfig(cfg), WithSeed(1), fixedClock(0))
-	if n.selCfg.ExactLimit != 2 || n.selCfg.Samples != 8 {
-		t.Fatal("selection config not applied")
 	}
 }
 

@@ -31,8 +31,8 @@
 // set those hooks themselves too, so they are plumbing, not aliases. The
 // selection Config.Metrics field only takes effect for direct selection
 // calls: the framework scheme and live peers overwrite it with their own
-// observer's metrics, so a value set through FrameworkConfig.Selection or
-// WithSelectionConfig is dropped.
+// observer's metrics, so a value set through FrameworkConfig.Selection is
+// dropped.
 //
 // Long-running entry points have context-aware forms — RunSimulationContext,
 // Peer.DialContext, Peer.ServeContext — and experiment harnesses run on a
@@ -383,12 +383,8 @@ var (
 	WithClock = peer.WithClock
 	// WithSeed fixes a peer's nonce stream.
 	WithSeed = peer.WithSeed
-	// WithPthld overrides a peer's metadata validity threshold.
-	WithPthld = peer.WithPthld
 	// WithPayloadBytes sizes the synthetic image payloads on the wire.
 	WithPayloadBytes = peer.WithPayloadBytes
-	// WithSelectionConfig overrides a peer's evaluation settings.
-	WithSelectionConfig = peer.WithSelectionConfig
 	// WithJournal makes a peer durable: its state journals to the directory
 	// and survives restarts (OpenPeer is the error-reporting form).
 	WithJournal = peer.WithJournal
