@@ -64,6 +64,12 @@ const (
 	// then sends a MetaSummary where the honest side expects a Chunk — a
 	// frame from the wrong round inside a transfer leg.
 	ByzTransferDesync
+	// ByzLyingDelivered claims in a well-formed summary that its ack
+	// ledger holds every photo any world it is dropped into has minted, so
+	// the honest node sends its command-center entry without photos; it
+	// then completes the metadata round and walks away. Like
+	// ByzLyingSummary it trips no check and can only starve the liar.
+	ByzLyingDelivered
 
 	numByzStrategies
 )
@@ -102,6 +108,8 @@ func (s ByzStrategy) String() string {
 		return "replayed-round"
 	case ByzTransferDesync:
 		return "transfer-desync"
+	case ByzLyingDelivered:
+		return "lying-delivered"
 	default:
 		return fmt.Sprintf("ByzStrategy(%d)", int(s))
 	}
@@ -171,7 +179,9 @@ func (b *ByzantinePeer) Contact(conn io.ReadWriter) error {
 		// A plan-phase message where the metadata round is due.
 		return wire.Write(conn, wire.PhotoRequest{IDs: []model.PhotoID{1}})
 	case ByzLyingSummary:
-		return b.lyingSummary(conn, math.Max(hello.Time, theirs.Time))
+		return b.lie(conn, lyingStamps(math.Max(hello.Time, theirs.Time)))
+	case ByzLyingDelivered:
+		return b.lie(conn, wire.MetaSummary{Delivered: lyingDelivered()})
 	case ByzMalformedSummary:
 		return wire.Write(conn, wire.MetaSummary{Entries: []metadata.Stamp{
 			{Node: b.Node + 1, Timestamp: b.Time}, {Node: b.Node + 1, Timestamp: b.Time - 1},
@@ -241,16 +251,40 @@ func (b *ByzantinePeer) summarise(conn io.ReadWriter, sum wire.MetaSummary) erro
 // world the adversary is dropped into has.
 const lieNodes = 1024
 
-// lyingSummary claims a snapshot of every node stamped at the session time,
-// sends its own collection, reads the honest metadata and leaves. Its
-// error reports any gossip entry the honest side sent despite the claim;
-// the command center's entry always goes, as no stamp covers a union.
-func (b *ByzantinePeer) lyingSummary(conn io.ReadWriter, session float64) error {
+// lyingStamps claims a snapshot of every node stamped at the session time.
+func lyingStamps(session float64) wire.MetaSummary {
 	lie := wire.MetaSummary{Entries: make([]metadata.Stamp, lieNodes)}
 	for i := range lie.Entries {
 		lie.Entries[i] = metadata.Stamp{Node: model.NodeID(i + 1), Timestamp: session}
 	}
-	if err := b.summarise(conn, lie); err != nil {
+	return lie
+}
+
+// lieOwners and lieSeqs bound the photo IDs the lying ledger claims: the
+// first lieSeqs photos of each of nodes 1 to lieOwners, 65,536 IDs in all,
+// the guard's default cap on one entry's photos.
+const lieOwners, lieSeqs = 256, 256
+
+// lyingDelivered claims, in increasing order, every photo ID that nodes 1
+// to lieOwners mint in their first lieSeqs captures.
+func lyingDelivered() []model.PhotoID {
+	ids := make([]model.PhotoID, 0, lieOwners*lieSeqs)
+	for owner := model.NodeID(1); owner <= lieOwners; owner++ {
+		for seq := uint32(0); seq < lieSeqs; seq++ {
+			ids = append(ids, model.MakePhotoID(owner, seq))
+		}
+	}
+	return ids
+}
+
+// lie sends the lying summary sum and its own collection, reads the honest
+// metadata and leaves. Its error reports any gossip the honest side sent
+// despite the lie: a non-command-center entry past a claim of every node,
+// or a ledger photo past a claim of every photo. The command center's entry
+// itself always goes, as no stamp covers a union and its header carries
+// the stamp.
+func (b *ByzantinePeer) lie(conn io.ReadWriter, sum wire.MetaSummary) error {
+	if err := b.summarise(conn, sum); err != nil {
 		return err
 	}
 	if err := wire.Write(conn, wire.Metadata{Entries: []metadata.Entry{b.entry(0)}}); err != nil {
@@ -262,8 +296,11 @@ func (b *ByzantinePeer) lyingSummary(conn io.ReadWriter, session float64) error 
 	}
 	md, _ := msg.(wire.Metadata)
 	for _, e := range md.Entries[min(1, len(md.Entries)):] {
-		if !e.Node.IsCommandCenter() {
+		switch {
+		case !e.Node.IsCommandCenter() && len(sum.Entries) > 0:
 			return fmt.Errorf("honest side sent node %v's entry past the lie", e.Node)
+		case e.Node.IsCommandCenter() && len(sum.Delivered) > 0 && len(e.Photos) > 0:
+			return fmt.Errorf("honest side sent %d ledger photos past the lie", len(e.Photos))
 		}
 	}
 	return nil

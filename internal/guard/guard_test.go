@@ -353,10 +353,20 @@ func TestCheckMetadata(t *testing.T) {
 }
 
 func TestCheckMetaSummary(t *testing.T) {
-	c := Config{MaxMetaEntries: 2}.WithDefaults()
+	c := Config{MaxMetaEntries: 2, MaxPhotosPerEntry: 3}.WithDefaults()
 	sum := func(pairs ...metadata.Stamp) wire.MetaSummary { return wire.MetaSummary{Entries: pairs} }
+	delivered := func(n int) wire.MetaSummary {
+		s := wire.MetaSummary{Delivered: make([]model.PhotoID, n)}
+		for i := range s.Delivered {
+			s.Delivered[i] = model.MakePhotoID(2, uint32(i))
+		}
+		return s
+	}
 	if v := c.CheckMetaSummary(sum(metadata.Stamp{Node: 1, Timestamp: -1e9}, metadata.Stamp{Node: 5, Timestamp: 1000}), 1000); v != nil {
 		t.Fatalf("honest summary rejected: %v", v)
+	}
+	if v := c.CheckMetaSummary(delivered(c.MaxPhotosPerEntry), 1000); v != nil {
+		t.Fatalf("summary with a full ledger rejected: %v", v)
 	}
 	if v := c.CheckMetaSummary(sum(), 1000); v != nil {
 		t.Fatalf("empty summary rejected: %v", v)
@@ -372,6 +382,7 @@ func TestCheckMetaSummary(t *testing.T) {
 		{"far-future stamp", sum(metadata.Stamp{Node: 1, Timestamp: 1000 + c.MaxClockSkew + 1}), ReasonBadTimestamp},
 		{"NaN stamp", sum(metadata.Stamp{Node: 1, Timestamp: math.NaN()}), ReasonBadTimestamp},
 		{"infinite stamp", sum(metadata.Stamp{Node: 1, Timestamp: math.Inf(-1)}), ReasonBadTimestamp},
+		{"too many delivered", delivered(c.MaxPhotosPerEntry + 1), ReasonOversized},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -107,13 +107,18 @@ func (c Config) CheckMetadata(md wire.Metadata, session float64) *Violation {
 // CheckMetaSummary validates a metadata summary against the session clock,
 // under the bounds CheckMetadata applies to the entries it stands for: at
 // most MaxMetaEntries pairs, each node at most once (the wire decoder
-// already enforces ascending order, so a repeat is a replayed pair), and
-// finite stamps no further in the future than the skew allowance. A summary
-// only decides what the remote is sent, so a lie within these bounds costs
-// the liar its own updates and nothing else.
+// already enforces ascending order, so a repeat is a replayed pair), finite
+// stamps no further in the future than the skew allowance, and at most
+// MaxPhotosPerEntry delivered IDs, the cap on the command-center entry they
+// describe (the decoder already rejects a repeated ID). A summary only
+// decides what the remote is sent, so a lie within these bounds costs the
+// liar its own updates and nothing else.
 func (c Config) CheckMetaSummary(s wire.MetaSummary, session float64) *Violation {
 	if len(s.Entries) > c.MaxMetaEntries {
 		return violationf(ReasonOversized, "%d summary entries, cap %d", len(s.Entries), c.MaxMetaEntries)
+	}
+	if len(s.Delivered) > c.MaxPhotosPerEntry {
+		return violationf(ReasonOversized, "summary lists %d delivered photos, cap %d", len(s.Delivered), c.MaxPhotosPerEntry)
 	}
 	for i, e := range s.Entries {
 		if i > 0 && e.Node <= s.Entries[i-1].Node {

@@ -411,7 +411,8 @@ func (c *Cache) Summary() []Stamp {
 // owner, which never caches itself, or e is a non-command-center entry
 // stamped no later than the one owner holds for that node. A
 // command-center entry is always novel, because its merge is a union that
-// the stamp says nothing about.
+// the stamp says nothing about; Lacking trims it to the photos owner
+// lacks instead.
 func Novel(e Entry, owner model.NodeID, sum []Stamp) bool {
 	if e.Node == owner {
 		return false
@@ -423,16 +424,47 @@ func Novel(e Entry, owner model.NodeID, sum []Stamp) bool {
 	return i == len(sum) || sum[i].Node != e.Node || e.Timestamp > sum[i].Timestamp
 }
 
-// Delivered returns the set of photo IDs known to have reached the command
-// center — the acknowledgement view of §III-B.
-func (c *Cache) Delivered() map[model.PhotoID]bool {
+// Delivered returns the IDs of the photos known to have reached the
+// command center — the acknowledgement view of §III-B — sorted and without
+// repeats, or nil when the cache holds no command-center entry.
+func (c *Cache) Delivered() []model.PhotoID {
 	e, ok := c.entries[model.CommandCenter]
 	if !ok {
 		return nil
 	}
-	out := make(map[model.PhotoID]bool, len(e.Photos))
-	for _, p := range e.Photos {
-		out[p.ID] = true
+	out := make([]model.PhotoID, len(e.Photos))
+	for i, p := range e.Photos {
+		out[i] = p.ID
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// Lacking returns the photos of a command-center entry whose IDs are not
+// in delivered, a strictly increasing ID list (a receiver's Delivered), in
+// list order. It returns photos itself when none is delivered.
+//
+// Putting the trimmed entry changes a cache exactly as putting the whole
+// one does, provided the cache's command-center entry still holds every
+// photo of delivered. A merge appends the incoming photos its stored list
+// lacks, in incoming order, and takes the later stamp, so the photos
+// Lacking drops are the ones the merge would skip. The entry only grows:
+// eviction and staleness never remove it. A first Put, where no entry is
+// stored, has an empty delivered list and so gets the whole list.
+func Lacking(photos model.PhotoList, delivered []model.PhotoID) model.PhotoList {
+	held := func(p model.Photo) bool {
+		_, ok := slices.BinarySearch(delivered, p.ID)
+		return ok
+	}
+	first := slices.IndexFunc(photos, held)
+	if first < 0 {
+		return photos
+	}
+	out := slices.Clip(photos[:first])
+	for _, p := range photos[first+1:] {
+		if !held(p) {
+			out = append(out, p)
+		}
 	}
 	return out
 }

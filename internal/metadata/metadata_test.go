@@ -2,6 +2,7 @@ package metadata
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -137,8 +138,7 @@ func TestCommandCenterUnion(t *testing.T) {
 	if e.Timestamp != 10 {
 		t.Fatalf("CC timestamp = %v, want max", e.Timestamp)
 	}
-	del := c.Delivered()
-	if !del[model.MakePhotoID(2, 0)] || !del[model.MakePhotoID(3, 0)] {
+	if del := c.Delivered(); !slices.Equal(del, []model.PhotoID{model.MakePhotoID(2, 0), model.MakePhotoID(3, 0)}) {
 		t.Fatalf("Delivered = %v", del)
 	}
 }
@@ -210,7 +210,7 @@ func TestMergeFrom(t *testing.T) {
 	if _, ok := a.Get(1); ok {
 		t.Fatal("cache stored its own node via merge")
 	}
-	if del := a.Delivered(); !del[model.MakePhotoID(9, 0)] || !del[model.MakePhotoID(8, 0)] {
+	if del := a.Delivered(); !slices.Equal(del, []model.PhotoID{model.MakePhotoID(8, 0), model.MakePhotoID(9, 0)}) {
 		t.Fatalf("CC ACKs not unioned: %v", del)
 	}
 	a.MergeFrom(nil) // must not panic

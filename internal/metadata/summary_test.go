@@ -2,7 +2,9 @@ package metadata
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"photodtn/internal/model"
@@ -167,5 +169,106 @@ func TestNovelRules(t *testing.T) {
 	}
 	if Novel(Entry{Node: model.CommandCenter}, model.CommandCenter, nil) {
 		t.Fatal("the command center's own entry is novel to the command center")
+	}
+}
+
+// TestLackingPutMatchesWholePut is the oracle for the ack-ledger delta: a
+// command-center entry trimmed by Lacking against a receiver's Delivered
+// must leave the same cache as the whole entry, both in the cache the
+// summary described (a) and in any cache whose ledger has since grown by
+// union (a′ ⊇ a), as a concurrent commit's would. The incoming list b has
+// repeats and conflicting photos under one ID; a is absent, empty or
+// generated, with or without its merge index already built. Order, stamp,
+// λ and p, byte account and the command-center index must all agree.
+func TestLackingPutMatchesWholePut(t *testing.T) {
+	const owner = model.NodeID(3)
+	trimmed := 0
+	for seed := int64(1); seed <= 2000; seed++ {
+		g := &gossipGen{rng: rand.New(rand.NewSource(seed)), nodes: 8, now: 1000}
+		ccEntry := func() Entry {
+			return Entry{Node: model.CommandCenter, Lambda: g.rng.Float64(), P: g.rng.Float64(),
+				Timestamp: g.now - g.rng.Float64()*200, Photos: g.photos(12)}
+		}
+		// ops builds a; grow turns it into a′. Replaying them into fresh
+		// caches gives twins whose merge indexes are built alike.
+		var ops []Entry
+		switch g.rng.Intn(3) {
+		case 0: // no command-center entry
+		case 1:
+			ops = append(ops, Entry{Node: model.CommandCenter, Timestamp: g.now - 300})
+		default:
+			for i := 1 + g.rng.Intn(3); i > 0; i-- {
+				ops = append(ops, ccEntry())
+			}
+		}
+		for i := g.rng.Intn(3); i > 0; i-- {
+			ops = append(ops, g.entry())
+		}
+		grow := ops[:len(ops):len(ops)]
+		for i := g.rng.Intn(3); i > 0; i-- {
+			grow = append(grow, ccEntry())
+		}
+		replay := func(ops []Entry) *Cache {
+			c := NewCache(owner, 0.8)
+			for _, e := range ops {
+				c.Put(e)
+			}
+			return c
+		}
+		// b mixes fresh photos, repeats and photos a already holds.
+		a := replay(ops)
+		held, _ := a.Get(model.CommandCenter)
+		b := ccEntry()
+		for i := g.rng.Intn(5); i > 0; i-- {
+			from := b.Photos
+			if len(held.Photos) > 0 && g.rng.Intn(2) == 0 {
+				from = held.Photos
+			}
+			if len(from) > 0 {
+				at := g.rng.Intn(len(b.Photos) + 1)
+				b.Photos = slices.Insert(b.Photos, at, from[g.rng.Intn(len(from))])
+			}
+		}
+		delta := b
+		delta.Photos = Lacking(b.Photos, a.Delivered())
+		if len(delta.Photos) < len(b.Photos) {
+			trimmed++
+		}
+		for _, target := range [][]Entry{ops, grow} {
+			whole, part := replay(target), replay(target)
+			whole.Put(b)
+			part.Put(delta)
+			if err := entriesEqual(part.Entries(), whole.Entries()); err != nil {
+				t.Fatalf("seed %d (%d ops): trimmed put %v", seed, len(target), err)
+			}
+			if part.Bytes() != whole.Bytes() {
+				t.Fatalf("seed %d: trimmed put accounts %d bytes, whole put %d", seed, part.Bytes(), whole.Bytes())
+			}
+			if !maps.Equal(part.ccIndex, whole.ccIndex) || (part.ccIndex == nil) != (whole.ccIndex == nil) {
+				t.Fatalf("seed %d: trimmed put index %v, whole put %v", seed, part.ccIndex, whole.ccIndex)
+			}
+		}
+	}
+	if trimmed < 500 {
+		t.Fatalf("only %d of 2000 cases trimmed a photo; the generator misses the delta", trimmed)
+	}
+}
+
+// TestLackingKeepsListOrder pins Lacking on its own: the photos whose IDs
+// the sorted delivered list lacks, repeats included, in list order, and the
+// list itself when nothing is delivered.
+func TestLackingKeepsListOrder(t *testing.T) {
+	p := func(seq uint32) model.Photo { return photoOf(2, seq) }
+	list := model.PhotoList{p(5), p(1), p(7), p(1), p(3), p(9)}
+	delivered := []model.PhotoID{p(1).ID, p(4).ID, p(9).ID}
+	want := model.PhotoList{p(5), p(7), p(3)}
+	if got := Lacking(list, delivered); !slices.Equal(got, want) {
+		t.Fatalf("Lacking = %v, want %v", got, want)
+	}
+	if got := Lacking(list, nil); &got[0] != &list[0] || len(got) != len(list) {
+		t.Fatal("Lacking with nothing delivered copied the list")
+	}
+	if got := Lacking(list[1:2], delivered); len(got) != 0 {
+		t.Fatalf("Lacking of a delivered photo = %v, want none", got)
 	}
 }

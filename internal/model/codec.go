@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // photoWireSize is the fixed encoded size of a Photo: 8 (id) + 4 (owner) +
@@ -90,8 +91,9 @@ func (p *Photo) UnmarshalBinary(data []byte) error {
 }
 
 // AppendBinary appends the binary encoding of the list (a count prefix then
-// each photo) to dst.
+// each photo) to dst. It grows dst once, to the list's exact encoded size.
 func (l PhotoList) AppendBinary(dst []byte) []byte {
+	dst = slices.Grow(dst, 4+len(l)*photoWireSize)
 	var n [4]byte
 	binary.LittleEndian.PutUint32(n[:], uint32(len(l)))
 	dst = append(dst, n[:]...)

@@ -89,15 +89,15 @@ func byzBaseline(t *testing.T, opts ...Option) (uint64, []model.PhotoID) {
 // StateDigest stays at the pre-attack value, and a subsequent honest upload
 // delivers exactly the adversary-free photo set, with no duplicates.
 //
-// Two strategies trip no check: a flood is shed by rate limits rather than
-// validation, and a lying summary is well-formed — it only costs the liar
-// the gossip it claimed to hold.
+// Three strategies trip no check: a flood is shed by rate limits rather
+// than validation, and the two lying summaries are well-formed — they only
+// cost the liar the gossip they claimed it holds.
 func TestByzantineSweep(t *testing.T) {
 	wantDigest, wantIDs := byzBaseline(t, byzGuardOpts()...)
 	for _, strat := range faults.ByzStrategies() {
 		for _, loss := range []float64{0, 0.3} {
 			strat, loss := strat, loss
-			violates := strat != faults.ByzFlood && strat != faults.ByzLyingSummary
+			violates := strat != faults.ByzFlood && strat != faults.ByzLyingSummary && strat != faults.ByzLyingDelivered
 			t.Run(fmt.Sprintf("%v/loss=%v", strat, loss), func(t *testing.T) {
 				v, cc := byzFixture(t, byzGuardOpts()...)
 				pre := v.StateDigest()
@@ -488,11 +488,15 @@ func TestByzantineStrategyReasons(t *testing.T) {
 	}
 }
 
-// TestLyingSummaryStarvesOnlyTheLiar: an adversary claiming every node at
-// the session time gets the honest node's self entry and the command
-// center's (a union no stamp covers) and nothing else, trips no check, and
-// leaves the honest node's state where it was.
-func TestLyingSummaryStarvesOnlyTheLiar(t *testing.T) {
+// lieToHonest runs one contact of a lying adversary against a guarded
+// node that has uploaded to the command center and learned a third node's
+// snapshot. It requires the adversary's own view to find nothing sent past
+// the lie, the honest side to abort without a violation, and the honest
+// state not to move. It returns how far a named counter of the honest node
+// moved during the contact, and the node's valid entries and ledger photos
+// going in.
+func lieToHonest(t *testing.T, strat faults.ByzStrategy) (moved func(counter string) int64, valid, ledger int) {
+	t.Helper()
 	o := obs.New(0, nil)
 	v, cc := byzFixture(t, append(byzGuardOpts(), WithObserver(o))...)
 	third := newTestPeer(t, 2, poiMap(), 64*mb, byzGuardOpts()...)
@@ -501,18 +505,22 @@ func TestLyingSummaryStarvesOnlyTheLiar(t *testing.T) {
 	}
 	contact(t, v, cc)
 	contact(t, third, v)
-	valid := len(v.cache.ValidEntries(1000))
-	if valid < 2 {
-		t.Fatalf("fixture caches %d valid entries, want the command center and node 2", valid)
+	valid = len(v.cache.ValidEntries(1000))
+	ccEntry, _ := v.cache.Get(model.CommandCenter)
+	ledger = len(ccEntry.Photos)
+	if valid < 2 || ledger == 0 {
+		t.Fatalf("fixture caches %d valid entries and %d ledger photos, want the command center with photos and node 2", valid, ledger)
 	}
-	sent0 := o.Counter("metadata.entries_sent").Value()
-	withheld0 := o.Counter("metadata.entries_withheld").Value()
+	before := make(map[string]int64)
+	for _, name := range []string{"metadata.entries_sent", "metadata.entries_withheld", "metadata.ack_photos_withheld"} {
+		before[name] = o.Counter(name).Value()
+	}
 	pre := v.StateDigest()
 
 	ca, cb := net.Pipe()
 	advErr := make(chan error, 1)
 	go func() {
-		advErr <- (&faults.ByzantinePeer{Node: byzNode, Strategy: faults.ByzLyingSummary, Time: 1000, Seed: 9}).Contact(ca)
+		advErr <- (&faults.ByzantinePeer{Node: byzNode, Strategy: strat, Time: 1000, Seed: 9}).Contact(ca)
 	}()
 	err := v.ContactConn(cb, false)
 	_ = cb.Close()
@@ -524,9 +532,32 @@ func TestLyingSummaryStarvesOnlyTheLiar(t *testing.T) {
 		t.Fatalf("honest side err = %v, want an abort that is no violation", err)
 	}
 	if got := v.StateDigest(); got != pre {
-		t.Fatalf("lying summary moved honest state: digest %x, want %x", got, pre)
+		t.Fatalf("%v moved honest state: digest %x, want %x", strat, got, pre)
 	}
-	if s, w := o.Counter("metadata.entries_sent").Value()-sent0, o.Counter("metadata.entries_withheld").Value()-withheld0; s != 2 || w != int64(valid-1) {
+	return func(counter string) int64 { return o.Counter(counter).Value() - before[counter] }, valid, ledger
+}
+
+// TestLyingSummaryStarvesOnlyTheLiar: an adversary claiming every node at
+// the session time gets the honest node's self entry and the command
+// center's (a union no stamp covers) and nothing else, trips no check, and
+// leaves the honest node's state where it was.
+func TestLyingSummaryStarvesOnlyTheLiar(t *testing.T) {
+	moved, valid, _ := lieToHonest(t, faults.ByzLyingSummary)
+	if s, w := moved("metadata.entries_sent"), moved("metadata.entries_withheld"); s != 2 || w != int64(valid-1) {
 		t.Fatalf("sent %d, withheld %d; want the self and command-center entries and the other %d withheld", s, w, valid-1)
+	}
+}
+
+// TestLyingDeliveredStarvesOnlyTheLiar: an adversary claiming an ack ledger
+// of every photo gets the honest node's command-center entry as a bare
+// header, every ledger photo counted withheld, trips no check, and leaves
+// the honest node's state where it was.
+func TestLyingDeliveredStarvesOnlyTheLiar(t *testing.T) {
+	moved, valid, ledger := lieToHonest(t, faults.ByzLyingDelivered)
+	if s := moved("metadata.entries_sent"); s != int64(valid)+1 {
+		t.Fatalf("sent %d entries, want every valid entry and the self entry (%d)", s, valid+1)
+	}
+	if w := moved("metadata.ack_photos_withheld"); w != int64(ledger) {
+		t.Fatalf("withheld %d ledger photos, want all %d", w, ledger)
 	}
 }

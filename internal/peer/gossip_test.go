@@ -98,11 +98,38 @@ func TestGossipScheduleDigestsGolden(t *testing.T) {
 	}
 }
 
+// ledgerOffer returns the ack-ledger photos p offers remote on a contact
+// between them: the command center's own collection, or p's cached
+// command-center entry unless remote is the command center; and how many of
+// those photos remote's ledger lacks.
+func ledgerOffer(p, remote *Peer) (offered, lacking int) {
+	var photos model.PhotoList
+	switch {
+	case p.ID().IsCommandCenter():
+		photos = p.store.List()
+	case !remote.ID().IsCommandCenter():
+		e, _ := p.cache.Get(model.CommandCenter)
+		photos = e.Photos
+	}
+	held := make(map[model.PhotoID]bool)
+	for _, id := range remote.cache.Delivered() {
+		held[id] = true
+	}
+	for _, photo := range photos {
+		if !held[photo.ID] {
+			lacking++
+		}
+	}
+	return len(photos), lacking
+}
+
 // TestGossipCountersAccountForEveryEntry pins the metadata counters on
 // every contact of the schedule, for each side: the entries it sent plus
 // those it withheld are the valid entries it held going in plus its self
-// entry. Over the schedule the summary withholds some entries, and stale
-// entries are dropped and counted.
+// entry, and the ledger photos it offered are those the remote's ledger
+// lacked, which it sent, plus those it withheld. Over the schedule the
+// summary withholds some entries and some ledger photos but not all of
+// them, and stale entries are dropped and counted.
 func TestGossipCountersAccountForEveryEntry(t *testing.T) {
 	observers := make(map[model.NodeID]*obs.Observer)
 	extra := func(i int) []Option {
@@ -111,14 +138,17 @@ func TestGossipCountersAccountForEveryEntry(t *testing.T) {
 		return []Option{WithObserver(o)}
 	}
 	count := func(p *Peer, name string) int64 { return observers[p.ID()].Counter(name).Value() }
-	var withheld, invalidated int64
+	var withheld, invalidated, acksSent, acksWithheld int64
 	runGossipSchedule(t, extra, func(a, b *Peer, run func()) {
 		sides := []*Peer{a, b}
 		offered := make([]int64, 2)
 		before := make([]int64, 2)
+		ledger, lacking, acksBefore := make([]int, 2), make([]int, 2), make([]int64, 2)
 		for i, p := range sides {
 			offered[i] = int64(len(p.cache.ValidEntries(p.clock()))) + 1
 			before[i] = count(p, "metadata.entries_sent") + count(p, "metadata.entries_withheld")
+			ledger[i], lacking[i] = ledgerOffer(p, sides[1-i])
+			acksBefore[i] = count(p, "metadata.ack_photos_withheld")
 			withheld -= count(p, "metadata.entries_withheld")
 			invalidated -= count(p, "metadata.invalidations")
 		}
@@ -128,12 +158,18 @@ func TestGossipCountersAccountForEveryEntry(t *testing.T) {
 			if after-before[i] != offered[i] {
 				t.Fatalf("node %v: sent+withheld grew by %d, want %d (valid entries + self)", p.ID(), after-before[i], offered[i])
 			}
+			if w := count(p, "metadata.ack_photos_withheld") - acksBefore[i]; int(w)+lacking[i] != ledger[i] {
+				t.Fatalf("node %v: offered %d ledger photos, the remote lacked %d, but %d were withheld", p.ID(), ledger[i], lacking[i], w)
+			}
 			withheld += count(p, "metadata.entries_withheld")
 			invalidated += count(p, "metadata.invalidations")
+			acksSent += int64(lacking[i])
+			acksWithheld += count(p, "metadata.ack_photos_withheld") - acksBefore[i]
 		}
 	})
-	if withheld == 0 || invalidated == 0 {
-		t.Fatalf("schedule withheld %d entries and invalidated %d; want both above zero", withheld, invalidated)
+	if withheld == 0 || invalidated == 0 || acksSent == 0 || acksWithheld == 0 {
+		t.Fatalf("schedule withheld %d entries, invalidated %d, sent %d ledger photos and withheld %d; want all above zero",
+			withheld, invalidated, acksSent, acksWithheld)
 	}
 }
 

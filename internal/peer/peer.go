@@ -263,6 +263,7 @@ type Peer struct {
 	cWastedBytes    *obs.Counter
 	cMetaSent       *obs.Counter
 	cMetaWithheld   *obs.Counter
+	cAcksWithheld   *obs.Counter
 	cInvalidations  *obs.Counter
 	hResumeRate     *obs.Histogram
 	gInflight       *obs.Gauge
@@ -345,6 +346,9 @@ func New(id model.NodeID, m *coverage.Map, capacity int64, opts ...Option) *Peer
 	// cache would ignore them.
 	p.cMetaSent = p.obsv.Counter("metadata.entries_sent")
 	p.cMetaWithheld = p.obsv.Counter("metadata.entries_withheld")
+	// Photos of the command-center entries sent that were left out because
+	// the remote's summary showed its ledger already holds them.
+	p.cAcksWithheld = p.obsv.Counter("metadata.ack_photos_withheld")
 	// Stale entries each contact's metadata round drops from the session's
 	// clone of the cache; journal replay does not count them again.
 	p.cInvalidations = p.obsv.Counter("metadata.invalidations")

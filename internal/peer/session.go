@@ -301,13 +301,14 @@ func (s *session) run(conn io.ReadWriter, initiator bool) error {
 	if err != nil {
 		return err
 	}
-	mineMD, withheld := s.metadataMsg(session, theirSum)
+	mineMD, withheld, acksWithheld := s.metadataMsg(session, theirSum)
 	md, err := exchange(s, initiator, mineMD, p.guardCfg.CheckMetadata, session)
 	if err != nil {
 		return err
 	}
 	p.cMetaSent.Add(int64(len(mineMD.Entries)))
 	p.cMetaWithheld.Add(int64(withheld))
+	p.cAcksWithheld.Add(int64(acksWithheld))
 	peerPhotos, err := s.absorbMetadata(theirs, md, session)
 	if err != nil {
 		return err
@@ -362,25 +363,29 @@ func exchange[M wire.Message](s *session, initiator bool, mine M, check func(M, 
 }
 
 // summaryMsg summarises the session's cache: the stamp of every
-// non-command-center entry, stale ones included.
+// non-command-center entry, stale ones included, and the IDs of the photos
+// its command-center entry holds.
 func (s *session) summaryMsg() wire.MetaSummary {
-	return wire.MetaSummary{Entries: s.st.cache.Summary()}
+	return wire.MetaSummary{Entries: s.st.cache.Summary(), Delivered: s.st.cache.Delivered()}
 }
 
 // metadataMsg builds the metadata message: the self entry first, then the
 // valid cache entries the remote's summary shows it lacks, in node order.
 // It withholds every entry metadata.Novel rejects — the remote's own, and
 // non-command-center entries no newer than the remote's copy — since the
-// remote's cache would ignore them. It returns how many it withheld.
-func (s *session) metadataMsg(session float64, theirs wire.MetaSummary) (wire.Metadata, int) {
-	md := wire.Metadata{Entries: []metadata.Entry{{
+// remote's cache would ignore them. Every command-center entry it sends,
+// a relay's cached one or the command center's own, carries only the
+// photos the summary's Delivered lacks (metadata.Lacking); its header goes
+// even when no photo is left, as the merge still takes its stamp. It
+// returns how many entries it withheld and how many ledger photos.
+func (s *session) metadataMsg(session float64, theirs wire.MetaSummary) (md wire.Metadata, withheld, acksWithheld int) {
+	md.Entries = []metadata.Entry{{
 		Node:      s.p.id,
 		Lambda:    s.st.rate.Rate(session),
 		P:         s.deliveryProb(session),
 		Timestamp: session,
 		Photos:    s.st.store.List(),
-	}}}
-	withheld := 0
+	}}
 	for _, e := range s.st.cache.ValidEntries(session) {
 		if !metadata.Novel(e, s.remote, theirs.Entries) {
 			withheld++
@@ -388,11 +393,20 @@ func (s *session) metadataMsg(session float64, theirs wire.MetaSummary) (wire.Me
 		}
 		md.Entries = append(md.Entries, e)
 	}
-	return md, withheld
+	for i := range md.Entries {
+		if e := &md.Entries[i]; e.Node.IsCommandCenter() {
+			lacking := metadata.Lacking(e.Photos, theirs.Delivered)
+			acksWithheld += len(e.Photos) - len(lacking)
+			e.Photos = lacking
+		}
+	}
+	return md, withheld, acksWithheld
 }
 
 // absorbMetadata stores the peer's snapshot and gossip, returning the
-// peer's own collection.
+// peer's own collection. A command center's self entry carries only the
+// photos this node lacked, so the collection returned for it is partial;
+// a contact with the command center is an upload, which never reads it.
 func (s *session) absorbMetadata(h wire.Hello, md wire.Metadata, session float64) (model.PhotoList, error) {
 	var peerPhotos model.PhotoList
 	for i, e := range md.Entries {

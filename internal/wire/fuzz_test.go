@@ -26,6 +26,10 @@ func FuzzRead(f *testing.F) {
 		ChunkAck{ID: model.MakePhotoID(5, 0), Index: 1},
 		ResumeOffer{Entries: []ResumeEntry{{ID: 9, ChunkSize: 4, Count: 3, Total: 11, Bitmap: []byte{0b101}}}},
 		MetaSummary{Entries: []metadata.Stamp{{Node: 1, Timestamp: 5}, {Node: 4, Timestamp: 2}}},
+		MetaSummary{
+			Entries:   []metadata.Stamp{{Node: 2, Timestamp: 1}},
+			Delivered: []model.PhotoID{model.MakePhotoID(2, 0), model.MakePhotoID(2, 1), model.MakePhotoID(5, 3)},
+		},
 	}
 	for _, msg := range seed {
 		var buf bytes.Buffer
@@ -102,6 +106,7 @@ func FuzzDecodeMessage(f *testing.F) {
 		ResumeOffer{Entries: []ResumeEntry{{ID: 9, ChunkSize: 4, Count: 3, Total: 11, Bitmap: []byte{0b101}}}},
 		MetaSummary{Entries: []metadata.Stamp{{Node: 2, Timestamp: 3}, {Node: 2, Timestamp: 1}, {Node: 7, Timestamp: -1}}},
 		MetaSummary{},
+		MetaSummary{Delivered: []model.PhotoID{1, 2, model.MakePhotoID(7, 0)}},
 	}
 	for _, msg := range seed {
 		var buf bytes.Buffer

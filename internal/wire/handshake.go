@@ -13,7 +13,9 @@
 // fails the hello decode with ErrBadMessage. There is no downgrade.
 // Version 3 opens the metadata round with a MetaSummary from each side, so
 // a version-2 peer, which would send Metadata where the summary is due,
-// is turned away at the hello instead.
+// is turned away at the hello instead. Version 4 appends the sender's
+// delivered photo IDs to that summary, which a version-3 decoder would
+// refuse as trailing bytes.
 package wire
 
 import (
@@ -24,7 +26,7 @@ import (
 
 // ProtocolVersion is the wire protocol version this build speaks. Every
 // Hello and HelloAck carries it.
-const ProtocolVersion uint16 = 3
+const ProtocolVersion uint16 = 4
 
 // Default transfer parameters.
 const (

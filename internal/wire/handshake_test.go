@@ -63,22 +63,22 @@ func baseHello() []byte {
 	return Hello{Node: 0, Nonce: 5}.appendBody(nil)[:44]
 }
 
-// v2Hello is a hello body as a version-2 peer, which has no metadata
-// summary round, sends it.
-func v2Hello() []byte {
+// helloVersion is a hello body as a peer speaking version v sends it.
+func helloVersion(v uint16) []byte {
 	b := Hello{Node: 0, Nonce: 5}.appendBody(nil)
-	binary.LittleEndian.PutUint16(b[44:], 2)
+	binary.LittleEndian.PutUint16(b[44:], v)
 	return b
 }
 
 // TestNegotiateMixedVersions pins that a peer speaking a retired version —
-// the 44-byte hello, or version 2 without the summary round — is rejected
-// in either role, never downgraded to.
+// the 44-byte hello, version 2 without the summary round, or version 3
+// whose summary lists no delivered photos — is rejected in either role,
+// never downgraded to.
 func TestNegotiateMixedVersions(t *testing.T) {
 	for _, old := range []struct {
 		name  string
 		hello []byte
-	}{{"v1", baseHello()}, {"v2", v2Hello()}} {
+	}{{"v1", baseHello()}, {"v2", helloVersion(2)}, {"v3", helloVersion(3)}} {
 		t.Run(old.name+" initiator", func(t *testing.T) {
 			ca, cb := net.Pipe()
 			defer func() { _ = ca.Close(); _ = cb.Close() }()

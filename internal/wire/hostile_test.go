@@ -6,8 +6,9 @@ import (
 )
 
 // TestDecodeHostileLengths drives every length-prefixed decoder with claims
-// the body cannot satisfy: each must fail with ErrBadMessage before doing
-// any claim-proportional work or allocation. The alloc assertions pin the
+// the body cannot satisfy, and the summary decoder with out-of-order lists
+// and trailing bytes: each must fail with ErrBadMessage before doing any
+// claim-proportional work or allocation. The alloc assertions pin the
 // fast-fail property — a decoder that trusted the claimed count would
 // allocate (or loop) on the order of the claim, not the body.
 func TestDecodeHostileLengths(t *testing.T) {
@@ -36,6 +37,16 @@ func TestDecodeHostileLengths(t *testing.T) {
 	unsorted = appendF64(unsorted, 1)
 	unsorted = appendU32(unsorted, 3)
 	unsorted = appendF64(unsorted, 1)
+	unsorted = appendU32(unsorted, 0) // no delivered IDs
+
+	// summaryWith is an empty-stamp summary whose delivered list is ids.
+	summaryWith := func(ids ...uint64) []byte {
+		b := appendU32(appendU32(nil, 0), uint32(len(ids)))
+		for _, id := range ids {
+			b = appendU64(b, id)
+		}
+		return b
+	}
 
 	cases := []struct {
 		name string
@@ -53,6 +64,12 @@ func TestDecodeHostileLengths(t *testing.T) {
 		{"summary count", MsgMetaSummary, []byte{0xFF, 0xFF, 0xFF, 0xFF}},
 		{"summary short body", MsgMetaSummary, append(appendU32(nil, 2), make([]byte, 23)...)},
 		{"summary unsorted", MsgMetaSummary, unsorted},
+		{"summary no delivered count", MsgMetaSummary, appendU32(nil, 0)},
+		{"summary delivered count", MsgMetaSummary, append(appendU32(nil, 0), 0xFF, 0xFF, 0xFF, 0x7F, 1, 2, 3)},
+		{"summary delivered short", MsgMetaSummary, summaryWith(1, 2)[:19]},
+		{"summary delivered descending", MsgMetaSummary, summaryWith(1, 5, 3)},
+		{"summary delivered repeat", MsgMetaSummary, summaryWith(1, 4, 4)},
+		{"summary trailing byte", MsgMetaSummary, append(summaryWith(1, 2), 0)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -70,7 +70,9 @@ const (
 	MsgResumeOffer
 	// MsgMetaSummary opens the metadata round: the snapshot timestamp of
 	// every non-command-center entry the sender caches, so the peer's
-	// Metadata can skip entries the sender already holds at least as new.
+	// Metadata can skip entries the sender already holds at least as new,
+	// and the IDs of the photos the sender's command-center entry lists, so
+	// the peer's command-center entries carry only the photos it lacks.
 	MsgMetaSummary
 )
 
@@ -292,11 +294,15 @@ func decodeMetadata(b []byte) (Metadata, error) {
 	return out, nil
 }
 
-// MetaSummary lists the stamp (node and snapshot timestamp) of every
-// snapshot the sender caches, in strictly increasing node order, without
-// their photos.
+// MetaSummary describes the sender's cache to the peer about to gossip to
+// it. Entries lists the stamp (node and snapshot timestamp) of every
+// non-command-center snapshot the sender caches, in strictly increasing
+// node order, without their photos. Delivered lists, in strictly
+// increasing order, the IDs of the photos the sender's command-center
+// entry holds: the ack ledger the peer need not send again.
 type MetaSummary struct {
-	Entries []metadata.Stamp
+	Entries   []metadata.Stamp
+	Delivered []model.PhotoID
 }
 
 // Type implements Message.
@@ -311,19 +317,20 @@ func (m MetaSummary) appendBody(dst []byte) []byte {
 		dst = appendU32(dst, uint32(e.Node))
 		dst = appendF64(dst, e.Timestamp)
 	}
-	return dst
+	return AppendPhotoIDs(dst, m.Delivered)
 }
 
-// decodeMetaSummary checks the claimed count against the body length
-// before allocating, and rejects pairs whose node IDs go down. A repeated
-// node decodes; rejecting it is the guard's job (a replayed entry).
+// decodeMetaSummary checks both claimed counts against the body length
+// before allocating, rejects pairs whose node IDs go down and delivered IDs
+// that do not go strictly up, and refuses trailing bytes. A repeated node
+// decodes; rejecting it is the guard's job (a replayed entry).
 func decodeMetaSummary(b []byte) (MetaSummary, error) {
 	if len(b) < 4 {
 		return MetaSummary{}, fmt.Errorf("%w: summary header", ErrBadMessage)
 	}
 	n := binary.LittleEndian.Uint32(b)
 	b = b[4:]
-	if uint64(n)*summaryEntryLen != uint64(len(b)) {
+	if uint64(n)*summaryEntryLen+4 > uint64(len(b)) {
 		return MetaSummary{}, fmt.Errorf("%w: summary claims %d entries with %d bytes", ErrBadMessage, n, len(b))
 	}
 	out := MetaSummary{Entries: make([]metadata.Stamp, n)}
@@ -335,6 +342,19 @@ func decodeMetaSummary(b []byte) (MetaSummary, error) {
 			return MetaSummary{}, fmt.Errorf("%w: summary node %v after %v", ErrBadMessage, e.Node, out.Entries[i-1].Node)
 		}
 	}
+	ids, rest, err := DecodePhotoIDs(b[n*summaryEntryLen:])
+	if err != nil {
+		return MetaSummary{}, err
+	}
+	if len(rest) != 0 {
+		return MetaSummary{}, fmt.Errorf("%w: %d trailing summary bytes", ErrBadMessage, len(rest))
+	}
+	for i := 1; i < len(ids); i++ {
+		if ids[i] <= ids[i-1] {
+			return MetaSummary{}, fmt.Errorf("%w: summary delivered ID %v after %v", ErrBadMessage, ids[i], ids[i-1])
+		}
+	}
+	out.Delivered = ids
 	return out, nil
 }
 

@@ -7,7 +7,9 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
+	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -78,7 +80,8 @@ func TestHelloRejectsOtherVersions(t *testing.T) {
 		{"44-byte hello", body[:44]},
 		{"version 1", withVersion(1)},
 		{"version 2", withVersion(2)},
-		{"version 4", withVersion(4)},
+		{"version 3", withVersion(3)},
+		{"version 5", withVersion(5)},
 		{"trailing byte", append(append([]byte(nil), body...), 0)},
 	}
 	for _, tc := range cases {
@@ -117,12 +120,15 @@ func TestFrameGolden(t *testing.T) {
 		{Hello{
 			Node: 7, Lambda: 0.001, DeliveryProb: 0.4, Time: 1234.5, Nonce: 0xDEADBEEF, Capacity: 5 << 30,
 			ChunkSize: 64 << 10, Window: 8, Flags: FlagResume,
-		}, "350000000107000000fca9f1d24d62503f9a9999999999d93f00000000004a9340efbeadde0000000000000040010000000300000001000800012c29830e"},
+		}, "350000000107000000fca9f1d24d62503f9a9999999999d93f00000000004a9340efbeadde00000000000000400100000004000000010008000136e7e3c9"},
 		{HelloAck{Hello: Hello{
 			Node: 2, Lambda: 0.25, DeliveryProb: 1, Time: 99, Nonce: 22, Capacity: 1 << 20,
 			ChunkSize: 32 << 10, Window: 4,
-		}}, "350000000702000000000000000000d03f000000000000f03f0000000000c058401600000000000000000010000000000003000080000004000053ae9807"},
-		{MetaSummary{Entries: []metadata.Stamp{{Node: 3, Timestamp: 1234.5}, {Node: 9, Timestamp: -2}}}, "1c0000000b020000000300000000000000004a93400900000000000000000000c0cfa70b55"},
+		}}, "350000000702000000000000000000d03f000000000000f03f0000000000c05840160000000000000000001000000000000400008000000400004960f8c0"},
+		{MetaSummary{
+			Entries:   []metadata.Stamp{{Node: 3, Timestamp: 1234.5}, {Node: 9, Timestamp: -2}},
+			Delivered: []model.PhotoID{model.MakePhotoID(3, 9), model.MakePhotoID(4, 0)},
+		}, "300000000b020000000300000000000000004a93400900000000000000000000c002000000090000000300000000000000040000003b5b7b50"},
 		{Chunk{
 			Photo: samplePhoto(3, 9), Index: 1, Count: 3, ChunkSize: 4,
 			Total: 11, PayloadCRC: 0xCAFE, Data: []byte{4, 5, 6, 7},
@@ -184,18 +190,16 @@ func TestChunkAckRoundTrip(t *testing.T) {
 }
 
 func TestMetaSummaryRoundTrip(t *testing.T) {
-	msg := MetaSummary{Entries: []metadata.Stamp{{Node: 1, Timestamp: 5}, {Node: 1, Timestamp: 4}, {Node: 8, Timestamp: -3}}}
+	msg := MetaSummary{
+		Entries:   []metadata.Stamp{{Node: 1, Timestamp: 5}, {Node: 1, Timestamp: 4}, {Node: 8, Timestamp: -3}},
+		Delivered: []model.PhotoID{0, model.MakePhotoID(1, 7), model.MakePhotoID(8, 0), math.MaxUint64},
+	}
 	got := roundTrip(t, msg).(MetaSummary)
-	if len(got.Entries) != len(msg.Entries) {
-		t.Fatalf("entries = %d", len(got.Entries))
+	if !slices.Equal(got.Entries, msg.Entries) || !slices.Equal(got.Delivered, msg.Delivered) {
+		t.Fatalf("got %+v, want %+v", got, msg)
 	}
-	for i := range got.Entries {
-		if got.Entries[i] != msg.Entries[i] {
-			t.Fatalf("entry %d = %+v, want %+v", i, got.Entries[i], msg.Entries[i])
-		}
-	}
-	if got := roundTrip(t, MetaSummary{}).(MetaSummary); len(got.Entries) != 0 {
-		t.Fatalf("empty summary decoded %d entries", len(got.Entries))
+	if got := roundTrip(t, MetaSummary{}).(MetaSummary); len(got.Entries) != 0 || len(got.Delivered) != 0 {
+		t.Fatalf("empty summary decoded %+v", got)
 	}
 }
 

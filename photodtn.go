@@ -373,8 +373,8 @@ var (
 
 // ProtocolVersion is the wire protocol version this build speaks: chunked,
 // resumable transfer, and a metadata round that opens with each side's
-// cache summary. A peer advertising any other version is rejected at the
-// hello.
+// cache summary and delivered photo IDs. A peer advertising any other
+// version is rejected at the hello.
 const ProtocolVersion = wire.ProtocolVersion
 
 // Peer options re-exported for facade users.

@@ -233,8 +233,8 @@ func TestFacadeUnifiedObserver(t *testing.T) {
 func TestFacadeUnifiedTransfer(t *testing.T) {
 	// WithTransfer is a PeerOption: it configures the chunked transfer of
 	// live peers.
-	if photodtn.ProtocolVersion != 3 {
-		t.Fatalf("ProtocolVersion = %d, want 3", photodtn.ProtocolVersion)
+	if photodtn.ProtocolVersion != 4 {
+		t.Fatalf("ProtocolVersion = %d, want 4", photodtn.ProtocolVersion)
 	}
 	opt := photodtn.WithTransfer(photodtn.TransferConfig{ChunkSize: 32 << 10, Resume: true})
 	m := facadeMap()
