@@ -95,9 +95,11 @@ bench-short:
 bench-all:
 	$(GO) test -run='^$$' -bench=. -benchmem ./...
 
-# Fuzz pass over the wire decoders (corruption hardening), the photo-list
-# codec every wire and journal metadata entry decodes through, the contact
-# trace parser behind photodtn-sim -trace FILE, the chunk reassembly store
+# Fuzz pass over the wire decoders (corruption hardening), the handshake
+# (a refused hello gets no answer; agreed parameters stay within both
+# sides' bounds and above the chunk-size floor), the photo-list codec every
+# wire and journal metadata entry decodes through, the contact trace parser
+# behind photodtn-sim -trace FILE, the chunk reassembly store
 # (bitmap/eviction/checksum invariants against a model oracle, and the
 # Held → Add round trip a peer snapshot restores partials through), and the
 # arc-set geometry kernel every coverage computation bottoms out in. The
@@ -105,6 +107,7 @@ bench-all:
 fuzz:
 	$(GO) test -run=Fuzz -fuzz=FuzzRead -fuzztime=30s ./internal/wire/
 	$(GO) test -run=Fuzz -fuzz=FuzzDecodeMessage -fuzztime=30s ./internal/wire/
+	$(GO) test -run=Fuzz -fuzz=FuzzNegotiate -fuzztime=30s ./internal/wire/
 	$(GO) test -run=Fuzz -fuzz=FuzzDecodePhotoList -fuzztime=30s ./internal/model/
 	$(GO) test -run=Fuzz -fuzz=FuzzRead -fuzztime=30s ./internal/trace/
 	$(GO) test -run=Fuzz -fuzz='FuzzReassembly$$' -fuzztime=30s ./internal/transfer/
@@ -116,6 +119,7 @@ fuzz:
 fuzz-short:
 	$(GO) test -run=Fuzz -fuzz=FuzzRead -fuzztime=5s ./internal/wire/
 	$(GO) test -run=Fuzz -fuzz=FuzzDecodeMessage -fuzztime=5s ./internal/wire/
+	$(GO) test -run=Fuzz -fuzz=FuzzNegotiate -fuzztime=5s ./internal/wire/
 	$(GO) test -run=Fuzz -fuzz=FuzzDecodePhotoList -fuzztime=5s ./internal/model/
 	$(GO) test -run=Fuzz -fuzz=FuzzRead -fuzztime=5s ./internal/trace/
 	$(GO) test -run=Fuzz -fuzz='FuzzReassembly$$' -fuzztime=5s ./internal/transfer/

@@ -278,12 +278,6 @@ func (m *Map) forEachCandidate(sec geo.Sector, fn func(i int)) {
 	}
 }
 
-// PointCovered reports whether the photo point-covers the given PoI. It is
-// the C_pt(x, {f}) primitive.
-func (m *Map) PointCovered(poi int, p model.Photo) bool {
-	return p.Sector().Contains(m.pois[poi].Location)
-}
-
 // SoloCoverage returns the coverage a single photo achieves on its own:
 // its point coverage and 2θ of aspect per covered PoI (no overlap is
 // possible within one photo because one photo yields one arc per PoI).

@@ -110,10 +110,6 @@ type Options struct {
 	ctx context.Context
 }
 
-// DefaultOptions returns a configuration that regenerates every figure in
-// reasonable wall-clock time.
-func DefaultOptions() Options { return Options{Runs: 3, BaseSeed: 1} }
-
 // WithContext returns a copy of the options carrying ctx: cancelling it
 // aborts the experiment's remaining runs at the engine's next cancellation
 // point (completed cells stay in the checkpoint, if one is attached).

@@ -17,7 +17,6 @@ import (
 // the check it targets; phase-desync skips the round; malformed-summary
 // repeats a node; absurd-claim sends nothing more.
 func TestByzantineOpensMetadataRound(t *testing.T) {
-	cfg := guard.Config{}.WithDefaults()
 	for _, strat := range ByzStrategies() {
 		t.Run(strat.String(), func(t *testing.T) {
 			ca, cb := net.Pipe()
@@ -52,7 +51,7 @@ func TestByzantineOpensMetadataRound(t *testing.T) {
 			if !ok || err != nil {
 				t.Fatalf("opened the metadata round with %v, %v; want a MetaSummary", msg, err)
 			}
-			v := cfg.CheckMetaSummary(sum, session)
+			v := guard.CheckMetaSummary(sum, session)
 			if strat == ByzMalformedSummary {
 				if v == nil || v.Reason != guard.ReasonReplay {
 					t.Fatalf("malformed summary drew %v, want a replay violation", v)

@@ -10,14 +10,20 @@
 // It provides three mechanisms, all driven by the caller's logical clock so
 // behaviour is deterministic under test:
 //
-//   - Per-peer ingress accounting: token buckets for contact admissions and
-//     inbound bytes. A peer over its budget is shed with ErrRateLimited
-//     before any protocol state is touched.
+//   - Per-peer contact admission: a token bucket per remote peer. A peer
+//     over its budget is shed with ErrRateLimited before any protocol
+//     state is touched.
 //   - A misbehavior score per peer, bumped by typed violations (Reason).
 //     Crossing the threshold quarantines the peer for a TTL; contacts from
 //     a quarantined peer are rejected with ErrQuarantined at admission.
 //   - Semantic validators (validate.go) for every inbound message class,
 //     returning typed *Violation errors the peer layer reports back here.
+//
+// The policy is fixed: its bounds are package constants, and a deployment
+// sets only the contact rate and the quarantine TTL (Config). Inbound
+// bytes need no meter of their own: every frame is capped at
+// wire.MaxFrame, typed reads fix the number of rounds a contact has, and
+// chunks are pinned to the want-set without repeats.
 //
 // The guard holds its own mutex and never calls back into the peer while
 // holding it: quarantine notifications run after the lock is released, so
@@ -43,8 +49,7 @@ var (
 	// ErrQuarantined reports a contact from a peer inside its quarantine
 	// TTL.
 	ErrQuarantined = errors.New("guard: peer quarantined")
-	// ErrRateLimited reports a contact or read shed by a per-peer token
-	// bucket.
+	// ErrRateLimited reports a contact shed by its peer's token bucket.
 	ErrRateLimited = errors.New("guard: peer rate limited")
 )
 
@@ -134,153 +139,91 @@ func violationf(r Reason, format string, args ...any) *Violation {
 	return &Violation{Reason: r, Detail: fmt.Sprintf(format, args...)}
 }
 
-// Config parameterises the guard. The zero value of any field means its
-// default (see WithDefaults); a rate of 0 after defaulting means that
-// limiter is off. Durations are in seconds of the peer's logical clock.
+// Config holds the guard's two deployment settings. A zero field means
+// its default. Durations are in seconds of the peer's logical clock.
 type Config struct {
 	// MaxContactRate is the per-peer contact admission rate in
-	// contacts/second (token bucket; negative disables, 0 keeps the
-	// default).
+	// contacts/second (token bucket; default DefaultMaxContactRate).
 	MaxContactRate float64
-	// ContactBurst is the contact bucket depth (default
-	// DefaultContactBurst).
-	ContactBurst int
-	// MaxByteRate is the per-peer inbound byte rate in bytes/second
-	// (negative disables, 0 keeps the default — which is off).
-	MaxByteRate float64
-	// ByteBurst is the byte bucket depth (default DefaultByteBurst).
-	ByteBurst int64
 	// QuarantineTTL is how long a quarantined peer stays banned, in
 	// seconds (default DefaultQuarantineTTL).
 	QuarantineTTL float64
-	// QuarantineScore is the misbehavior score that triggers quarantine
-	// (default DefaultQuarantineScore).
-	QuarantineScore float64
-	// ScoreHalfLife is the exponential half-life of the misbehavior score
-	// in seconds (default DefaultScoreHalfLife; negative disables decay).
-	ScoreHalfLife float64
-	// MaxClockSkew bounds how far a remote timestamp (hello time, metadata
-	// snapshot time) may sit in the local clock's future (default
-	// DefaultMaxClockSkew). DTN clocks are loosely synchronised, so the
-	// default is generous; deployments with synced clocks should tighten
-	// it.
-	MaxClockSkew float64
-	// MaxPhotoBytes caps a photo's declared size and a transfer's declared
-	// total (default DefaultMaxPhotoBytes).
-	MaxPhotoBytes int64
-	// MaxPeerCapacity caps the storage capacity a non-command-center peer
-	// may advertise — an absurd capacity claim would otherwise vacuum the
-	// joint reallocation's best photos onto the liar (default
-	// DefaultMaxPeerCapacity).
-	MaxPeerCapacity int64
-	// MaxMetaEntries caps the entries of one metadata message (default
-	// DefaultMaxMetaEntries).
-	MaxMetaEntries int
-	// MaxPhotosPerEntry caps one metadata entry's photo list (default
-	// DefaultMaxPhotosPerEntry).
-	MaxPhotosPerEntry int
 }
 
-// Defaults.
+// Defaults of the two settings.
 const (
-	DefaultMaxContactRate    = 1.0 // contacts/second/peer
-	DefaultContactBurst      = 8
-	DefaultByteBurst         = 32 << 20
-	DefaultQuarantineTTL     = 3600.0
-	DefaultQuarantineScore   = 3.0
-	DefaultScoreHalfLife     = 600.0
-	DefaultMaxClockSkew      = 86400.0 // DTN clocks drift; a day of slack
-	DefaultMaxPhotoBytes     = 64 << 20
-	DefaultMaxPeerCapacity   = 1 << 40
-	DefaultMaxMetaEntries    = 4096
-	DefaultMaxPhotosPerEntry = 65536
+	DefaultMaxContactRate = 1.0 // contacts/second/peer
+	DefaultQuarantineTTL  = 3600.0
+)
+
+// The fixed policy.
+const (
+	// ContactBurst is the depth of each peer's contact bucket.
+	ContactBurst = 8
+	// QuarantineScore is the misbehavior score that triggers quarantine.
+	QuarantineScore = 3.0
+	// ScoreHalfLife is the exponential half-life of the misbehavior score,
+	// in seconds.
+	ScoreHalfLife = 600.0
+	// MaxClockSkew bounds how far a remote timestamp (hello time, metadata
+	// snapshot time) may sit from the local clock. DTN clocks drift, so it
+	// allows a day.
+	MaxClockSkew = 86400.0
+	// MaxPhotoBytes caps a photo's declared size and a transfer's declared
+	// total.
+	MaxPhotoBytes = 64 << 20
+	// MaxPeerCapacity caps the storage capacity a non-command-center peer
+	// may advertise: an absurd capacity claim would otherwise vacuum the
+	// joint reallocation's best photos onto the liar.
+	MaxPeerCapacity = 1 << 40
+	// MaxMetaEntries caps the entries of one metadata message.
+	MaxMetaEntries = 4096
+	// MaxPhotosPerEntry caps one metadata entry's photo list.
+	MaxPhotosPerEntry = 65536
 	// DefaultMaxCacheEntries and DefaultMaxCacheBytes bound an armed
 	// peer's metadata cache (metadata.Cache.SetLimits).
 	DefaultMaxCacheEntries = 4096
 	DefaultMaxCacheBytes   = 256 << 20
 )
 
-// WithDefaults resolves zero fields to their defaults and normalises
-// negatives to "off" where a limiter is optional.
-func (c Config) WithDefaults() Config {
-	if c.MaxContactRate == 0 {
+// withDefaults resolves zero (and negative) settings to their defaults.
+func (c Config) withDefaults() Config {
+	if c.MaxContactRate <= 0 {
 		c.MaxContactRate = DefaultMaxContactRate
-	}
-	if c.MaxContactRate < 0 {
-		c.MaxContactRate = 0
-	}
-	if c.ContactBurst <= 0 {
-		c.ContactBurst = DefaultContactBurst
-	}
-	if c.MaxByteRate < 0 {
-		c.MaxByteRate = 0
-	}
-	if c.ByteBurst <= 0 {
-		c.ByteBurst = DefaultByteBurst
 	}
 	if c.QuarantineTTL <= 0 {
 		c.QuarantineTTL = DefaultQuarantineTTL
-	}
-	if c.QuarantineScore <= 0 {
-		c.QuarantineScore = DefaultQuarantineScore
-	}
-	if c.ScoreHalfLife == 0 {
-		c.ScoreHalfLife = DefaultScoreHalfLife
-	}
-	if c.ScoreHalfLife < 0 {
-		c.ScoreHalfLife = 0
-	}
-	if c.MaxClockSkew <= 0 {
-		c.MaxClockSkew = DefaultMaxClockSkew
-	}
-	if c.MaxPhotoBytes <= 0 {
-		c.MaxPhotoBytes = DefaultMaxPhotoBytes
-	}
-	if c.MaxPeerCapacity <= 0 {
-		c.MaxPeerCapacity = DefaultMaxPeerCapacity
-	}
-	if c.MaxMetaEntries <= 0 {
-		c.MaxMetaEntries = DefaultMaxMetaEntries
-	}
-	if c.MaxPhotosPerEntry <= 0 {
-		c.MaxPhotosPerEntry = DefaultMaxPhotosPerEntry
 	}
 	return c
 }
 
 // bucket is a token bucket on the logical clock. Tokens refill at rate per
-// second up to burst; frozen clocks (tests) simply never refill.
+// second up to ContactBurst; frozen clocks (tests) simply never refill.
 type bucket struct {
 	tokens float64
 	last   float64
 	primed bool
 }
 
-func (b *bucket) take(now, rate, burst, cost float64) bool {
-	if rate <= 0 {
-		return true
-	}
+// take spends one token, reporting false when the bucket is dry.
+func (b *bucket) take(now, rate float64) bool {
 	if !b.primed {
-		b.tokens, b.last, b.primed = burst, now, true
+		b.tokens, b.last, b.primed = ContactBurst, now, true
 	}
 	if now > b.last {
-		b.tokens += (now - b.last) * rate
-		if b.tokens > burst {
-			b.tokens = burst
-		}
+		b.tokens = math.Min(b.tokens+(now-b.last)*rate, ContactBurst)
 		b.last = now
 	}
-	if b.tokens < cost {
+	if b.tokens < 1 {
 		return false
 	}
-	b.tokens -= cost
+	b.tokens--
 	return true
 }
 
 // acct is one remote peer's ledger.
 type acct struct {
 	contacts bucket
-	bytes    bucket
 	score    float64
 	scoreAt  float64
 	quarTo   float64 // quarantine expiry (logical seconds); 0 = none
@@ -334,7 +277,7 @@ type Guard struct {
 // be nil (metrics become no-ops).
 func New(cfg Config, o *obs.Observer) *Guard {
 	g := &Guard{
-		cfg:         cfg.WithDefaults(),
+		cfg:         cfg.withDefaults(),
 		peers:       make(map[model.NodeID]*acct),
 		cViolations: o.Counter("guard.violations"),
 		cShed:       o.Counter("guard.shed_contacts"),
@@ -345,14 +288,6 @@ func New(cfg Config, o *obs.Observer) *Guard {
 		g.byReason[r] = o.Counter("guard.violations." + r.String())
 	}
 	return g
-}
-
-// Config returns the resolved configuration.
-func (g *Guard) Config() Config {
-	if g == nil {
-		return Config{}
-	}
-	return g.cfg
 }
 
 // OnQuarantine installs the quarantine notification hook. It runs outside
@@ -372,14 +307,11 @@ func (g *Guard) acctOf(node model.NodeID) *acct {
 	return a
 }
 
-// decayScore applies the exponential half-life to a peer's score.
-func (g *Guard) decayScore(a *acct, now float64) {
-	if g.cfg.ScoreHalfLife <= 0 || now <= a.scoreAt {
-		a.scoreAt = now
-		return
+// decayScore applies the exponential half-life to the peer's score.
+func (a *acct) decayScore(now float64) {
+	if now > a.scoreAt {
+		a.score *= math.Exp2(-(now - a.scoreAt) / ScoreHalfLife)
 	}
-	dt := now - a.scoreAt
-	a.score *= math.Exp2(-dt / g.cfg.ScoreHalfLife)
 	a.scoreAt = now
 }
 
@@ -400,7 +332,7 @@ func (g *Guard) AdmitContact(node model.NodeID, now float64) error {
 		g.cShed.Inc()
 		return fmt.Errorf("%w: %v until t=%.0f", ErrQuarantined, node, until)
 	}
-	if !a.contacts.take(now, g.cfg.MaxContactRate, float64(g.cfg.ContactBurst), 1) {
+	if !a.contacts.take(now, g.cfg.MaxContactRate) {
 		g.shed++
 		quarantined, until := g.noteViolationLocked(a, ReasonFlood, now)
 		g.mu.Unlock()
@@ -409,34 +341,6 @@ func (g *Guard) AdmitContact(node model.NodeID, now float64) error {
 		return fmt.Errorf("%w: %v contact budget exhausted", ErrRateLimited, node)
 	}
 	g.mu.Unlock()
-	return nil
-}
-
-// AdmitBytes charges n inbound bytes against node's byte bucket. Exceeding
-// it is a flood: the read fails with ErrRateLimited and the contact aborts.
-func (g *Guard) AdmitBytes(node model.NodeID, n int64, now float64) error {
-	if g == nil || g.cfg.MaxByteRate <= 0 {
-		return nil
-	}
-	g.mu.Lock()
-	a := g.acctOf(node)
-	if a.contacts.primed && a.quarTo > now {
-		g.mu.Unlock()
-		return fmt.Errorf("%w: %v", ErrQuarantined, node)
-	}
-	ok := a.bytes.take(now, g.cfg.MaxByteRate, float64(g.cfg.ByteBurst), float64(n))
-	var (
-		quarantined bool
-		until       float64
-	)
-	if !ok {
-		quarantined, until = g.noteViolationLocked(a, ReasonFlood, now)
-	}
-	g.mu.Unlock()
-	if !ok {
-		g.notifyQuarantine(node, quarantined, until, ReasonFlood)
-		return fmt.Errorf("%w: %v byte budget exhausted", ErrRateLimited, node)
-	}
 	return nil
 }
 
@@ -461,9 +365,9 @@ func (g *Guard) noteViolationLocked(a *acct, r Reason, now float64) (bool, float
 	g.violations[r]++
 	g.cViolations.Inc()
 	g.byReason[r].Inc()
-	g.decayScore(a, now)
+	a.decayScore(now)
 	a.score += r.weight()
-	if a.score < g.cfg.QuarantineScore || a.quarTo > now {
+	if a.score < QuarantineScore || a.quarTo > now {
 		return false, a.quarTo
 	}
 	a.quarTo = now + g.cfg.QuarantineTTL

@@ -23,35 +23,22 @@ func goodPhoto(owner model.NodeID, seq uint32) model.Photo {
 }
 
 func TestWithDefaults(t *testing.T) {
-	c := Config{}.WithDefaults()
-	if c.MaxContactRate != DefaultMaxContactRate {
-		t.Fatalf("MaxContactRate = %v", c.MaxContactRate)
+	// Zero and negative settings both take the defaults: there is no "off".
+	for _, c := range []Config{{}, {MaxContactRate: -1, QuarantineTTL: -1}} {
+		got := c.withDefaults()
+		if got.MaxContactRate != DefaultMaxContactRate || got.QuarantineTTL != DefaultQuarantineTTL {
+			t.Fatalf("%+v resolved to %+v", c, got)
+		}
 	}
-	if c.ContactBurst != DefaultContactBurst {
-		t.Fatalf("ContactBurst = %v", c.ContactBurst)
-	}
-	if c.MaxByteRate != 0 {
-		t.Fatalf("MaxByteRate should default to off, got %v", c.MaxByteRate)
-	}
-	if c.QuarantineTTL != DefaultQuarantineTTL || c.QuarantineScore != DefaultQuarantineScore {
-		t.Fatalf("quarantine defaults = %v/%v", c.QuarantineTTL, c.QuarantineScore)
-	}
-	if c.MaxClockSkew != DefaultMaxClockSkew || c.MaxPhotoBytes != DefaultMaxPhotoBytes {
-		t.Fatalf("bounds defaults = %v/%v", c.MaxClockSkew, c.MaxPhotoBytes)
-	}
-	// Negatives normalise to "off" for the optional limiters.
-	c = Config{MaxContactRate: -1, MaxByteRate: -1, ScoreHalfLife: -1}.WithDefaults()
-	if c.MaxContactRate != 0 || c.MaxByteRate != 0 || c.ScoreHalfLife != 0 {
-		t.Fatalf("negatives not normalised: %+v", c)
+	set := Config{MaxContactRate: 2, QuarantineTTL: 60}
+	if got := set.withDefaults(); got != set {
+		t.Fatalf("%+v resolved to %+v", set, got)
 	}
 }
 
 func TestNilGuardIsNoOp(t *testing.T) {
 	var g *Guard
 	if err := g.AdmitContact(1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AdmitBytes(1, 1<<30, 0); err != nil {
 		t.Fatal(err)
 	}
 	if g.Report(1, ReasonPhase, 0) {
@@ -71,9 +58,10 @@ func TestNilGuardIsNoOp(t *testing.T) {
 }
 
 func TestContactBucketRefills(t *testing.T) {
-	g := New(Config{MaxContactRate: 1, ContactBurst: 2}, nil)
-	// Burst admits two back-to-back contacts, then the bucket is dry.
-	for i := 0; i < 2; i++ {
+	g := New(Config{MaxContactRate: 1}, nil)
+	// The burst admits ContactBurst back-to-back contacts, then the bucket
+	// is dry.
+	for i := 0; i < ContactBurst; i++ {
 		if err := g.AdmitContact(5, 100); err != nil {
 			t.Fatalf("contact %d: %v", i, err)
 		}
@@ -82,16 +70,19 @@ func TestContactBucketRefills(t *testing.T) {
 	if !errors.Is(err, ErrRateLimited) {
 		t.Fatalf("dry bucket err = %v, want ErrRateLimited", err)
 	}
-	// One second refills one token.
+	// One second refills one token, and only one.
 	if err := g.AdmitContact(5, 101); err != nil {
 		t.Fatalf("after refill: %v", err)
+	}
+	if err := g.AdmitContact(5, 101); !errors.Is(err, ErrRateLimited) {
+		t.Fatalf("second contact after a one-token refill = %v, want ErrRateLimited", err)
 	}
 	// Buckets are per-peer: node 6 is untouched by node 5's spending.
 	if err := g.AdmitContact(6, 100); err != nil {
 		t.Fatalf("other peer: %v", err)
 	}
 	st := g.Stats(101)
-	if st.ShedContacts != 1 || st.ByReason[ReasonFlood] != 1 {
+	if st.ShedContacts != 2 || st.ByReason[ReasonFlood] != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
@@ -101,22 +92,23 @@ func TestReportEscalatesToQuarantine(t *testing.T) {
 	var gotUntil float64
 	var gotReason Reason
 	calls := 0
-	g := New(Config{QuarantineScore: 3, QuarantineTTL: 50, ScoreHalfLife: -1}, nil)
+	g := New(Config{QuarantineTTL: 50}, nil)
 	g.OnQuarantine(func(n model.NodeID, until float64, r Reason) {
 		calls++
 		gotNode, gotUntil, gotReason = n, until, r
 	})
 
-	if g.Report(7, ReasonBadProphet, 10) || g.Report(7, ReasonReplay, 11) {
+	// All three reports land at one instant, so no decay runs between them.
+	if g.Report(7, ReasonBadProphet, 10) || g.Report(7, ReasonReplay, 10) {
 		t.Fatal("quarantined below threshold")
 	}
-	if !g.Report(7, ReasonBadGeometry, 12) {
+	if !g.Report(7, ReasonBadGeometry, 10) {
 		t.Fatal("third violation (score 3) should quarantine")
 	}
-	if calls != 1 || gotNode != 7 || gotUntil != 62 || gotReason != ReasonBadGeometry {
+	if calls != 1 || gotNode != 7 || gotUntil != 60 || gotReason != ReasonBadGeometry {
 		t.Fatalf("hook called %d times with (%v, %v, %v)", calls, gotNode, gotUntil, gotReason)
 	}
-	if !g.Quarantined(7, 12) || g.Quarantined(7, 62.5) {
+	if !g.Quarantined(7, 10) || g.Quarantined(7, 60.5) {
 		t.Fatal("quarantine window wrong")
 	}
 	// Admission during the ban is shed with the typed sentinel.
@@ -124,7 +116,7 @@ func TestReportEscalatesToQuarantine(t *testing.T) {
 		t.Fatalf("admit during ban = %v, want ErrQuarantined", err)
 	}
 	// After expiry the peer is admitted again (score was reset).
-	if err := g.AdmitContact(7, 63); err != nil {
+	if err := g.AdmitContact(7, 61); err != nil {
 		t.Fatalf("admit after expiry: %v", err)
 	}
 	st := g.Stats(20)
@@ -134,61 +126,49 @@ func TestReportEscalatesToQuarantine(t *testing.T) {
 }
 
 func TestScoreHalfLifeDecays(t *testing.T) {
-	g := New(Config{QuarantineScore: 3, ScoreHalfLife: 10}, nil)
+	g := New(Config{}, nil)
 	// Two violations, then five half-lives of quiet: the residual score
 	// (2/32) plus two fresh violations stays below the threshold.
+	later := 5 * ScoreHalfLife
 	g.Report(3, ReasonPhase, 0)
 	g.Report(3, ReasonPhase, 0)
-	if g.Report(3, ReasonPhase, 50) {
+	if g.Report(3, ReasonPhase, later) {
 		t.Fatal("decayed score should not quarantine on the third violation")
 	}
-	// Without decay, the next two would have crossed long ago; with it, the
-	// score sits near 2 and the fifth violation tips it over.
-	if g.Report(3, ReasonPhase, 50) {
+	// Without decay, the third would have crossed the threshold; with it,
+	// the score sits near 2 and the fifth violation tips it over.
+	if g.Report(3, ReasonPhase, later) {
 		t.Fatal("fourth violation should still be below threshold")
 	}
-	if !g.Report(3, ReasonPhase, 50) {
+	if !g.Report(3, ReasonPhase, later) {
 		t.Fatal("fifth violation within the window should quarantine")
 	}
 }
 
 func TestFloodEscalatesToQuarantine(t *testing.T) {
-	// Flood violations weigh 0.25: with threshold 1.0, the 4th shed contact
-	// (not the 1st) quarantines — honest burstiness is tolerated.
-	g := New(Config{MaxContactRate: 0.001, ContactBurst: 1, QuarantineScore: 1,
-		QuarantineTTL: 100, ScoreHalfLife: -1}, nil)
-	if err := g.AdmitContact(9, 0); err != nil {
-		t.Fatal(err)
+	// Flood violations weigh 0.25, so on a frozen clock the
+	// QuarantineScore/0.25-th shed contact (not the first) quarantines —
+	// honest burstiness is tolerated.
+	g := New(Config{MaxContactRate: 0.001, QuarantineTTL: 100}, nil)
+	for i := 0; i < ContactBurst; i++ {
+		if err := g.AdmitContact(9, 0); err != nil {
+			t.Fatalf("contact %d inside the burst: %v", i, err)
+		}
 	}
-	for i := 0; i < 3; i++ {
+	sheds := int(QuarantineScore / ReasonFlood.weight())
+	for i := 0; i < sheds; i++ {
+		if g.Quarantined(9, 0) {
+			t.Fatalf("quarantined after %d sheds, want %d", i, sheds)
+		}
 		if err := g.AdmitContact(9, 0); !errors.Is(err, ErrRateLimited) {
 			t.Fatalf("shed %d: %v", i, err)
 		}
 	}
-	if err := g.AdmitContact(9, 0); !errors.Is(err, ErrQuarantined) && !errors.Is(err, ErrRateLimited) {
-		t.Fatalf("4th shed: %v", err)
-	}
 	if !g.Quarantined(9, 0) {
 		t.Fatal("sustained flooding did not quarantine")
 	}
-}
-
-func TestAdmitBytes(t *testing.T) {
-	// Off by default.
-	g := New(Config{}, nil)
-	if err := g.AdmitBytes(1, 1<<40, 0); err != nil {
-		t.Fatalf("byte limiting should default off: %v", err)
-	}
-	g = New(Config{MaxByteRate: 100, ByteBurst: 1000}, nil)
-	if err := g.AdmitBytes(1, 1000, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AdmitBytes(1, 1, 0); !errors.Is(err, ErrRateLimited) {
-		t.Fatalf("over budget = %v, want ErrRateLimited", err)
-	}
-	// 10 seconds refill 1000 bytes.
-	if err := g.AdmitBytes(1, 1000, 10); err != nil {
-		t.Fatalf("after refill: %v", err)
+	if err := g.AdmitContact(9, 0); !errors.Is(err, ErrQuarantined) {
+		t.Fatalf("contact after the quarantine = %v, want ErrQuarantined", err)
 	}
 }
 
@@ -244,9 +224,8 @@ func TestReasonStrings(t *testing.T) {
 }
 
 func TestCheckHello(t *testing.T) {
-	c := Config{}.WithDefaults()
 	ok := wire.Hello{Node: 3, Lambda: 0.01, DeliveryProb: 0.5, Time: 1000, Capacity: 64 << 20}
-	if v := c.CheckHello(ok, 1000); v != nil {
+	if v := CheckHello(ok, 1000); v != nil {
 		t.Fatalf("honest hello rejected: %v", v)
 	}
 	cases := []struct {
@@ -259,17 +238,17 @@ func TestCheckHello(t *testing.T) {
 		{"prob NaN", func(h *wire.Hello) { h.DeliveryProb = math.NaN() }, ReasonBadProphet},
 		{"lambda negative", func(h *wire.Hello) { h.Lambda = -3 }, ReasonBadProphet},
 		{"lambda inf", func(h *wire.Hello) { h.Lambda = math.Inf(1) }, ReasonBadProphet},
-		{"clock far future", func(h *wire.Hello) { h.Time = 1000 + c.MaxClockSkew + 1 }, ReasonBadTimestamp},
-		{"clock far past", func(h *wire.Hello) { h.Time = 1000 - c.MaxClockSkew - 1 }, ReasonBadTimestamp},
+		{"clock far future", func(h *wire.Hello) { h.Time = 1000 + MaxClockSkew + 1 }, ReasonBadTimestamp},
+		{"clock far past", func(h *wire.Hello) { h.Time = 1000 - MaxClockSkew - 1 }, ReasonBadTimestamp},
 		{"clock NaN", func(h *wire.Hello) { h.Time = math.NaN() }, ReasonBadTimestamp},
 		{"capacity negative", func(h *wire.Hello) { h.Capacity = -1 }, ReasonOversized},
-		{"capacity absurd", func(h *wire.Hello) { h.Capacity = c.MaxPeerCapacity + 1 }, ReasonOversized},
+		{"capacity absurd", func(h *wire.Hello) { h.Capacity = MaxPeerCapacity + 1 }, ReasonOversized},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			h := ok
 			tc.mut(&h)
-			v := c.CheckHello(h, 1000)
+			v := CheckHello(h, 1000)
 			if v == nil || v.Reason != tc.reason {
 				t.Fatalf("violation = %v, want reason %v", v, tc.reason)
 			}
@@ -279,23 +258,45 @@ func TestCheckHello(t *testing.T) {
 	// everything by design).
 	cc := ok
 	cc.Node = model.CommandCenter
-	cc.Capacity = c.MaxPeerCapacity + 1
-	if v := c.CheckHello(cc, 1000); v != nil {
+	cc.Capacity = MaxPeerCapacity + 1
+	if v := CheckHello(cc, 1000); v != nil {
 		t.Fatalf("command-center capacity rejected: %v", v)
 	}
 }
 
 func TestCheckMetadata(t *testing.T) {
-	c := Config{MaxMetaEntries: 2, MaxPhotosPerEntry: 2}.WithDefaults()
 	entry := func(n model.NodeID, ts float64) metadata.Entry {
 		return metadata.Entry{Node: n, Lambda: 0.01, P: 0.5, Timestamp: ts,
 			Photos: model.PhotoList{goodPhoto(n, 0)}}
 	}
-	if v := c.CheckMetadata(wire.Metadata{Entries: []metadata.Entry{entry(1, 900), entry(2, 950)}}, 1000); v != nil {
+	// entries(n) is a message of n entries; photos(n) one entry of n
+	// photos.
+	entries := func(n int) wire.Metadata {
+		md := wire.Metadata{Entries: make([]metadata.Entry, n)}
+		for i := range md.Entries {
+			md.Entries[i] = entry(model.NodeID(i+1), 1)
+		}
+		return md
+	}
+	photos := func(n int) wire.Metadata {
+		e := entry(1, 1)
+		e.Photos = make(model.PhotoList, n)
+		for i := range e.Photos {
+			e.Photos[i] = goodPhoto(1, uint32(i))
+		}
+		return wire.Metadata{Entries: []metadata.Entry{e}}
+	}
+	if v := CheckMetadata(wire.Metadata{Entries: []metadata.Entry{entry(1, 900), entry(2, 950)}}, 1000); v != nil {
 		t.Fatalf("honest metadata rejected: %v", v)
 	}
+	if v := CheckMetadata(entries(MaxMetaEntries), 1000); v != nil {
+		t.Fatalf("metadata at the entry cap rejected: %v", v)
+	}
+	if v := CheckMetadata(photos(MaxPhotosPerEntry), 1000); v != nil {
+		t.Fatalf("entry at the photo cap rejected: %v", v)
+	}
 	// Far-past timestamps are fine — they merely decay to useless.
-	if v := c.CheckMetadata(wire.Metadata{Entries: []metadata.Entry{entry(1, -1e9)}}, 1000); v != nil {
+	if v := CheckMetadata(wire.Metadata{Entries: []metadata.Entry{entry(1, -1e9)}}, 1000); v != nil {
 		t.Fatalf("ancient entry rejected: %v", v)
 	}
 
@@ -304,9 +305,7 @@ func TestCheckMetadata(t *testing.T) {
 		md     wire.Metadata
 		reason Reason
 	}{
-		{"too many entries",
-			wire.Metadata{Entries: []metadata.Entry{entry(1, 1), entry(2, 2), entry(3, 3)}},
-			ReasonOversized},
+		{"too many entries", entries(MaxMetaEntries + 1), ReasonOversized},
 		{"duplicate origin",
 			wire.Metadata{Entries: []metadata.Entry{entry(1, 1), entry(1, 2)}},
 			ReasonReplay},
@@ -317,16 +316,12 @@ func TestCheckMetadata(t *testing.T) {
 			wire.Metadata{Entries: []metadata.Entry{{Node: 1, Lambda: -1, P: 0.5, Timestamp: 1}}},
 			ReasonBadProphet},
 		{"far-future timestamp",
-			wire.Metadata{Entries: []metadata.Entry{entry(1, 1000+c.MaxClockSkew+1)}},
+			wire.Metadata{Entries: []metadata.Entry{entry(1, 1000+MaxClockSkew+1)}},
 			ReasonBadTimestamp},
 		{"NaN timestamp",
 			wire.Metadata{Entries: []metadata.Entry{entry(1, math.NaN())}},
 			ReasonBadTimestamp},
-		{"too many photos", func() wire.Metadata {
-			e := entry(1, 1)
-			e.Photos = model.PhotoList{goodPhoto(1, 0), goodPhoto(1, 1), goodPhoto(1, 2)}
-			return wire.Metadata{Entries: []metadata.Entry{e}}
-		}(), ReasonOversized},
+		{"too many photos", photos(MaxPhotosPerEntry + 1), ReasonOversized},
 		{"non-finite photo location", func() wire.Metadata {
 			e := entry(1, 1)
 			p := goodPhoto(1, 0)
@@ -344,7 +339,7 @@ func TestCheckMetadata(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			v := c.CheckMetadata(tc.md, 1000)
+			v := CheckMetadata(tc.md, 1000)
 			if v == nil || v.Reason != tc.reason {
 				t.Fatalf("violation = %v, want reason %v", v, tc.reason)
 			}
@@ -353,7 +348,6 @@ func TestCheckMetadata(t *testing.T) {
 }
 
 func TestCheckMetaSummary(t *testing.T) {
-	c := Config{MaxMetaEntries: 2, MaxPhotosPerEntry: 3}.WithDefaults()
 	sum := func(pairs ...metadata.Stamp) wire.MetaSummary { return wire.MetaSummary{Entries: pairs} }
 	delivered := func(n int) wire.MetaSummary {
 		s := wire.MetaSummary{Delivered: make([]model.PhotoID, n)}
@@ -362,13 +356,23 @@ func TestCheckMetaSummary(t *testing.T) {
 		}
 		return s
 	}
-	if v := c.CheckMetaSummary(sum(metadata.Stamp{Node: 1, Timestamp: -1e9}, metadata.Stamp{Node: 5, Timestamp: 1000}), 1000); v != nil {
+	pairs := func(n int) wire.MetaSummary {
+		s := wire.MetaSummary{Entries: make([]metadata.Stamp, n)}
+		for i := range s.Entries {
+			s.Entries[i] = metadata.Stamp{Node: model.NodeID(i + 1)}
+		}
+		return s
+	}
+	if v := CheckMetaSummary(sum(metadata.Stamp{Node: 1, Timestamp: -1e9}, metadata.Stamp{Node: 5, Timestamp: 1000}), 1000); v != nil {
 		t.Fatalf("honest summary rejected: %v", v)
 	}
-	if v := c.CheckMetaSummary(delivered(c.MaxPhotosPerEntry), 1000); v != nil {
+	if v := CheckMetaSummary(delivered(MaxPhotosPerEntry), 1000); v != nil {
 		t.Fatalf("summary with a full ledger rejected: %v", v)
 	}
-	if v := c.CheckMetaSummary(sum(), 1000); v != nil {
+	if v := CheckMetaSummary(pairs(MaxMetaEntries), 1000); v != nil {
+		t.Fatalf("summary at the pair cap rejected: %v", v)
+	}
+	if v := CheckMetaSummary(sum(), 1000); v != nil {
 		t.Fatalf("empty summary rejected: %v", v)
 	}
 	cases := []struct {
@@ -376,17 +380,17 @@ func TestCheckMetaSummary(t *testing.T) {
 		s      wire.MetaSummary
 		reason Reason
 	}{
-		{"too many pairs", sum(metadata.Stamp{Node: 1}, metadata.Stamp{Node: 2}, metadata.Stamp{Node: 3}), ReasonOversized},
+		{"too many pairs", pairs(MaxMetaEntries + 1), ReasonOversized},
 		{"duplicate node", sum(metadata.Stamp{Node: 4, Timestamp: 1}, metadata.Stamp{Node: 4, Timestamp: 2}), ReasonReplay},
 		{"descending nodes", sum(metadata.Stamp{Node: 4}, metadata.Stamp{Node: 3}), ReasonReplay},
-		{"far-future stamp", sum(metadata.Stamp{Node: 1, Timestamp: 1000 + c.MaxClockSkew + 1}), ReasonBadTimestamp},
+		{"far-future stamp", sum(metadata.Stamp{Node: 1, Timestamp: 1000 + MaxClockSkew + 1}), ReasonBadTimestamp},
 		{"NaN stamp", sum(metadata.Stamp{Node: 1, Timestamp: math.NaN()}), ReasonBadTimestamp},
 		{"infinite stamp", sum(metadata.Stamp{Node: 1, Timestamp: math.Inf(-1)}), ReasonBadTimestamp},
-		{"too many delivered", delivered(c.MaxPhotosPerEntry + 1), ReasonOversized},
+		{"too many delivered", delivered(MaxPhotosPerEntry + 1), ReasonOversized},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			v := c.CheckMetaSummary(tc.s, 1000)
+			v := CheckMetaSummary(tc.s, 1000)
 			if v == nil || v.Reason != tc.reason {
 				t.Fatalf("violation = %v, want reason %v", v, tc.reason)
 			}
@@ -395,67 +399,64 @@ func TestCheckMetaSummary(t *testing.T) {
 }
 
 func TestCheckChunk(t *testing.T) {
-	c := Config{}.WithDefaults()
 	p := goodPhoto(2, 0)
 	want := map[model.PhotoID]bool{p.ID: true}
 	ch := wire.Chunk{Photo: p, Index: 0, Count: 1, ChunkSize: 1 << 16, Total: uint64(p.Size)}
-	if v := c.CheckChunk(ch, want, 1<<16); v != nil {
+	if v := CheckChunk(ch, want, 1<<16); v != nil {
 		t.Fatalf("honest chunk rejected: %v", v)
 	}
-	if v := c.CheckChunk(ch, map[model.PhotoID]bool{999: true}, 1<<16); v == nil || v.Reason != ReasonBadTransfer {
+	if v := CheckChunk(ch, map[model.PhotoID]bool{999: true}, 1<<16); v == nil || v.Reason != ReasonBadTransfer {
 		t.Fatalf("unrequested chunk = %v", v)
 	}
-	if v := c.CheckChunk(ch, want, 1<<15); v == nil || v.Reason != ReasonBadTransfer {
+	if v := CheckChunk(ch, want, 1<<15); v == nil || v.Reason != ReasonBadTransfer {
 		t.Fatalf("wrong chunk size = %v", v)
 	}
 	big := ch
-	big.Total = uint64(c.MaxPhotoBytes) + 1
-	if v := c.CheckChunk(big, want, 1<<16); v == nil || v.Reason != ReasonOversized {
+	big.Total = uint64(MaxPhotoBytes) + 1
+	if v := CheckChunk(big, want, 1<<16); v == nil || v.Reason != ReasonOversized {
 		t.Fatalf("oversized total = %v", v)
 	}
 	// An empty or nil want-set means the node asked for nothing: every
 	// chunk is unrequested.
 	for _, none := range []map[model.PhotoID]bool{nil, {}} {
-		if v := c.CheckChunk(ch, none, 1<<16); v == nil || v.Reason != ReasonBadTransfer {
+		if v := CheckChunk(ch, none, 1<<16); v == nil || v.Reason != ReasonBadTransfer {
 			t.Fatalf("chunk against want-set %v = %v, want a bad-transfer violation", none, v)
 		}
 	}
 }
 
 func TestCheckResumeOffer(t *testing.T) {
-	c := Config{}.WithDefaults()
 	req := map[model.PhotoID]bool{7: true, 8: true}
 	offer := wire.ResumeOffer{Entries: []wire.ResumeEntry{{ID: 7, Total: 100}, {ID: 8, Total: 200}}}
-	if v := c.CheckResumeOffer(offer, req); v != nil {
+	if v := CheckResumeOffer(offer, req); v != nil {
 		t.Fatalf("honest offer rejected: %v", v)
 	}
 	dup := wire.ResumeOffer{Entries: []wire.ResumeEntry{{ID: 7}, {ID: 7}}}
-	if v := c.CheckResumeOffer(dup, req); v == nil || v.Reason != ReasonBadTransfer {
+	if v := CheckResumeOffer(dup, req); v == nil || v.Reason != ReasonBadTransfer {
 		t.Fatalf("duplicate entry = %v", v)
 	}
 	alien := wire.ResumeOffer{Entries: []wire.ResumeEntry{{ID: 99}}}
-	if v := c.CheckResumeOffer(alien, req); v == nil || v.Reason != ReasonBadTransfer {
+	if v := CheckResumeOffer(alien, req); v == nil || v.Reason != ReasonBadTransfer {
 		t.Fatalf("unrequested entry = %v", v)
 	}
-	big := wire.ResumeOffer{Entries: []wire.ResumeEntry{{ID: 7, Total: uint64(c.MaxPhotoBytes) + 1}}}
-	if v := c.CheckResumeOffer(big, req); v == nil || v.Reason != ReasonOversized {
+	big := wire.ResumeOffer{Entries: []wire.ResumeEntry{{ID: 7, Total: uint64(MaxPhotoBytes) + 1}}}
+	if v := CheckResumeOffer(big, req); v == nil || v.Reason != ReasonOversized {
 		t.Fatalf("oversized entry = %v", v)
 	}
 }
 
 func TestCheckChunkAck(t *testing.T) {
-	c := Config{}.WithDefaults()
 	outstanding := map[ChunkKey]int{{ID: 5, Index: 2}: 1}
-	if v := c.CheckChunkAck(wire.ChunkAck{ID: 5, Index: 2}, outstanding); v != nil {
+	if v := CheckChunkAck(wire.ChunkAck{ID: 5, Index: 2}, outstanding); v != nil {
 		t.Fatalf("honest ack rejected: %v", v)
 	}
-	if v := c.CheckChunkAck(wire.ChunkAck{ID: 5, Index: 3}, outstanding); v == nil || v.Reason != ReasonBadTransfer {
+	if v := CheckChunkAck(wire.ChunkAck{ID: 5, Index: 3}, outstanding); v == nil || v.Reason != ReasonBadTransfer {
 		t.Fatalf("ack for unsent chunk = %v", v)
 	}
 	// The caller decrements on acceptance; a second identical ack is then
 	// an over-ack.
 	outstanding[ChunkKey{ID: 5, Index: 2}] = 0
-	if v := c.CheckChunkAck(wire.ChunkAck{ID: 5, Index: 2}, outstanding); v == nil || v.Reason != ReasonBadTransfer {
+	if v := CheckChunkAck(wire.ChunkAck{ID: 5, Index: 2}, outstanding); v == nil || v.Reason != ReasonBadTransfer {
 		t.Fatalf("over-ack = %v", v)
 	}
 }

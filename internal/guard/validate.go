@@ -1,9 +1,10 @@
 // Semantic validators for inbound protocol messages. Each check returns a
 // typed *Violation (nil when the message is acceptable) that the peer
 // layer reports back to the Guard and folds into its abort error chain.
-// The validators are pure functions of (message, local clock, config) so
-// they never perturb state: a rejected message aborts the contact under
-// the §III-D rule — nothing journaled, nothing applied.
+// The validators are pure functions of (message, local clock) under the
+// package's fixed bounds, so they never perturb state: a rejected message
+// aborts the contact under the §III-D rule — nothing journaled, nothing
+// applied.
 package guard
 
 import (
@@ -26,22 +27,22 @@ func finite(v float64) bool {
 // guard); and a non-command-center peer may not advertise more storage
 // than MaxPeerCapacity, which would otherwise vacuum the joint
 // reallocation's best photos onto the liar.
-func (c Config) CheckHello(h wire.Hello, now float64) *Violation {
+func CheckHello(h wire.Hello, now float64) *Violation {
 	if !finite(h.DeliveryProb) || h.DeliveryProb < 0 || h.DeliveryProb > 1 {
 		return violationf(ReasonBadProphet, "delivery predictability %v outside [0,1]", h.DeliveryProb)
 	}
 	if !finite(h.Lambda) || h.Lambda < 0 {
 		return violationf(ReasonBadProphet, "contact rate λ=%v", h.Lambda)
 	}
-	if !finite(h.Time) || math.Abs(h.Time-now) > c.MaxClockSkew {
+	if !finite(h.Time) || math.Abs(h.Time-now) > MaxClockSkew {
 		return violationf(ReasonBadTimestamp, "remote clock %v vs local %v exceeds skew %v",
-			h.Time, now, c.MaxClockSkew)
+			h.Time, now, MaxClockSkew)
 	}
 	if h.Capacity < 0 {
 		return violationf(ReasonOversized, "negative capacity %d", h.Capacity)
 	}
-	if !h.Node.IsCommandCenter() && h.Capacity > c.MaxPeerCapacity {
-		return violationf(ReasonOversized, "claimed capacity %d exceeds cap %d", h.Capacity, c.MaxPeerCapacity)
+	if !h.Node.IsCommandCenter() && h.Capacity > MaxPeerCapacity {
+		return violationf(ReasonOversized, "claimed capacity %d exceeds cap %d", h.Capacity, MaxPeerCapacity)
 	}
 	return nil
 }
@@ -49,8 +50,8 @@ func (c Config) CheckHello(h wire.Hello, now float64) *Violation {
 // CheckPhoto validates one photo's metadata tuple: the model's own
 // physical-meaning checks (positive range, FOV in (0,2π], positive size)
 // plus finite coordinates, finite capture time and orientation, and the
-// declared file size against the negotiated cap.
-func (c Config) CheckPhoto(p model.Photo) *Violation {
+// declared file size against MaxPhotoBytes.
+func CheckPhoto(p model.Photo) *Violation {
 	if err := p.Validate(); err != nil {
 		return violationf(ReasonBadGeometry, "%v: %v", p.ID, err)
 	}
@@ -58,8 +59,8 @@ func (c Config) CheckPhoto(p model.Photo) *Violation {
 		!finite(p.Orientation) || !finite(p.TakenAt) {
 		return violationf(ReasonBadGeometry, "%v: non-finite coordinates", p.ID)
 	}
-	if p.Size > c.MaxPhotoBytes {
-		return violationf(ReasonOversized, "%v declares %d bytes, cap %d", p.ID, p.Size, c.MaxPhotoBytes)
+	if p.Size > MaxPhotoBytes {
+		return violationf(ReasonOversized, "%v declares %d bytes, cap %d", p.ID, p.Size, MaxPhotoBytes)
 	}
 	return nil
 }
@@ -71,9 +72,9 @@ func (c Config) CheckPhoto(p model.Photo) *Violation {
 // that node until its fake time passes. Duplicate origins within one
 // message are a replay; entry and per-entry photo counts are bounded so a
 // single frame cannot balloon the cache.
-func (c Config) CheckMetadata(md wire.Metadata, session float64) *Violation {
-	if len(md.Entries) > c.MaxMetaEntries {
-		return violationf(ReasonOversized, "%d metadata entries, cap %d", len(md.Entries), c.MaxMetaEntries)
+func CheckMetadata(md wire.Metadata, session float64) *Violation {
+	if len(md.Entries) > MaxMetaEntries {
+		return violationf(ReasonOversized, "%d metadata entries, cap %d", len(md.Entries), MaxMetaEntries)
 	}
 	seen := make(map[model.NodeID]bool, len(md.Entries))
 	for _, e := range md.Entries {
@@ -87,16 +88,16 @@ func (c Config) CheckMetadata(md wire.Metadata, session float64) *Violation {
 		if !finite(e.Lambda) || e.Lambda < 0 {
 			return violationf(ReasonBadProphet, "entry %v rate λ=%v", e.Node, e.Lambda)
 		}
-		if !finite(e.Timestamp) || e.Timestamp > session+c.MaxClockSkew {
+		if !finite(e.Timestamp) || e.Timestamp > session+MaxClockSkew {
 			return violationf(ReasonBadTimestamp, "entry %v stamped %v, session %v",
 				e.Node, e.Timestamp, session)
 		}
-		if len(e.Photos) > c.MaxPhotosPerEntry {
+		if len(e.Photos) > MaxPhotosPerEntry {
 			return violationf(ReasonOversized, "entry %v lists %d photos, cap %d",
-				e.Node, len(e.Photos), c.MaxPhotosPerEntry)
+				e.Node, len(e.Photos), MaxPhotosPerEntry)
 		}
 		for _, p := range e.Photos {
-			if v := c.CheckPhoto(p); v != nil {
+			if v := CheckPhoto(p); v != nil {
 				return v
 			}
 		}
@@ -113,18 +114,18 @@ func (c Config) CheckMetadata(md wire.Metadata, session float64) *Violation {
 // describe (the decoder already rejects a repeated ID). A summary only
 // decides what the remote is sent, so a lie within these bounds costs the
 // liar its own updates and nothing else.
-func (c Config) CheckMetaSummary(s wire.MetaSummary, session float64) *Violation {
-	if len(s.Entries) > c.MaxMetaEntries {
-		return violationf(ReasonOversized, "%d summary entries, cap %d", len(s.Entries), c.MaxMetaEntries)
+func CheckMetaSummary(s wire.MetaSummary, session float64) *Violation {
+	if len(s.Entries) > MaxMetaEntries {
+		return violationf(ReasonOversized, "%d summary entries, cap %d", len(s.Entries), MaxMetaEntries)
 	}
-	if len(s.Delivered) > c.MaxPhotosPerEntry {
-		return violationf(ReasonOversized, "summary lists %d delivered photos, cap %d", len(s.Delivered), c.MaxPhotosPerEntry)
+	if len(s.Delivered) > MaxPhotosPerEntry {
+		return violationf(ReasonOversized, "summary lists %d delivered photos, cap %d", len(s.Delivered), MaxPhotosPerEntry)
 	}
 	for i, e := range s.Entries {
 		if i > 0 && e.Node <= s.Entries[i-1].Node {
 			return violationf(ReasonReplay, "summary lists %v after %v", e.Node, s.Entries[i-1].Node)
 		}
-		if !finite(e.Timestamp) || e.Timestamp > session+c.MaxClockSkew {
+		if !finite(e.Timestamp) || e.Timestamp > session+MaxClockSkew {
 			return violationf(ReasonBadTimestamp, "summary stamps %v at %v, session %v",
 				e.Node, e.Timestamp, session)
 		}
@@ -138,8 +139,8 @@ func (c Config) CheckMetaSummary(s wire.MetaSummary, session float64) *Violation
 // The wire decoder already enforced canonical geometry; here we pin the
 // chunk size to the negotiated one (an honest sender always slices at the
 // session's size) and the declared total to the photo-size cap.
-func (c Config) CheckChunk(ch wire.Chunk, want map[model.PhotoID]bool, chunkSize int) *Violation {
-	if v := c.CheckPhoto(ch.Photo); v != nil {
+func CheckChunk(ch wire.Chunk, want map[model.PhotoID]bool, chunkSize int) *Violation {
+	if v := CheckPhoto(ch.Photo); v != nil {
 		return v
 	}
 	if !want[ch.Photo.ID] {
@@ -148,8 +149,8 @@ func (c Config) CheckChunk(ch wire.Chunk, want map[model.PhotoID]bool, chunkSize
 	if chunkSize > 0 && ch.ChunkSize != uint32(chunkSize) {
 		return violationf(ReasonBadTransfer, "chunk size %d, negotiated %d", ch.ChunkSize, chunkSize)
 	}
-	if ch.Total > uint64(c.MaxPhotoBytes) {
-		return violationf(ReasonOversized, "chunk claims %d payload bytes, cap %d", ch.Total, c.MaxPhotoBytes)
+	if ch.Total > uint64(MaxPhotoBytes) {
+		return violationf(ReasonOversized, "chunk claims %d payload bytes, cap %d", ch.Total, MaxPhotoBytes)
 	}
 	return nil
 }
@@ -157,7 +158,7 @@ func (c Config) CheckChunk(ch wire.Chunk, want map[model.PhotoID]bool, chunkSize
 // CheckResumeOffer validates a resume offer against the request that
 // preceded it: every entry must name a photo the remote actually asked
 // for, at most once, with a total under the photo-size cap.
-func (c Config) CheckResumeOffer(o wire.ResumeOffer, requested map[model.PhotoID]bool) *Violation {
+func CheckResumeOffer(o wire.ResumeOffer, requested map[model.PhotoID]bool) *Violation {
 	seen := make(map[model.PhotoID]bool, len(o.Entries))
 	for _, e := range o.Entries {
 		if seen[e.ID] {
@@ -167,9 +168,9 @@ func (c Config) CheckResumeOffer(o wire.ResumeOffer, requested map[model.PhotoID
 		if requested != nil && !requested[e.ID] {
 			return violationf(ReasonBadTransfer, "resume entry for unrequested %v", e.ID)
 		}
-		if e.Total > uint64(c.MaxPhotoBytes) {
+		if e.Total > uint64(MaxPhotoBytes) {
 			return violationf(ReasonOversized, "resume entry %v claims %d bytes, cap %d",
-				e.ID, e.Total, c.MaxPhotoBytes)
+				e.ID, e.Total, MaxPhotoBytes)
 		}
 	}
 	return nil
@@ -180,7 +181,7 @@ func (c Config) CheckResumeOffer(o wire.ResumeOffer, requested map[model.PhotoID
 // acknowledged. outstanding maps (photo, index) to the number of unacked
 // sends (always 0 or 1 with an honest sender); the caller decrements on
 // acceptance.
-func (c Config) CheckChunkAck(a wire.ChunkAck, outstanding map[ChunkKey]int) *Violation {
+func CheckChunkAck(a wire.ChunkAck, outstanding map[ChunkKey]int) *Violation {
 	if outstanding[ChunkKey{ID: a.ID, Index: a.Index}] <= 0 {
 		return violationf(ReasonBadTransfer, "ack for unsent chunk %v[%d]", a.ID, a.Index)
 	}

@@ -185,52 +185,48 @@ func TestUnrequestedChunkRejected(t *testing.T) {
 func TestByzantineFloodQuarantine(t *testing.T) {
 	m := poiMap()
 	v := newTestPeer(t, 1, m, 64*mb,
-		WithGuard(guard.Config{MaxContactRate: 0.001, ContactBurst: 2, QuarantineScore: 1}),
+		WithGuard(guard.Config{MaxContactRate: 0.001}),
 		WithFrameTimeout(byzFrameTimeout))
 	adv := func(seed int64) *faults.ByzantinePeer {
 		return &faults.ByzantinePeer{Node: byzNode, Strategy: faults.ByzFlood, Time: 1000, Seed: seed}
 	}
-	// The burst admits two contacts (which abort when the adversary walks
-	// away mid-protocol — that is not a violation).
-	for i := int64(0); i < 2; i++ {
-		if err := runByzContact(t, v, adv(i), 0, i); errors.Is(err, ErrRateLimited) {
-			t.Fatalf("contact %d shed inside the burst: %v", i, err)
+	// The burst admits ContactBurst contacts (which abort when the
+	// adversary walks away mid-protocol — that is not a violation).
+	seed := int64(0)
+	for ; seed < guard.ContactBurst; seed++ {
+		if err := runByzContact(t, v, adv(seed), 0, seed); errors.Is(err, ErrRateLimited) || errors.Is(err, ErrPeerQuarantined) {
+			t.Fatalf("contact %d shed inside the burst: %v", seed, err)
 		}
 	}
-	// The bucket is dry (the clock is frozen, so it never refills): sheds
-	// with ErrRateLimited, each scoring a soft flood violation, until the
-	// threshold quarantines.
-	sawShed := false
-	for i := int64(2); i < 8; i++ {
-		err := runByzContact(t, v, adv(i), 0, i)
-		if errors.Is(err, ErrPeerQuarantined) {
-			if !sawShed {
-				t.Fatal("quarantined before any rate-limit shed")
-			}
-			st := v.GuardStats()
-			if st.QuarantineEvents != 1 || st.ShedContacts == 0 {
-				t.Fatalf("guard stats = %+v", st)
-			}
-			return
+	// The bucket is dry (the clock is frozen, so it never refills): each
+	// contact is shed with ErrRateLimited and scores a soft flood violation
+	// of 0.25, so the QuarantineScore/0.25-th shed quarantines and the
+	// next contact meets the quarantine.
+	sheds := int64(guard.QuarantineScore / 0.25)
+	for i := int64(0); i < sheds; i, seed = i+1, seed+1 {
+		if err := runByzContact(t, v, adv(seed), 0, seed); !errors.Is(err, ErrRateLimited) {
+			t.Fatalf("shed %d err = %v, want ErrRateLimited", i, err)
 		}
-		if !errors.Is(err, ErrRateLimited) {
-			t.Fatalf("contact %d err = %v, want ErrRateLimited", i, err)
-		}
-		sawShed = true
 	}
-	t.Fatal("sustained flooding never escalated to quarantine")
+	if err := runByzContact(t, v, adv(seed), 0, seed); !errors.Is(err, ErrPeerQuarantined) {
+		t.Fatalf("contact after %d sheds err = %v, want ErrPeerQuarantined", sheds, err)
+	}
+	if st := v.GuardStats(); st.QuarantineEvents != 1 || st.ShedContacts != sheds+1 {
+		t.Fatalf("guard stats = %+v", st)
+	}
 }
 
 // TestByzantineQuarantinePersistence pins the durable half: a quarantine
-// imposed mid-run survives a close/reopen through journal replay alone (no
-// checkpoint), and again through the snapshot path, while the aborted
-// adversarial contacts journal no commits at all.
+// imposed mid-run (QuarantineScore attacks on a frozen clock) survives a
+// close/reopen through journal replay alone (no checkpoint), and again
+// through the snapshot path, while the aborted adversarial contacts journal
+// no commits at all.
 func TestByzantineQuarantinePersistence(t *testing.T) {
 	m := poiMap()
 	dir := t.TempDir()
 	opts := []Option{
 		WithSeed(101), fixedClock(1000),
-		WithGuard(guard.Config{QuarantineScore: 1, QuarantineTTL: 5000}),
+		WithGuard(guard.Config{QuarantineTTL: 5000}),
 		WithFrameTimeout(byzFrameTimeout),
 	}
 	v, err := Open(dir, 1, m, 64*mb, opts...)
@@ -238,8 +234,10 @@ func TestByzantineQuarantinePersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	adv := &faults.ByzantinePeer{Node: byzNode, Strategy: faults.ByzAbsurdClaim, Time: 1000, Seed: 3}
-	if err := runByzContact(t, v, adv, 0, 1); !errors.Is(err, ErrProtocolViolation) {
-		t.Fatalf("attack err = %v, want ErrProtocolViolation", err)
+	for i := int64(0); i < guard.QuarantineScore; i++ {
+		if err := runByzContact(t, v, adv, 0, i+1); !errors.Is(err, ErrProtocolViolation) {
+			t.Fatalf("attack %d err = %v, want ErrProtocolViolation", i, err)
+		}
 	}
 	if st := v.GuardStats(); st.QuarantineEvents != 1 || st.Quarantined != 1 {
 		t.Fatalf("guard stats = %+v", st)
@@ -259,7 +257,7 @@ func TestByzantineQuarantinePersistence(t *testing.T) {
 	if st := v2.GuardStats(); st.Quarantined != 1 {
 		t.Fatalf("journal replay lost the quarantine: stats = %+v", st)
 	}
-	if err := runByzContact(t, v2, adv, 0, 2); !errors.Is(err, ErrPeerQuarantined) {
+	if err := runByzContact(t, v2, adv, 0, 10); !errors.Is(err, ErrPeerQuarantined) {
 		t.Fatalf("post-restart contact err = %v, want ErrPeerQuarantined", err)
 	}
 	// Checkpoint and reopen: the snapshot path must carry it too.
@@ -277,7 +275,7 @@ func TestByzantineQuarantinePersistence(t *testing.T) {
 	if st := v3.GuardStats(); st.Quarantined != 1 {
 		t.Fatalf("snapshot lost the quarantine: stats = %+v", st)
 	}
-	if err := runByzContact(t, v3, adv, 0, 3); !errors.Is(err, ErrPeerQuarantined) {
+	if err := runByzContact(t, v3, adv, 0, 11); !errors.Is(err, ErrPeerQuarantined) {
 		t.Fatalf("post-snapshot contact err = %v, want ErrPeerQuarantined", err)
 	}
 }
@@ -290,7 +288,7 @@ func TestQuarantineRecordsSkippedWithoutGuard(t *testing.T) {
 	dir := t.TempDir()
 	guarded := []Option{
 		WithSeed(101), fixedClock(1000),
-		WithGuard(guard.Config{QuarantineScore: 1, QuarantineTTL: 5000}),
+		WithGuard(guard.Config{QuarantineTTL: 5000}),
 		WithFrameTimeout(byzFrameTimeout),
 	}
 	v, err := Open(dir, 1, m, 64*mb, guarded...)
@@ -301,8 +299,15 @@ func TestQuarantineRecordsSkippedWithoutGuard(t *testing.T) {
 		t.Fatal(err)
 	}
 	adv := &faults.ByzantinePeer{Node: byzNode, Strategy: faults.ByzAbsurdClaim, Time: 1000, Seed: 3}
-	if err := runByzContact(t, v, adv, 0, 1); err == nil {
-		t.Fatal("attack succeeded")
+	for i := int64(0); i < guard.QuarantineScore; i++ {
+		if err := runByzContact(t, v, adv, 0, i+1); err == nil {
+			t.Fatalf("attack %d succeeded", i)
+		}
+	}
+	// The journal must hold a quarantine record, or the reopen below has
+	// nothing to skip.
+	if st := v.GuardStats(); st.QuarantineEvents != 1 {
+		t.Fatalf("guard stats = %+v, want one quarantine journaled", st)
 	}
 	if err := v.Close(); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,6 @@
 // Adversarial-peer hardening: the peer half of the internal/guard layer.
-// WithGuard arms a peer against hostile remotes — admission control and
-// byte metering per peer, semantic validation of every inbound message,
+// WithGuard arms a peer against hostile remotes — contact admission control
+// per peer, semantic validation of every inbound message,
 // and a journaled TTL quarantine for repeat offenders. Without the option
 // every hook in this file is a strict no-op and the contact path behaves
 // bit-identically to a pre-guard peer (pinned by TestGuardDisabledNoOp).
@@ -10,9 +10,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
-	"sync"
 
 	"photodtn/internal/guard"
 	"photodtn/internal/model"
@@ -32,22 +30,19 @@ var (
 	// ErrPeerQuarantined reports a contact with a peer inside its
 	// quarantine TTL.
 	ErrPeerQuarantined = errors.New("peer: remote is quarantined")
-	// ErrRateLimited reports a contact shed by the per-peer token buckets
-	// (contact admissions or inbound bytes).
+	// ErrRateLimited reports a contact shed by the per-peer contact token
+	// bucket.
 	ErrRateLimited = errors.New("peer: remote exceeded its rate budget")
 )
 
-// WithGuard arms the peer's adversarial hardening with the given
-// configuration (zero fields take guard defaults). It enables scoring of
-// out-of-round messages (which abort the contact either way), semantic
-// validation of inbound messages, per-peer contact/byte rate limiting, a
-// misbehavior-scored TTL quarantine (journaled on durable peers), and
-// bounds on the metadata cache.
+// WithGuard arms the peer's adversarial hardening with the given contact
+// rate and quarantine TTL (zero fields take guard defaults). It enables
+// scoring of out-of-round messages (which abort the contact either way),
+// semantic validation of inbound messages under the guard's fixed bounds,
+// per-peer contact rate limiting, a misbehavior-scored TTL quarantine
+// (journaled on durable peers), and bounds on the metadata cache.
 func WithGuard(cfg guard.Config) Option {
-	return optionFunc(func(p *Peer) {
-		p.guardOn = true
-		p.guardCfg = cfg.WithDefaults()
-	})
+	return optionFunc(func(p *Peer) { p.guardCfg = &cfg })
 }
 
 // GuardStats returns the guard's activity snapshot (zero when the guard is
@@ -63,10 +58,10 @@ func (p *Peer) GuardEnabled() bool { return p.guard != nil }
 // metadata cache exist but before journal recovery (recovered quarantine
 // records need the guard in place).
 func (p *Peer) initGuard() {
-	if !p.guardOn {
+	if p.guardCfg == nil {
 		return
 	}
-	p.guard = guard.New(p.guardCfg, p.obsv)
+	p.guard = guard.New(*p.guardCfg, p.obsv)
 	p.guard.OnQuarantine(p.noteQuarantine)
 	p.cache.SetLimits(guard.DefaultMaxCacheEntries, guard.DefaultMaxCacheBytes)
 }
@@ -116,43 +111,6 @@ func (s *session) violation(v *guard.Violation) error {
 func (s *session) violationf(r guard.Reason, format string, args ...any) error {
 	return s.violation(&guard.Violation{Reason: r, Detail: fmt.Sprintf(format, args...)})
 }
-
-// guardConn meters inbound bytes against the remote's byte bucket. It
-// wraps the (already deadline-enforcing) contact transport; until bind is
-// called — the remote is only known after the hello exchange — reads pass
-// through unmetered, which is fine: a hello is a fixed-size frame.
-type guardConn struct {
-	rw io.ReadWriter
-	p  *Peer
-
-	mu    sync.Mutex
-	node  model.NodeID
-	bound bool
-}
-
-// bind attributes all further inbound bytes to node.
-func (g *guardConn) bind(node model.NodeID) {
-	g.mu.Lock()
-	g.node, g.bound = node, true
-	g.mu.Unlock()
-}
-
-func (g *guardConn) Read(b []byte) (int, error) {
-	n, err := g.rw.Read(b)
-	if n > 0 {
-		g.mu.Lock()
-		bound, node := g.bound, g.node
-		g.mu.Unlock()
-		if bound {
-			if aerr := g.p.guard.AdmitBytes(node, int64(n), g.p.clock()); aerr != nil {
-				return n, wrapAdmitErr(aerr)
-			}
-		}
-	}
-	return n, err
-}
-
-func (g *guardConn) Write(b []byte) (int, error) { return g.rw.Write(b) }
 
 // --- quarantine journal record ---
 

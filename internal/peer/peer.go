@@ -118,8 +118,9 @@ const DefaultMaxFragmentBytes = 256 << 20
 // matters.
 type TransferConfig struct {
 	// ChunkSize is the preferred transfer chunk size in bytes (default
-	// wire.DefaultChunkSize, 256 KiB). The contact uses the smaller of the
-	// two peers' preferences.
+	// wire.DefaultChunkSize, 256 KiB; a smaller value than
+	// wire.MinChunkSize, 4 KiB, is raised to it). The contact uses the
+	// smaller of the two peers' preferences.
 	ChunkSize int
 	// Resume persists partial transfers across contacts and offers them
 	// back to senders. Effective only when both peers enable it; otherwise
@@ -146,6 +147,9 @@ func DefaultTransferConfig() TransferConfig {
 func (tc TransferConfig) normalize() TransferConfig {
 	if tc.ChunkSize <= 0 {
 		tc.ChunkSize = wire.DefaultChunkSize
+	}
+	if tc.ChunkSize < wire.MinChunkSize {
+		tc.ChunkSize = wire.MinChunkSize
 	}
 	if tc.ChunkSize > wire.MaxFrame/2 {
 		tc.ChunkSize = wire.MaxFrame / 2 // headroom for metadata in the frame
@@ -269,9 +273,8 @@ type Peer struct {
 	gInflight       *obs.Gauge
 
 	// Adversarial hardening (nil — no-op — unless WithGuard is given; see
-	// guard.go).
-	guardOn  bool
-	guardCfg guard.Config
+	// guard.go). guardCfg carries WithGuard's settings to initGuard.
+	guardCfg *guard.Config
 	guard    *guard.Guard
 
 	// Durability (zero — memory-only — unless WithJournal is given; see
@@ -369,9 +372,6 @@ func New(id model.NodeID, m *coverage.Map, capacity int64, opts ...Option) *Peer
 
 // ID returns the peer's node ID.
 func (p *Peer) ID() model.NodeID { return p.id }
-
-// MaxContacts returns the serve-side admission limit (see WithMaxContacts).
-func (p *Peer) MaxContacts() int { return p.maxContacts }
 
 // AddPhoto stores a locally taken photo (rejecting it if it cannot fit).
 // Durable peers journal the admission before reporting success.
@@ -635,11 +635,6 @@ func (p *Peer) runContact(conn io.ReadWriter, initiator bool) error {
 	s, err := p.beginSession()
 	if err != nil {
 		return err
-	}
-	if p.guard != nil {
-		gc := &guardConn{rw: conn, p: p}
-		s.gc = gc
-		conn = gc
 	}
 	p.inflight.Add(1)
 	p.gInflight.Add(1)

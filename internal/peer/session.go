@@ -51,12 +51,10 @@ type session struct {
 	wp         wire.Params
 	localFrags *transfer.Store
 
-	// Guard bookkeeping. remote is known once the hello exchange names the
-	// peer; gc is the byte-metering wrapper installed when the guard is
-	// armed.
+	// Guard bookkeeping: remote is known once the hello exchange names the
+	// peer.
 	remote      model.NodeID
 	remoteKnown bool
-	gc          *guardConn
 }
 
 // beginSession snapshots the peer under the lock: state clones, the clock,
@@ -270,9 +268,6 @@ func (s *session) run(conn io.ReadWriter, initiator bool) error {
 	}
 	s.conn, s.wp = conn, wp
 	s.remote, s.remoteKnown = theirs.Node, true
-	if s.gc != nil {
-		s.gc.bind(theirs.Node)
-	}
 	// Guard admission and hello validation happen before the encounter is
 	// recorded: a shed or lying peer must not influence the PROPHET table
 	// or the learned contact rate, even on the session's private clone.
@@ -280,7 +275,7 @@ func (s *session) run(conn io.ReadWriter, initiator bool) error {
 		if err := p.guard.AdmitContact(theirs.Node, p.clock()); err != nil {
 			return wrapAdmitErr(err)
 		}
-		if v := p.guardCfg.CheckHello(theirs, now); v != nil {
+		if v := guard.CheckHello(theirs, now); v != nil {
 			return s.violation(v)
 		}
 	}
@@ -297,12 +292,12 @@ func (s *session) run(conn io.ReadWriter, initiator bool) error {
 	// Metadata exchange: each side first summarises what it caches, then
 	// sends its own collection followed by the gossiped entries the other's
 	// summary shows it lacks.
-	theirSum, err := exchange(s, initiator, s.summaryMsg(), p.guardCfg.CheckMetaSummary, session)
+	theirSum, err := exchange(s, initiator, s.summaryMsg(), guard.CheckMetaSummary, session)
 	if err != nil {
 		return err
 	}
 	mineMD, withheld, acksWithheld := s.metadataMsg(session, theirSum)
-	md, err := exchange(s, initiator, mineMD, p.guardCfg.CheckMetadata, session)
+	md, err := exchange(s, initiator, mineMD, guard.CheckMetadata, session)
 	if err != nil {
 		return err
 	}

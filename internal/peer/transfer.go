@@ -100,7 +100,7 @@ func (s *session) readOffer(requested []model.PhotoID) (map[model.PhotoID]wire.R
 		for _, id := range requested {
 			asked[id] = true
 		}
-		if v := s.p.guardCfg.CheckResumeOffer(offer, asked); v != nil {
+		if v := guard.CheckResumeOffer(offer, asked); v != nil {
 			return nil, s.violation(v)
 		}
 	}
@@ -194,7 +194,7 @@ func (s *session) sendChunks(ids []model.PhotoID, offers map[model.PhotoID]wire.
 				return
 			}
 			if outstanding != nil {
-				if v := p.guardCfg.CheckChunkAck(a, outstanding); v != nil {
+				if v := guard.CheckChunkAck(a, outstanding); v != nil {
 					errc <- s.violation(v)
 					return
 				}
@@ -279,7 +279,7 @@ func (s *session) receiveChunks(want []model.PhotoID) (map[model.PhotoID]model.P
 		switch m := msg.(type) {
 		case wire.Chunk:
 			if p.guard != nil {
-				if v := p.guardCfg.CheckChunk(m, wantSet, int(s.wp.ChunkSize)); v != nil {
+				if v := guard.CheckChunk(m, wantSet, int(s.wp.ChunkSize)); v != nil {
 					return nil, s.violation(v)
 				}
 				key := guard.ChunkKey{ID: m.Photo.ID, Index: m.Index}

@@ -1,6 +1,7 @@
 package peer
 
 import (
+	"errors"
 	"io"
 	"net"
 	"sync"
@@ -9,6 +10,7 @@ import (
 
 	"photodtn/internal/faults"
 	"photodtn/internal/model"
+	"photodtn/internal/wire"
 )
 
 const kib = int64(1) << 10
@@ -363,5 +365,37 @@ func TestChaosMidChunkKillSweep(t *testing.T) {
 	}
 	if !sawReplay {
 		t.Fatal("no cut left durable fragments to recover — sweep misses the chunk stream")
+	}
+}
+
+// TestTinyChunkSizeRefused pins the chunk-size floor at the peer: a command
+// center advertising a 1-byte chunk size — its preference set past
+// TransferConfig.normalize, as a hostile build would — must not make a
+// gateway frame its uploads a byte at a time. The gateway refuses the hello
+// with ErrProtocol and sends no chunk; an honest config below the floor is
+// raised to it instead.
+func TestTinyChunkSizeRefused(t *testing.T) {
+	m := poiMap()
+	payload := WithPayloadBytes(int(64 * kib))
+	gw := newTestPeer(t, 1, m, 32*mb, payload)
+	cc := newTestPeer(t, model.CommandCenter, m, 0, payload)
+	cc.transfer.ChunkSize = 1
+	for i := uint32(0); i < 4; i++ {
+		if err := gw.AddPhoto(viewFrom(1, i, float64(i)*90)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, errGW := tryContact(cc, gw)
+	if !errors.Is(errGW, ErrProtocol) || !errors.Is(errGW, wire.ErrHandshake) {
+		t.Fatalf("gateway err = %v, want ErrProtocol wrapping wire.ErrHandshake", errGW)
+	}
+	if n := gw.TransferStats().ChunksSent; n != 0 {
+		t.Fatalf("gateway sent %d chunks", n)
+	}
+	if n := len(gw.Photos()); n != 4 {
+		t.Fatalf("gateway holds %d photos after the refused contact, want 4", n)
+	}
+	if got := (TransferConfig{ChunkSize: 1}).normalize().ChunkSize; got != wire.MinChunkSize {
+		t.Fatalf("normalized chunk size %d, want wire.MinChunkSize", got)
 	}
 }

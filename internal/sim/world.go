@@ -128,9 +128,6 @@ func (w *World) CCHas(id model.PhotoID) bool { return w.ccSet[id] }
 // objective the whole system maximises.
 func (w *World) CCCoverage() coverage.Coverage { return w.ccState.Coverage() }
 
-// CCState exposes the command center's coverage state (read-only use).
-func (w *World) CCState() *coverage.State { return w.ccState }
-
 // DeliveredCount returns the number of distinct photos delivered.
 func (w *World) DeliveredCount() int { return len(w.ccPhotos) }
 
@@ -214,10 +211,6 @@ func (s *Session) World() *World { return s.w }
 // Remaining returns the remaining transfer budget in bytes; it is
 // meaningless when the session is unlimited.
 func (s *Session) Remaining() int64 { return s.budget }
-
-// Unlimited reports whether the contact has no transfer budget (the
-// paper's "contact duration is long enough" assumption).
-func (s *Session) Unlimited() bool { return s.unlimited }
 
 // Exhausted reports whether no further transfer can succeed.
 func (s *Session) Exhausted() bool { return s.aborted || (!s.unlimited && s.budget <= 0) }

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"testing"
 
 	"photodtn/internal/metadata"
@@ -170,6 +171,57 @@ func FuzzDecodeMessage(f *testing.F) {
 		}
 		if again.Type() != msg.Type() {
 			t.Fatalf("round-trip changed type %v to %v", msg.Type(), again.Type())
+		}
+	})
+}
+
+// FuzzNegotiate runs the handshake in either role against a remote whose
+// hello carries arbitrary transfer fields. The handshake is refused exactly
+// when the smaller chunk size is under MinChunkSize, and a refusing
+// responder sends nothing. Otherwise the chunk size lies in
+// [MinChunkSize, local], the window in [1, local], and resume is on only
+// when both sides set it; a responder's ack states what it agreed to.
+func FuzzNegotiate(f *testing.F) {
+	for _, size := range []uint32{0, 1, MinChunkSize - 1, MinChunkSize, 64 << 10, DefaultChunkSize, 1<<32 - 1} {
+		f.Add(uint32(0), uint16(0), true, size, uint16(DefaultWindow), FlagResume, false)
+		f.Add(uint32(16<<10), uint16(4), false, size, uint16(0), uint8(0), true)
+	}
+	f.Add(uint32(1), uint16(1), true, uint32(MinChunkSize), uint16(1<<16-1), uint8(0xFF), false)
+	f.Fuzz(func(t *testing.T, localChunk uint32, localWindow uint16, localResume bool,
+		remoteChunk uint32, remoteWindow uint16, remoteFlags uint8, initiator bool) {
+		local := Params{ChunkSize: localChunk, Window: localWindow, Resume: localResume}
+		h := Hello{Node: 0, ChunkSize: remoteChunk, Window: remoteWindow, Flags: remoteFlags}
+		neg, written, err := negotiateAgainst(t, local, h, initiator)
+		eff := local.withDefaults()
+		if refuse := min(eff.ChunkSize, remoteChunk) < MinChunkSize; refuse != (err != nil) {
+			t.Fatalf("local %+v, remote %+v: err = %v, want refusal %v", eff, h, err, refuse)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrHandshake) {
+				t.Fatalf("refusal %v is not ErrHandshake", err)
+			}
+			if len(written) != 0 {
+				t.Fatalf("refused, yet wrote %d bytes", len(written))
+			}
+			return
+		}
+		if neg.ChunkSize < MinChunkSize || neg.ChunkSize > eff.ChunkSize {
+			t.Fatalf("chunk size %d outside [%d, %d]", neg.ChunkSize, MinChunkSize, eff.ChunkSize)
+		}
+		if neg.Window < 1 || neg.Window > eff.Window {
+			t.Fatalf("window %d outside [1, %d]", neg.Window, eff.Window)
+		}
+		if neg.Resume != (localResume && remoteFlags&FlagResume != 0) {
+			t.Fatalf("resume %v with local %v, remote flags %#x", neg.Resume, localResume, remoteFlags)
+		}
+		if initiator {
+			return
+		}
+		msg, rerr := Read(bytes.NewReader(written))
+		ack, ok := msg.(HelloAck)
+		if rerr != nil || !ok || ack.ChunkSize != neg.ChunkSize || ack.Window != neg.Window ||
+			(ack.Flags&FlagResume != 0) != neg.Resume {
+			t.Fatalf("responder answered %v, %v for %+v", msg, rerr, neg)
 		}
 	})
 }

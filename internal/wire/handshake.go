@@ -9,6 +9,10 @@
 //	Hello{chunk, window, resume} --->
 //	                             <--- HelloAck{chunk', window', resume'}
 //
+// The chunk size has a floor, MinChunkSize: a hello or hello ack that would
+// take it lower is refused with ErrHandshake, and a refused hello gets no
+// answer.
+//
 // Both hellos carry ProtocolVersion; a peer speaking any other version
 // fails the hello decode with ErrBadMessage. There is no downgrade.
 // Version 3 opens the metadata round with a MetaSummary from each side, so
@@ -35,6 +39,11 @@ const (
 	// DefaultWindow is the default number of unacknowledged chunks in
 	// flight.
 	DefaultWindow = 8
+	// MinChunkSize is the smallest chunk size a handshake agrees to:
+	// 4 KiB. Every chunk frame carries the photo's full metadata, so a
+	// remote that could push the size down to a byte would make the sender
+	// frame its payload a byte at a time.
+	MinChunkSize = 4 << 10
 )
 
 // FlagResume in Hello.Flags advertises that the sender persists partial
@@ -67,17 +76,19 @@ func (p Params) withDefaults() Params {
 }
 
 // negotiate folds the remote hello into local params: element-wise minimum
-// for chunk size and window; logical AND for resume.
-func negotiate(p Params, h Hello) Params {
+// for chunk size and window; logical AND for resume. It refuses a chunk
+// size below MinChunkSize with ErrHandshake.
+func negotiate(p Params, h Hello) (Params, error) {
 	out := p
-	if h.ChunkSize != 0 && h.ChunkSize < out.ChunkSize {
-		out.ChunkSize = h.ChunkSize
+	out.ChunkSize = min(p.ChunkSize, h.ChunkSize)
+	if out.ChunkSize < MinChunkSize {
+		return Params{}, fmt.Errorf("%w: chunk size %d below the minimum %d", ErrHandshake, out.ChunkSize, MinChunkSize)
 	}
 	if h.Window != 0 && h.Window < out.Window {
 		out.Window = h.Window
 	}
 	out.Resume = p.Resume && h.Flags&FlagResume != 0
-	return out
+	return out, nil
 }
 
 // stamp writes the transfer parameters onto a hello.
@@ -112,8 +123,12 @@ func Negotiate(rw io.ReadWriter, own Hello, p Params, initiator bool) (Params, H
 		}
 		// The ack already carries the responder's minimum; folding it into
 		// our params again clamps a misbehaving responder that tried to
-		// negotiate *up*.
-		return negotiate(p, ack.Hello), ack.Hello, nil
+		// negotiate *up*, and refuses one that went below MinChunkSize.
+		neg, err := negotiate(p, ack.Hello)
+		if err != nil {
+			return Params{}, Hello{}, err
+		}
+		return neg, ack.Hello, nil
 	}
 	msg, err := Read(rw)
 	if err != nil {
@@ -123,7 +138,11 @@ func Negotiate(rw io.ReadWriter, own Hello, p Params, initiator bool) (Params, H
 	if !ok {
 		return Params{}, Hello{}, fmt.Errorf("%w: %v before hello", ErrHandshake, msg.Type())
 	}
-	neg := negotiate(p, h)
+	// A refused hello gets no answer.
+	neg, err := negotiate(p, h)
+	if err != nil {
+		return Params{}, Hello{}, err
+	}
 	if err := Write(rw, HelloAck{Hello: stamp(own, neg)}); err != nil {
 		return Params{}, Hello{}, err
 	}

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"net"
@@ -118,5 +119,63 @@ func TestNegotiateRejectsNonHello(t *testing.T) {
 	}
 	if err := <-done; !errors.Is(err, ErrHandshake) {
 		t.Fatalf("err = %v, want ErrHandshake", err)
+	}
+}
+
+// remoteSide is a ReadWriter whose reads replay a prepared remote frame and
+// whose writes record what the local side sends.
+type remoteSide struct {
+	in, out bytes.Buffer
+}
+
+func (r *remoteSide) Read(b []byte) (int, error)  { return r.in.Read(b) }
+func (r *remoteSide) Write(b []byte) (int, error) { return r.out.Write(b) }
+
+// negotiateAgainst runs Negotiate in one role against a remote whose hello
+// is h: sent as a Hello when the local side responds, as the HelloAck when
+// it initiates. It also returns every byte the local side wrote after its
+// own hello.
+func negotiateAgainst(t testing.TB, local Params, h Hello, initiator bool) (Params, []byte, error) {
+	t.Helper()
+	rw := &remoteSide{}
+	var remote Message = h
+	if initiator {
+		remote = HelloAck{Hello: h}
+	}
+	if err := Write(&rw.in, remote); err != nil {
+		t.Fatal(err)
+	}
+	neg, _, err := Negotiate(rw, Hello{Node: 1}, local, initiator)
+	written := rw.out.Bytes()
+	if initiator {
+		if _, rerr := Read(&rw.out); rerr != nil {
+			t.Fatalf("initiator's own hello: %v", rerr)
+		}
+		written = rw.out.Bytes()
+	}
+	return neg, written, err
+}
+
+// TestNegotiateRefusesTinyChunks pins the chunk-size floor in both roles: a
+// remote hello or hello ack below MinChunkSize is refused with
+// ErrHandshake, and a responder refuses before it answers. At the floor the
+// handshake goes through.
+func TestNegotiateRefusesTinyChunks(t *testing.T) {
+	for _, initiator := range []bool{false, true} {
+		for _, size := range []uint32{0, 1, MinChunkSize - 1} {
+			h := Hello{Node: 0, ChunkSize: size, Window: DefaultWindow}
+			_, written, err := negotiateAgainst(t, Params{}, h, initiator)
+			if !errors.Is(err, ErrHandshake) {
+				t.Fatalf("initiator=%v, remote chunk size %d: err = %v, want ErrHandshake", initiator, size, err)
+			}
+			if len(written) != 0 {
+				t.Fatalf("initiator=%v, remote chunk size %d: answered with %d bytes", initiator, size, len(written))
+			}
+		}
+		h := Hello{Node: 0, ChunkSize: MinChunkSize, Window: DefaultWindow}
+		neg, _, err := negotiateAgainst(t, Params{}, h, initiator)
+		if err != nil || neg.ChunkSize != MinChunkSize {
+			t.Fatalf("initiator=%v at the floor: %+v, %v", initiator, neg, err)
+		}
 	}
 }

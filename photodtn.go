@@ -347,10 +347,11 @@ type TransferConfig = peer.TransferConfig
 // (see Peer.TransferStats).
 type PeerTransferStats = peer.TransferStats
 
-// GuardConfig tunes a peer's adversarial hardening: per-peer rate limits,
-// the misbehavior score and quarantine TTL, clock-skew and size bounds for
-// semantic validation, and the metadata cache caps. Zero fields take the
-// documented defaults; pass it through WithGuard.
+// GuardConfig holds the two deployment settings of a peer's adversarial
+// hardening: the per-peer contact rate and the quarantine TTL. Zero fields
+// take the documented defaults; every other bound (burst depth, score
+// threshold and half-life, clock skew, size and count caps) is a fixed
+// constant of the guard. Pass it through WithGuard.
 type GuardConfig = guard.Config
 
 // GuardStats is a guarded peer's activity snapshot: violations by reason,
