@@ -102,8 +102,11 @@ bench-all:
 # behind photodtn-sim -trace FILE, the chunk reassembly store
 # (bitmap/eviction/checksum invariants against a model oracle, and the
 # Held → Add round trip a peer snapshot restores partials through), and the
-# arc-set geometry kernel every coverage computation bottoms out in. The
-# Reassembly patterns are anchored: two targets share the prefix.
+# arc-set geometry kernel every coverage computation bottoms out in, and
+# write-ahead log recovery (arbitrary wal.log bytes must recover a
+# CRC-valid, sequence-increasing record prefix that a later batch append
+# extends). The Reassembly patterns are anchored: two targets share the
+# prefix.
 fuzz:
 	$(GO) test -run=Fuzz -fuzz=FuzzRead -fuzztime=30s ./internal/wire/
 	$(GO) test -run=Fuzz -fuzz=FuzzDecodeMessage -fuzztime=30s ./internal/wire/
@@ -113,6 +116,7 @@ fuzz:
 	$(GO) test -run=Fuzz -fuzz='FuzzReassembly$$' -fuzztime=30s ./internal/transfer/
 	$(GO) test -run=Fuzz -fuzz='FuzzReassemblyHeld$$' -fuzztime=30s ./internal/transfer/
 	$(GO) test -run=Fuzz -fuzz=FuzzArcSet -fuzztime=30s ./internal/geo/
+	$(GO) test -run=Fuzz -fuzz=FuzzJournalRecover -fuzztime=30s ./internal/journal/
 
 # fuzz-short is the tier-1 smoke pass over all fuzz targets: a few seconds
 # each, enough to replay the corpus plus a quick mutation burst.
@@ -125,6 +129,7 @@ fuzz-short:
 	$(GO) test -run=Fuzz -fuzz='FuzzReassembly$$' -fuzztime=5s ./internal/transfer/
 	$(GO) test -run=Fuzz -fuzz='FuzzReassemblyHeld$$' -fuzztime=5s ./internal/transfer/
 	$(GO) test -run=Fuzz -fuzz=FuzzArcSet -fuzztime=5s ./internal/geo/
+	$(GO) test -run=Fuzz -fuzz=FuzzJournalRecover -fuzztime=5s ./internal/journal/
 
 # trace-demo produces a sample observability bundle under trace-demo/: a
 # JSONL event trace, the subsystem counters, and the run manifests.

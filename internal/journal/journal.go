@@ -12,9 +12,13 @@
 //	[payload][4-byte LE CRC-32C of type + sequence + payload]
 //
 // Appends are O_APPEND + fsync, so a record is durable once Append
-// returns. A crash mid-append leaves a torn tail; Open scans the log,
-// keeps the longest prefix of CRC-valid records, and truncates the rest —
-// a half-written record can never be half-applied.
+// returns. AppendBatch writes several records with one write and one
+// fsync: the bytes on disk are the same as a run of Appends, only the
+// barrier is shared. A crash mid-append leaves a torn tail; Open scans the
+// log, keeps the longest prefix of CRC-valid records with increasing
+// sequence numbers, and truncates the rest — a half-written record can
+// never be half-applied, and a torn batch recovers as a prefix of its
+// records.
 //
 // A snapshot compacts the log: Checkpoint atomically replaces the snapshot
 // file (temp + fsync + rename) carrying the sequence number it covers,
@@ -29,8 +33,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 )
 
@@ -195,6 +201,33 @@ func (j *Journal) Seq() uint64 { return j.nextSeq - 1 }
 // Append returns nil the record is durable and will be replayed by the
 // next Open.
 func (j *Journal) Append(typ byte, payload []byte) error {
+	return j.AppendBatch(Entry{Type: typ, Payload: payload})
+}
+
+// framePool recycles the buffers appends frame their records into, across
+// every journal of the process: a buffer is written out before its append
+// returns. Buffers over maxPooledFrames are left to the collector.
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledFrames = 1 << 20
+
+// Entry is one record handed to AppendBatch.
+type Entry struct {
+	// Type is the caller's record discriminator.
+	Type byte
+	// Payload is the record body.
+	Payload []byte
+}
+
+// AppendBatch appends several records with one write and one fsync. Each
+// entry is framed exactly as Append frames it, with consecutive sequence
+// numbers, so the log holds the same bytes a run of single Appends would
+// write. When AppendBatch returns nil every entry is durable. A crash
+// mid-batch leaves a torn tail that Open cuts at a record boundary, so
+// recovery keeps a prefix of the batch's records in order. An entry over
+// MaxPayload rejects the whole batch before anything is written; an empty
+// batch writes and syncs nothing.
+func (j *Journal) AppendBatch(entries ...Entry) error {
 	if err := j.enterWrite(); err != nil {
 		return err
 	}
@@ -202,22 +235,42 @@ func (j *Journal) Append(typ byte, payload []byte) error {
 	if j.closed {
 		return ErrClosed
 	}
-	if len(payload) > MaxPayload {
-		return fmt.Errorf("%w: %d bytes", ErrPayloadTooBig, len(payload))
+	if len(entries) == 0 {
+		return nil
 	}
-	frame := make([]byte, 0, recHeaderSize+len(payload)+recTrailerSize)
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(payload)))
-	frame = append(frame, typ)
-	frame = binary.LittleEndian.AppendUint64(frame, j.nextSeq)
-	frame = append(frame, payload...)
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(frame[4:], crcTable))
-	if _, err := j.file.Write(frame); err != nil {
+	size := 0
+	for _, e := range entries {
+		if len(e.Payload) > MaxPayload {
+			return fmt.Errorf("%w: %d bytes", ErrPayloadTooBig, len(e.Payload))
+		}
+		size += recHeaderSize + len(e.Payload) + recTrailerSize
+	}
+	bp := framePool.Get().(*[]byte)
+	defer framePool.Put(bp)
+	frames := (*bp)[:0]
+	if cap(frames) < size {
+		frames = make([]byte, 0, size)
+		if size <= maxPooledFrames {
+			*bp = frames
+		}
+	}
+	seq := j.nextSeq
+	for _, e := range entries {
+		at := len(frames)
+		frames = binary.LittleEndian.AppendUint32(frames, uint32(len(e.Payload)))
+		frames = append(frames, e.Type)
+		frames = binary.LittleEndian.AppendUint64(frames, seq)
+		frames = append(frames, e.Payload...)
+		frames = binary.LittleEndian.AppendUint32(frames, crc32.Checksum(frames[at+4:], crcTable))
+		seq++
+	}
+	if _, err := j.file.Write(frames); err != nil {
 		return fmt.Errorf("journal: append: %w", err)
 	}
 	if err := j.file.Sync(); err != nil {
 		return fmt.Errorf("journal: sync: %w", err)
 	}
-	j.nextSeq++
+	j.nextSeq = seq
 	return nil
 }
 
@@ -284,7 +337,9 @@ func (j *Journal) loadSnapshot() error {
 
 // scanLog walks the log, collecting CRC-valid records newer than the
 // snapshot and truncating the first torn or corrupt frame (and everything
-// after it).
+// after it). Sequence numbers only grow, so a valid frame whose sequence
+// does not exceed its predecessor's is not one this journal wrote and
+// counts as corrupt.
 func (j *Journal) scanLog() error {
 	buf, err := j.fs.ReadFile(j.path(walName))
 	if err != nil {
@@ -294,6 +349,7 @@ func (j *Journal) scanLog() error {
 		return fmt.Errorf("journal: read log: %w", err)
 	}
 	valid := 0
+	var prevSeq uint64
 	for off := 0; off < len(buf); {
 		rest := buf[off:]
 		if len(rest) < recHeaderSize+recTrailerSize {
@@ -316,6 +372,10 @@ func (j *Journal) scanLog() error {
 			Seq:     binary.LittleEndian.Uint64(rest[5:]),
 			Payload: append([]byte(nil), rest[recHeaderSize:recHeaderSize+int(n)]...),
 		}
+		if rec.Seq <= prevSeq || rec.Seq == math.MaxUint64 {
+			break // sequence regression, or no successor to append after
+		}
+		prevSeq = rec.Seq
 		if rec.Seq > j.stats.SnapshotSeq {
 			j.records = append(j.records, rec)
 			if rec.Seq >= j.nextSeq {

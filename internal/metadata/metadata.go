@@ -107,6 +107,13 @@ type Cache struct {
 	// whenever the command-center entry is absent or was stored wholesale
 	// since.
 	ccIndex map[model.PhotoID]int32
+	// ccSorted is the command-center entry's photo IDs, sorted and without
+	// repeats: what Delivered returns. It is built by the first Delivered or
+	// Clone that needs it, and from then on every merge that learns a photo
+	// replaces it, never writing into it, so clones share it like the photo
+	// lists. It is nil whenever the entry is absent; a cache that is never
+	// cloned or asked (the simulator's) never builds it.
+	ccSorted []model.PhotoID
 
 	// Optional caps (0 = unlimited), enforced by eviction at Put time.
 	maxEntries int
@@ -172,7 +179,7 @@ func (c *Cache) delEntry(node model.NodeID) {
 		c.bytes -= entrySize(old)
 		delete(c.entries, node)
 		if node.IsCommandCenter() {
-			c.ccIndex = nil
+			c.ccIndex, c.ccSorted = nil, nil
 		}
 	}
 }
@@ -248,6 +255,8 @@ func (c *Cache) mergeCC(a, b Entry, share bool) Entry {
 	n := len(out.Photos)
 	// Number b's new photos after a's; a repeat inside b keeps the position
 	// of its first occurrence.
+	track := c.ccSorted != nil
+	var learned []model.PhotoID
 	fresh, first := 0, -1
 	for i, p := range b.Photos {
 		if _, ok := c.ccIndex[p.ID]; !ok {
@@ -256,10 +265,16 @@ func (c *Cache) mergeCC(a, b Entry, share bool) Entry {
 			}
 			c.ccIndex[p.ID] = int32(n + fresh)
 			fresh++
+			if track {
+				learned = append(learned, p.ID)
+			}
 		}
 	}
 	if fresh == 0 {
 		return out
+	}
+	if track {
+		c.ccSorted = mergeSorted(c.ccSorted, learned)
 	}
 	if share && len(b.Photos) == n+fresh && slices.Equal(b.Photos[:n], out.Photos) {
 		out.Photos = b.Photos
@@ -301,15 +316,45 @@ func (c *Cache) indexCC(photos model.PhotoList) model.PhotoList {
 	return out
 }
 
+// sortedIDs returns the IDs of photos sorted and without repeats, in a new
+// slice.
+func sortedIDs(photos model.PhotoList) []model.PhotoID {
+	out := make([]model.PhotoID, len(photos))
+	for i, p := range photos {
+		out[i] = p.ID
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// mergeSorted returns the union of sorted, a strictly increasing ID list,
+// and learned, distinct IDs none of which is in sorted, as a new strictly
+// increasing list. It sorts learned in place and never writes into sorted.
+func mergeSorted(sorted, learned []model.PhotoID) []model.PhotoID {
+	slices.Sort(learned)
+	out := make([]model.PhotoID, 0, len(sorted)+len(learned))
+	i := 0
+	for _, id := range learned {
+		for i < len(sorted) && sorted[i] < id {
+			out = append(out, sorted[i])
+			i++
+		}
+		out = append(out, id)
+	}
+	return append(out, sorted[i:]...)
+}
+
 // Clone returns an independent copy of the cache: same owner, threshold,
-// limits and entries. The photo lists are shared, as they are never
-// written; the clone builds its own command-center index when it first
-// needs one.
+// limits and entries. The photo lists and the sorted delivered IDs are
+// shared, as they are never written; Clone builds the latter first if c
+// lacks it, so that c's later merges keep it current for the next clone.
+// The clone builds its own command-center index when it first needs one.
 func (c *Cache) Clone() *Cache {
 	out := &Cache{
 		owner: c.owner, pthld: c.pthld,
 		maxEntries: c.maxEntries, maxBytes: c.maxBytes, bytes: c.bytes,
-		entries: make(map[model.NodeID]Entry, len(c.entries)),
+		entries:  make(map[model.NodeID]Entry, len(c.entries)),
+		ccSorted: c.Delivered(),
 	}
 	for node, e := range c.entries {
 		out.entries[node] = e
@@ -426,18 +471,17 @@ func Novel(e Entry, owner model.NodeID, sum []Stamp) bool {
 
 // Delivered returns the IDs of the photos known to have reached the
 // command center — the acknowledgement view of §III-B — sorted and without
-// repeats, or nil when the cache holds no command-center entry.
+// repeats, or nil when the cache holds no command-center entry. The list
+// is the cache's own and may be shared with its clones: read-only.
 func (c *Cache) Delivered() []model.PhotoID {
 	e, ok := c.entries[model.CommandCenter]
 	if !ok {
 		return nil
 	}
-	out := make([]model.PhotoID, len(e.Photos))
-	for i, p := range e.Photos {
-		out[i] = p.ID
+	if c.ccSorted == nil {
+		c.ccSorted = sortedIDs(e.Photos)
 	}
-	slices.Sort(out)
-	return slices.Compact(out)
+	return c.ccSorted
 }
 
 // Lacking returns the photos of a command-center entry whose IDs are not

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -406,5 +407,78 @@ func TestMergeFromNoNewsAllocatesNothing(t *testing.T) {
 	after, _ := a.Get(model.CommandCenter)
 	if &after.Photos[0] != &before.Photos[0] {
 		t.Fatal("a merge that learned nothing replaced the command-center list")
+	}
+}
+
+// TestDeliveredMatchesSortCompact is the property test for the maintained
+// delivered list: over seeded random sequences of Put, MergeFrom,
+// Remove(CommandCenter), Clone and DropInvalid across several caches, a
+// cache's Delivered must equal the sorted, compacted IDs of its
+// command-center entry (nil without one) whenever it is asked — each
+// cache is asked after about half the steps, so lists are checked both
+// freshly built and after runs of merges that kept them — and no list
+// Delivered handed out may change afterwards, since clones share them.
+func TestDeliveredMatchesSortCompact(t *testing.T) {
+	type handout struct {
+		live, copy []model.PhotoID
+		where      string
+	}
+	const caches = 4
+	for seed := int64(1); seed <= 40; seed++ {
+		g := &gossipGen{rng: rand.New(rand.NewSource(seed)), nodes: 6}
+		cs := make([]*Cache, caches)
+		for i := range cs {
+			cs[i] = NewCache(model.NodeID(1+i), 0.8)
+		}
+		var out []handout
+		for step := 0; step < 300; step++ {
+			g.now += g.rng.Float64() * 20
+			i, j := g.rng.Intn(caches), g.rng.Intn(caches)
+			var op string
+			switch r := g.rng.Intn(100); {
+			case r < 40:
+				e := g.entry()
+				op = fmt.Sprintf("Put(%v, %d photos)", e.Node, len(e.Photos))
+				cs[i].Put(e)
+			case r < 75:
+				op = fmt.Sprintf("MergeFrom(%d)", j)
+				cs[i].MergeFrom(cs[j])
+			case r < 82:
+				op = "Remove(CC)"
+				cs[i].Remove(model.CommandCenter)
+			case r < 92:
+				op = "Clone"
+				cs[i] = cs[i].Clone()
+			default:
+				op = "DropInvalid"
+				cs[i].DropInvalid(g.now)
+			}
+			for k, c := range cs {
+				if g.rng.Intn(2) == 0 {
+					continue
+				}
+				var want []model.PhotoID
+				if e, ok := c.Get(model.CommandCenter); ok {
+					want = make([]model.PhotoID, 0, len(e.Photos))
+					for _, p := range e.Photos {
+						want = append(want, p.ID)
+					}
+					slices.Sort(want)
+					want = slices.Compact(want)
+				}
+				got := c.Delivered()
+				if (got == nil) != (want == nil) || !slices.Equal(got, want) {
+					t.Fatalf("seed %d step %d %s on cache %d: cache %d Delivered = %v, want %v",
+						seed, step, op, i, k, got, want)
+				}
+				out = append(out, handout{live: got, copy: slices.Clone(got),
+					where: fmt.Sprintf("step %d cache %d", step, k)})
+			}
+		}
+		for _, h := range out {
+			if !slices.Equal(h.live, h.copy) {
+				t.Fatalf("seed %d: Delivered list of %s changed to %v, was %v", seed, h.where, h.live, h.copy)
+			}
+		}
 	}
 }

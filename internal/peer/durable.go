@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"sort"
 
 	"photodtn/internal/coverage"
@@ -253,10 +254,6 @@ const (
 	fragDrop byte = 2
 )
 
-func encodeFragPut(c wire.Chunk) []byte {
-	return wire.AppendChunk([]byte{fragPut}, c)
-}
-
 func encodeFragDrop(id model.PhotoID) []byte {
 	return binary.LittleEndian.AppendUint64([]byte{fragDrop}, uint64(id))
 }
@@ -346,34 +343,47 @@ func encodeAckDelivered(session float64, acked model.PhotoList) []byte {
 // reassembly: admitted to the photo store (the progress paid off) or
 // already delivered to the command center per its authoritative snapshot
 // (the progress is dead weight — wasted). It runs under the peer lock at
-// every contact commit and once after recovery; each drop is journaled so
-// a replay converges to the same store.
+// every contact commit and once after recovery. The drops are journaled,
+// in photo-ID order, as one batch before any is applied, so a replay
+// converges to the same store.
 func (p *Peer) reconcileFragsLocked() error {
 	ids := p.frags.IDs()
 	if len(ids) == 0 {
 		return nil
 	}
+	slices.Sort(ids)
 	var delivered model.PhotoList
 	if e, ok := p.cache.Get(model.CommandCenter); ok {
 		delivered = e.Photos
 	}
+	type drop struct {
+		id     model.PhotoID
+		wasted bool
+	}
+	var drops []drop
 	for _, id := range ids {
-		var wasted bool
 		switch {
 		case p.store.Has(id):
-			wasted = false
+			drops = append(drops, drop{id: id})
 		case delivered.Contains(id):
-			wasted = true
-		default:
-			continue
+			drops = append(drops, drop{id: id, wasted: true})
 		}
-		if p.jnl != nil {
-			if err := p.jnl.Append(recFragment, encodeFragDrop(id)); err != nil {
-				p.journalErr = fmt.Errorf("%w: journal fragment drop: %w", ErrJournal, err)
-				return p.journalErr
-			}
+	}
+	if len(drops) == 0 {
+		return nil
+	}
+	if p.jnl != nil {
+		entries := make([]journal.Entry, len(drops))
+		for i, d := range drops {
+			entries[i] = journal.Entry{Type: recFragment, Payload: encodeFragDrop(d.id)}
 		}
-		if n := p.frags.Drop(id, wasted); wasted && n > 0 {
+		if err := p.jnl.AppendBatch(entries...); err != nil {
+			p.journalErr = fmt.Errorf("%w: journal fragment drop: %w", ErrJournal, err)
+			return p.journalErr
+		}
+	}
+	for _, d := range drops {
+		if n := p.frags.Drop(d.id, d.wasted); d.wasted && n > 0 {
 			p.cWastedBytes.Add(n)
 		}
 	}

@@ -361,9 +361,8 @@ func TestClosedDurablePeerRefusesMutation(t *testing.T) {
 	if errV, _ := tryContact(v, cc); !errors.Is(errV, ErrJournal) {
 		t.Fatalf("contact after Close = %v, want ErrJournal", errV)
 	}
-	s := &session{p: v, wp: wire.Params{Resume: true}}
 	chunk := wire.Chunk{Photo: viewFrom(5, 0, 45), Index: 0, Count: 2, ChunkSize: 4, Total: 8, Data: []byte{1, 2, 3, 4}}
-	if _, err := s.addChunk(chunk); !errors.Is(err, ErrJournal) {
+	if _, err := v.addFragments(nil, []wire.Chunk{chunk}); !errors.Is(err, ErrJournal) {
 		t.Fatalf("resumable chunk after Close = %v, want ErrJournal", err)
 	}
 	if err := v.Checkpoint(); !errors.Is(err, ErrJournal) {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -134,6 +135,9 @@ type timedConn struct {
 	rw    io.ReadWriter
 	dl    deadliner
 	frame time.Duration
+	// stopped is raised by interrupt: reads no longer refresh the
+	// deadline, so the pending read and every later one fail at once.
+	stopped atomic.Bool
 }
 
 // newTimedConn wraps rw with deadline enforcement. Transports without
@@ -149,8 +153,36 @@ func newTimedConn(rw io.ReadWriter, frame time.Duration) io.ReadWriter {
 
 func (c *timedConn) Read(b []byte) (int, error) {
 	_ = c.dl.SetReadDeadline(time.Now().Add(c.frame))
+	if c.stopped.Load() {
+		// An interrupt may have landed before the refresh above.
+		_ = c.dl.SetReadDeadline(expired)
+	}
 	n, err := c.rw.Read(b)
 	return n, timeoutErr(err)
+}
+
+// interrupt fails the pending read and every later one.
+func (c *timedConn) interrupt() {
+	c.stopped.Store(true)
+	_ = c.dl.SetReadDeadline(expired)
+}
+
+// expired is a deadline already in the past.
+var expired = time.Unix(1, 0)
+
+// interruptRead makes a read pending on a contact's transport — and every
+// later one — fail promptly, so that a goroutine reading it can be joined
+// once the contact's write side has failed. A transport without read
+// deadlines is left alone: its reads end when the broken link closes.
+func interruptRead(rw io.ReadWriter) {
+	switch c := rw.(type) {
+	case *timedConn:
+		c.interrupt()
+	case *readAheadConn:
+		interruptRead(c.conn)
+	case deadliner:
+		_ = c.SetReadDeadline(expired)
+	}
 }
 
 func (c *timedConn) Write(b []byte) (int, error) {

@@ -286,6 +286,11 @@ type Peer struct {
 	commits    uint64 // durably committed contacts, recovered + live
 	snapEvery  int
 	sinceSnap  int
+
+	// Fragment journaling scratch, reused under mu (see addFragments).
+	fragFresh   []bool
+	fragBuf     []byte
+	fragEntries []journal.Entry
 }
 
 // New creates a peer. The command center (id 0) gets unbounded storage and

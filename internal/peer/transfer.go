@@ -9,20 +9,28 @@
 // transports.
 //
 // The receiver routes each chunk to a reassembly store: the peer's shared
-// cross-contact store when resume is negotiated (fresh chunks hit the
-// write-ahead journal first — memory never leads disk), or a contact-local
+// cross-contact store when resume is negotiated, or a contact-local
 // scratch store otherwise, whose leftovers are discarded at teardown under
-// the §III-D rule — but counted as wasted bytes. A photo is admitted to
-// storage only when its final chunk lands and the whole-photo checksum
-// verifies, preserving the paper's §III-D photo-level atomicity.
+// the §III-D rule — but counted as wasted bytes. On a durable peer every
+// fresh chunk bound for the shared store hits the write-ahead journal
+// before the store counts it or the sender sees its ack — memory never
+// leads disk — but the fsync is shared: the receiver takes every chunk
+// frame that has already arrived as one batch and journals the batch's
+// fresh chunks with one append. A photo is admitted to storage only when
+// its final chunk lands and the whole-photo checksum verifies, preserving
+// the paper's §III-D photo-level atomicity.
 package peer
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
+	"sync"
 
 	"photodtn/internal/guard"
+	"photodtn/internal/journal"
 	"photodtn/internal/model"
 	"photodtn/internal/transfer"
 	"photodtn/internal/wire"
@@ -217,6 +225,11 @@ func (s *session) sendChunks(ids []model.PhotoID, offers map[model.PhotoID]wire.
 			inflight--
 		}
 		if err := wire.Write(s.conn, c); err != nil {
+			// The stream is broken: unblock the reader's pending read and
+			// join it, so nothing reads the transport after this returns.
+			interruptRead(s.conn)
+			for range acks {
+			}
 			return err
 		}
 		inflight++
@@ -231,29 +244,76 @@ func (s *session) sendChunks(ids []model.PhotoID, offers map[model.PhotoID]wire.
 	return wire.Write(s.conn, wire.Ack{IDs: sent})
 }
 
+// readAheadSize is the receive path's read-ahead buffer: room for a
+// default window of eight 16 KiB chunk frames, so one read from the
+// transport can take everything the sender has put on the wire.
+const readAheadSize = 136 << 10
+
+// readAheads recycles read-ahead buffers across contacts. Only a durable
+// receiver of a resumable multi-chunk stream takes one (see
+// receiveChunks); every other contact reads frames straight from its
+// transport.
+var readAheads = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, readAheadSize) }}
+
+// readAheadConn is a contact transport whose reads drain a read-ahead
+// buffer before the transport. A receiver keeps reading through it when
+// the buffer still holds bytes after the chunk stream's Ack — only a
+// remote that breaks the protocol's turn-taking sends them — so none of
+// them is lost.
+type readAheadConn struct {
+	*bufio.Reader
+	conn io.ReadWriter
+}
+
+func (c *readAheadConn) Write(p []byte) (int, error) { return c.conn.Write(p) }
+
+// chunkReceipt is one chunk stream's receive state.
+type chunkReceipt struct {
+	out   map[model.PhotoID]model.Photo // photos assembled and verified
+	prior map[model.PhotoID]uint32      // pre-contact chunks per resumed photo
+	// With the guard armed: the requested photos and the (photo, index)
+	// pairs seen this contact.
+	want map[model.PhotoID]bool
+	seen map[guard.ChunkKey]bool
+	// Scratch reused across reads and batches: the frame buffer (decoded
+	// chunks own their bytes), the journaled chunks and their outcomes.
+	frame []byte
+	frags []wire.Chunk
+	added []fragAdd
+}
+
 // receiveChunks opens the next transfer leg and reads the peer's chunk
 // stream until the terminating Ack, acking each chunk and returning the
 // photos that assembled and verified. want lists the photos this node asked
 // for. Photos whose resume offer already covered every chunk complete with
 // zero traffic.
+//
+// A durable receiver of a resumable multi-chunk stream takes chunks in
+// batches: from its first journaled chunk on it reads through a pooled
+// read-ahead buffer, and after each blocking read it also takes every
+// frame that has already fully arrived, so the fresh chunks of the batch
+// share one journal fsync (see takeChunks). Every other stream is taken
+// one frame at a time.
 func (s *session) receiveChunks(want []model.PhotoID) (map[model.PhotoID]model.Photo, error) {
 	p := s.p
-	out := make(map[model.PhotoID]model.Photo)
+	rc := &chunkReceipt{
+		out:   make(map[model.PhotoID]model.Photo),
+		prior: make(map[model.PhotoID]uint32),
+	}
 	// Pre-contact progress classifies completions as resumed and feeds the
 	// resume-rate histogram.
-	prior := make(map[model.PhotoID]uint32)
 	if s.wp.Resume {
 		for _, id := range want {
 			have, count := p.frags.Chunks(id)
 			if have == 0 {
 				continue
 			}
-			prior[id] = have
+			rc.prior[id] = have
 			if have == count {
 				// Full partial from an earlier contact: assemble without a
 				// single byte on the wire.
 				if res, ok := p.frags.Assemble(id); ok {
-					out[id] = res.Photo
+					rc.out[id] = res.Photo
 					s.noteResumed(have, count)
 				}
 			}
@@ -262,56 +322,141 @@ func (s *session) receiveChunks(want []model.PhotoID) (map[model.PhotoID]model.P
 	// With the guard armed, pin the stream to the request: chunks must name
 	// wanted photos (an empty request admits none), match the negotiated
 	// chunk size, and never repeat a (photo, index) pair within the contact.
-	var wantSet map[model.PhotoID]bool
-	var seen map[guard.ChunkKey]bool
 	if p.guard != nil {
-		wantSet = make(map[model.PhotoID]bool, len(want))
+		rc.want = make(map[model.PhotoID]bool, len(want))
 		for _, id := range want {
-			wantSet[id] = true
+			rc.want[id] = true
 		}
-		seen = make(map[guard.ChunkKey]bool)
+		rc.seen = make(map[guard.ChunkKey]bool)
 	}
+	// The read-ahead buffer is taken at the first journaled chunk; frames
+	// before it come straight from the transport.
+	in := io.Reader(s.conn)
+	var ra *bufio.Reader
+	defer func() {
+		switch {
+		case ra == nil:
+		case ra.Buffered() > 0:
+			s.conn = &readAheadConn{Reader: ra, conn: s.conn}
+		default:
+			ra.Reset(nil)
+			readAheads.Put(ra)
+		}
+	}()
+	var batch []wire.Chunk
 	for {
-		msg, err := wire.Read(s.conn)
+		var msg wire.Message
+		var err error
+		msg, rc.frame, err = wire.ReadInto(in, rc.frame)
+		batch = batch[:0]
+		for err == nil {
+			c, ok := msg.(wire.Chunk)
+			if !ok {
+				break
+			}
+			batch, msg = append(batch, c), nil
+			if ra == nil && s.journaled(c) {
+				ra = readAheads.Get().(*bufio.Reader)
+				ra.Reset(s.conn)
+				in = ra
+			}
+			if ra == nil || !wire.Arrived(ra) {
+				break
+			}
+			msg, rc.frame, err = wire.ReadInto(ra, rc.frame)
+		}
+		// The chunks read before a failed or foreign frame count as they
+		// would have one at a time: stored and acked before the abort.
+		if len(batch) > 0 {
+			if err := s.takeChunks(batch, rc); err != nil {
+				return nil, err
+			}
+		}
 		if err != nil {
 			return nil, err
 		}
-		switch m := msg.(type) {
-		case wire.Chunk:
-			if p.guard != nil {
-				if v := guard.CheckChunk(m, wantSet, int(s.wp.ChunkSize)); v != nil {
-					return nil, s.violation(v)
-				}
-				key := guard.ChunkKey{ID: m.Photo.ID, Index: m.Index}
-				if seen[key] {
-					return nil, s.violationf(guard.ReasonReplay, "duplicate chunk %v[%d]", m.Photo.ID, m.Index)
-				}
-				seen[key] = true
-			}
-			p.tChunksRecv.Add(1)
-			p.cChunksRecv.Inc()
-			res, err := s.addChunk(m)
-			switch {
-			case errors.Is(err, transfer.ErrChecksum):
-				// Poisoned partial, already dropped (and counted wasted):
-				// the photo simply does not complete this contact.
-			case err != nil:
-				return nil, err
-			case res.Complete:
-				out[m.Photo.ID] = res.Photo
-				if n := prior[m.Photo.ID]; n > 0 {
-					s.noteResumed(n, m.Count)
-				}
-			}
-			if err := wire.Write(s.conn, wire.ChunkAck{ID: m.Photo.ID, Index: m.Index}); err != nil {
-				return nil, err
-			}
+		switch msg.(type) {
+		case nil:
 		case wire.Ack:
-			return out, nil
+			return rc.out, nil
 		default:
 			return nil, s.violationf(guard.ReasonPhase, "%v during chunk transfer", msg.Type())
 		}
 	}
+}
+
+// takeChunks handles chunks read together, in stream order: the guard
+// checks, then the stores, then one ack per chunk. Fresh chunks bound for
+// a durable peer's shared store are journaled as one batch before any of
+// them is unioned (addFragments). When a check fails mid-batch, the valid
+// prefix is stored and acked before the contact aborts, so the journal
+// ends exactly as a chunk-at-a-time receiver leaves it.
+func (s *session) takeChunks(cs []wire.Chunk, rc *chunkReceipt) error {
+	p := s.p
+	var bad *guard.Violation
+	if p.guard != nil {
+		for i, c := range cs {
+			if bad = rc.check(c, int(s.wp.ChunkSize)); bad != nil {
+				cs = cs[:i]
+				break
+			}
+		}
+	}
+	p.tChunksRecv.Add(int64(len(cs)))
+	p.cChunksRecv.Add(int64(len(cs)))
+	rc.frags = rc.frags[:0]
+	for _, c := range cs {
+		if s.journaled(c) {
+			rc.frags = append(rc.frags, c)
+		}
+	}
+	var err error
+	if rc.added, err = p.addFragments(rc.added[:0], rc.frags); err != nil {
+		return err
+	}
+	added := rc.added
+	for _, c := range cs {
+		var res transfer.AddResult
+		if s.journaled(c) {
+			res, err = added[0].res, added[0].err
+			added = added[1:]
+		} else {
+			res, err = s.addChunk(c)
+		}
+		switch {
+		case errors.Is(err, transfer.ErrChecksum):
+			// Poisoned partial, already dropped (and counted wasted):
+			// the photo simply does not complete this contact.
+		case err != nil:
+			return err
+		case res.Complete:
+			rc.out[c.Photo.ID] = res.Photo
+			if n := rc.prior[c.Photo.ID]; n > 0 {
+				s.noteResumed(n, c.Count)
+			}
+		}
+		if err := wire.Write(s.conn, wire.ChunkAck{ID: c.Photo.ID, Index: c.Index}); err != nil {
+			return err
+		}
+	}
+	if bad != nil {
+		return s.violation(bad)
+	}
+	return nil
+}
+
+// check runs the guard's checks on one chunk and records it as seen.
+func (rc *chunkReceipt) check(c wire.Chunk, chunkSize int) *guard.Violation {
+	if v := guard.CheckChunk(c, rc.want, chunkSize); v != nil {
+		return v
+	}
+	key := guard.ChunkKey{ID: c.Photo.ID, Index: c.Index}
+	if rc.seen[key] {
+		return &guard.Violation{Reason: guard.ReasonReplay,
+			Detail: fmt.Sprintf("duplicate chunk %v[%d]", c.Photo.ID, c.Index)}
+	}
+	rc.seen[key] = true
+	return nil
 }
 
 // noteResumed records one photo completed across contacts: prior of its
@@ -324,29 +469,20 @@ func (s *session) noteResumed(prior, count uint32) {
 	}
 }
 
-// addChunk routes one received chunk to its reassembly store. Multi-chunk
-// photos on a resume session go to the peer's shared cross-contact store —
-// fresh chunks are journaled before the in-memory union, so a crash never
-// loses progress the store claims to have. Everything else lands in the
+// journaled reports whether a chunk goes to the shared cross-contact store
+// of a durable peer, which journals it: a multi-chunk photo on a resume
+// session.
+func (s *session) journaled(c wire.Chunk) bool {
+	return s.wp.Resume && c.Count > 1 && s.p.stateDir != ""
+}
+
+// addChunk routes one received chunk that is not journaled to its
+// reassembly store. Multi-chunk photos on a resume session go to the
+// peer's shared cross-contact store; everything else lands in the
 // contact-local scratch store and dies with the session.
 func (s *session) addChunk(c wire.Chunk) (transfer.AddResult, error) {
-	p := s.p
 	if s.wp.Resume && c.Count > 1 {
-		if p.stateDir == "" {
-			return p.frags.Add(c)
-		}
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		if p.journalErr != nil {
-			return transfer.AddResult{}, p.journalErr
-		}
-		if !p.frags.Has(c.Photo.ID, c.Index) {
-			if err := p.jnl.Append(recFragment, encodeFragPut(c)); err != nil {
-				p.journalErr = fmt.Errorf("%w: journal fragment: %w", ErrJournal, err)
-				return transfer.AddResult{}, p.journalErr
-			}
-		}
-		return p.frags.Add(c)
+		return s.p.frags.Add(c)
 	}
 	if s.localFrags == nil {
 		s.localFrags = transfer.NewStore(0)
@@ -358,6 +494,53 @@ func (s *session) addChunk(c wire.Chunk) (transfer.AddResult, error) {
 		s.localFrags.Drop(c.Photo.ID, false)
 	}
 	return res, err
+}
+
+// fragAdd is one journaled chunk's outcome in the shared store.
+type fragAdd struct {
+	res transfer.AddResult
+	err error
+}
+
+// addFragments adds chunks to a durable peer's shared reassembly store, in
+// stream order, appending their outcomes to dst. The store plans which
+// chunks are fresh (transfer.Store.Plan); those are journaled as one batch
+// — one write and one fsync — and only then unioned, so a chunk is on disk
+// before the store counts it, and the log holds the same records, byte for
+// byte, that journaling each fresh chunk on its own would write.
+func (p *Peer) addFragments(dst []fragAdd, cs []wire.Chunk) ([]fragAdd, error) {
+	if len(cs) == 0 {
+		return dst, nil
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.journalErr != nil {
+		return dst, p.journalErr
+	}
+	for len(cs) > 0 {
+		p.fragFresh = p.frags.Plan(p.fragFresh[:0], cs)
+		p.fragBuf, p.fragEntries = p.fragBuf[:0], p.fragEntries[:0]
+		for i, fresh := range p.fragFresh {
+			if fresh {
+				// A payload keeps pointing at its bytes even when a later
+				// append moves fragBuf.
+				start := len(p.fragBuf)
+				p.fragBuf = wire.AppendChunk(append(p.fragBuf, fragPut), cs[i])
+				end := len(p.fragBuf)
+				p.fragEntries = append(p.fragEntries, journal.Entry{Type: recFragment, Payload: p.fragBuf[start:end:end]})
+			}
+		}
+		if err := p.jnl.AppendBatch(p.fragEntries...); err != nil {
+			p.journalErr = fmt.Errorf("%w: journal fragment: %w", ErrJournal, err)
+			return dst, p.journalErr
+		}
+		for i := range p.fragFresh {
+			res, err := p.frags.Add(cs[i])
+			dst = append(dst, fragAdd{res: res, err: err})
+		}
+		cs = cs[len(p.fragFresh):]
+	}
+	return dst, nil
 }
 
 // finishTransfer settles the session's scratch reassembly state at contact

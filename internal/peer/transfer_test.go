@@ -1,10 +1,12 @@
 package peer
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -398,4 +400,100 @@ func TestTinyChunkSizeRefused(t *testing.T) {
 	if got := (TransferConfig{ChunkSize: 1}).normalize().ChunkSize; got != wire.MinChunkSize {
 		t.Fatalf("normalized chunk size %d, want wire.MinChunkSize", got)
 	}
+}
+
+// errWriteCut is the failure a writeCutConn reports.
+var errWriteCut = errors.New("test: write past the cut")
+
+// writeCutConn fails every write that would take its total past cut —
+// without closing the link, so the remote stays up and silent — and
+// counts the reads in progress on it.
+type writeCutConn struct {
+	net.Conn
+	cut     int
+	written int
+	reading atomic.Int32
+	reads   atomic.Int32
+}
+
+func (c *writeCutConn) Write(p []byte) (int, error) {
+	if c.written+len(p) > c.cut {
+		return 0, errWriteCut
+	}
+	c.written += len(p)
+	return c.Conn.Write(p)
+}
+
+func (c *writeCutConn) Read(p []byte) (int, error) {
+	c.reading.Add(1)
+	defer c.reading.Add(-1)
+	c.reads.Add(1)
+	return c.Conn.Read(p)
+}
+
+// TestSendChunksJoinsAckReaderOnWriteFailure: when a chunk write fails,
+// sendChunks must not return while its ack reader still reads the
+// transport. The uploader's link fails writes partway through the chunk
+// stream while the command center waits for the next chunk, so the
+// reader would block on an ack that never comes.
+func TestSendChunksJoinsAckReaderOnWriteFailure(t *testing.T) {
+	// Find where the chunk stream starts in a clean upload.
+	gw, _ := ingestGateway(t)
+	cc := New(model.CommandCenter, poiMap(), 0, ingestCCOpts()...)
+	ca, cb := net.Pipe()
+	var sizer writeSizer
+	if errGW, errCC := faultContact(gw, cc, &sizedConn{Conn: ca, sizer: &sizer}, ca, cb); errGW != nil || errCC != nil {
+		t.Fatalf("clean upload: gateway %v, command center %v", errGW, errCC)
+	}
+	if sizer.firstChunk == 0 {
+		t.Fatal("clean upload wrote no chunk")
+	}
+
+	for _, extra := range []int{0, sizer.chunkFrame / 2, sizer.chunkFrame + 1, 3 * sizer.chunkFrame} {
+		gw, _ := ingestGateway(t)
+		cc := New(model.CommandCenter, poiMap(), 0, ingestCCOpts()...)
+		ca, cb := net.Pipe()
+		conn := &writeCutConn{Conn: ca, cut: sizer.firstChunk + extra}
+		ccDone := make(chan error, 1)
+		go func() { ccDone <- cc.ContactConn(cb, false) }()
+		err := gw.ContactConn(conn, true)
+		if !errors.Is(err, errWriteCut) {
+			t.Fatalf("cut +%d: gateway err = %v, want the write failure", extra, err)
+		}
+		if n := conn.reading.Load(); n != 0 {
+			t.Fatalf("cut +%d: %d reads still in progress after the contact returned", extra, n)
+		}
+		reads := conn.reads.Load()
+		time.Sleep(20 * time.Millisecond)
+		if n := conn.reads.Load(); n != reads {
+			t.Fatalf("cut +%d: %d reads started after the contact returned", extra, n-reads)
+		}
+		_ = ca.Close()
+		_ = cb.Close()
+		<-ccDone
+	}
+}
+
+// writeSizer records, for a clean upload, how many bytes precede the first
+// chunk frame and how long a chunk frame is.
+type writeSizer struct {
+	written    int
+	firstChunk int
+	chunkFrame int
+}
+
+// sizedConn feeds a writeSizer from the frames written through it.
+type sizedConn struct {
+	net.Conn
+	sizer *writeSizer
+}
+
+func (c *sizedConn) Write(p []byte) (int, error) {
+	if msg, err := wire.Read(bytes.NewReader(p)); err == nil {
+		if _, ok := msg.(wire.Chunk); ok && c.sizer.firstChunk == 0 {
+			c.sizer.firstChunk, c.sizer.chunkFrame = c.sizer.written, len(p)
+		}
+	}
+	c.sizer.written += len(p)
+	return c.Conn.Write(p)
 }

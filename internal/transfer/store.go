@@ -104,7 +104,7 @@ func (s *Store) Add(c wire.Chunk) (AddResult, error) {
 	defer s.mu.Unlock()
 	var res AddResult
 	p := s.parts[c.Photo.ID]
-	if p != nil && (p.chunkSize != c.ChunkSize || p.count != c.Count || p.total != c.Total || p.crc != c.PayloadCRC) {
+	if p != nil && !p.fits(c) {
 		s.dropLocked(c.Photo.ID, true)
 		s.restarts++
 		res.Restarted = true
@@ -149,6 +149,101 @@ func (s *Store) Add(c wire.Chunk) (AddResult, error) {
 		res.Payload = p.data
 	}
 	return res, nil
+}
+
+// maxPlan bounds one Plan call, so its pairwise duplicate scan stays cheap
+// whatever a batch holds.
+const maxPlan = 64
+
+// Plan reports, for chunks about to be added in order, which ones Add
+// would take as fresh — for as long a prefix of cs as the store can tell
+// without adding them. It appends one flag per chunk of that prefix to dst
+// and returns it; the prefix holds at least one chunk when cs is not
+// empty. The prefix ends after a chunk that restarts a partial or whose
+// new partial may evict others, and before a chunk of a photo that an
+// earlier chunk of the prefix completes (the checksum decides whether the
+// partial survives), since those outcomes depend on the adds themselves.
+//
+// A caller that journals the fresh chunks of the prefix, then adds the
+// prefix before planning the rest, writes exactly one record per chunk
+// that Add reports fresh, in stream order.
+func (s *Store) Plan(dst []bool, cs []wire.Chunk) []bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	// planned tracks each photo the prefix touches: the geometry its
+	// chunks share, whether they join a held partial, and how many chunks
+	// the photo will hold.
+	type planned struct {
+		first int // index in cs of the photo's first chunk
+		base  *partial
+		have  uint32
+		done  bool
+	}
+	var buf [8]planned
+	photos := buf[:0]
+	alloc := s.alloc
+	for i, c := range cs {
+		if i == maxPlan {
+			break
+		}
+		k := -1
+		for j := range photos {
+			if cs[photos[j].first].Photo.ID == c.Photo.ID {
+				k = j
+				break
+			}
+		}
+		if k < 0 {
+			base := s.parts[c.Photo.ID]
+			switch {
+			case base == nil:
+				// A new partial: admitting it may evict others.
+				if s.maxBytes > 0 && alloc+int64(c.Total) > s.maxBytes {
+					return append(dst, true)
+				}
+				alloc += int64(c.Total)
+			case !base.fits(c):
+				return append(dst, true) // restart
+			}
+			photos = append(photos, planned{first: i, base: base})
+			k = len(photos) - 1
+			if base != nil {
+				photos[k].have = base.haveCount
+			}
+		}
+		pl := &photos[k]
+		if pl.done {
+			return dst
+		}
+		if first := cs[pl.first]; !sameGeometry(first, c) {
+			return append(dst, true) // restarts the partial the prefix built
+		}
+		fresh := pl.base == nil || c.Index >= pl.base.count || pl.base.have[c.Index/64]&(1<<(c.Index%64)) == 0
+		for _, prev := range cs[pl.first:i] {
+			if prev.Photo.ID == c.Photo.ID && prev.Index == c.Index {
+				fresh = false
+				break
+			}
+		}
+		dst = append(dst, fresh)
+		if fresh {
+			pl.have++
+			pl.done = pl.have == c.Count
+		}
+	}
+	return dst
+}
+
+// fits reports whether c shares the partial's geometry, so Add unions it
+// instead of restarting the partial.
+func (p *partial) fits(c wire.Chunk) bool {
+	return p.chunkSize == c.ChunkSize && p.count == c.Count && p.total == c.Total && p.crc == c.PayloadCRC
+}
+
+// sameGeometry reports whether two chunks of one photo declare the same
+// geometry.
+func sameGeometry(a, b wire.Chunk) bool {
+	return a.ChunkSize == b.ChunkSize && a.Count == b.Count && a.Total == b.Total && a.PayloadCRC == b.PayloadCRC
 }
 
 // admitLocked makes room for a new partial of the given footprint,

@@ -20,6 +20,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -717,24 +718,54 @@ func Write(w io.Writer, msg Message) error {
 // Read decodes the next frame, verifying its checksum before any decoding.
 // The declared length is validated against MaxFrame before allocating.
 func Read(r io.Reader) (Message, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("wire: read header: %w", err)
+	msg, _, err := ReadInto(r, nil)
+	return msg, err
+}
+
+// ReadInto is Read with the frame read into buf's storage, grown when the
+// frame does not fit; it returns the buffer for the caller's next read. No
+// decoded message aliases its frame, so a receiver reading frame after
+// frame can reuse one buffer for all of them.
+func ReadInto(r io.Reader, buf []byte) (Message, []byte, error) {
+	if cap(buf) < 5 {
+		buf = make([]byte, 5)
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n > MaxFrame {
-		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooBig, n)
-	}
-	buf := make([]byte, n+4) // body + checksum trailer
+	buf = buf[:5]
 	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, fmt.Errorf("wire: read body: %w", err)
+		return nil, buf, fmt.Errorf("wire: read header: %w", err)
 	}
-	body, trailer := buf[:n], buf[n:]
-	sum := crc32.Update(crc32.Checksum(hdr[4:], crcTable), crcTable, body)
-	if got := binary.LittleEndian.Uint32(trailer); got != sum {
-		return nil, fmt.Errorf("%w: got %08x, computed %08x", ErrChecksum, got, sum)
+	n := binary.LittleEndian.Uint32(buf)
+	if n > MaxFrame {
+		return nil, buf, fmt.Errorf("%w: %d bytes", ErrFrameTooBig, n)
 	}
-	return DecodeBody(MsgType(hdr[4]), body)
+	end := 5 + int(n) // body, then the checksum trailer
+	if cap(buf) < end+4 {
+		buf = append(make([]byte, 0, end+4), buf...)
+	}
+	buf = buf[:end+4]
+	if _, err := io.ReadFull(r, buf[5:]); err != nil {
+		return nil, buf, fmt.Errorf("wire: read body: %w", err)
+	}
+	sum := crc32.Checksum(buf[4:end], crcTable)
+	if got := binary.LittleEndian.Uint32(buf[end:]); got != sum {
+		return nil, buf, fmt.Errorf("%w: got %08x, computed %08x", ErrChecksum, got, sum)
+	}
+	msg, err := DecodeBody(MsgType(buf[4]), buf[5:end])
+	return msg, buf, err
+}
+
+// Arrived reports whether r's buffer already holds one whole frame, so
+// that Read(r) returns without reading from r's source. A receiver uses
+// it to take every frame that has landed without blocking for more.
+func Arrived(r *bufio.Reader) bool {
+	if r.Buffered() < 5 {
+		return false
+	}
+	hdr, err := r.Peek(5)
+	if err != nil {
+		return false
+	}
+	return uint64(r.Buffered()) >= 5+uint64(binary.LittleEndian.Uint32(hdr))+4
 }
 
 // DecodeBody decodes a message body of the given type — the frame-free

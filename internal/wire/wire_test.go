@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
@@ -435,6 +436,76 @@ func TestMsgTypeString(t *testing.T) {
 	for tpe, want := range names {
 		if got := tpe.String(); got != want {
 			t.Fatalf("String(%d) = %q, want %q", tpe, got, want)
+		}
+	}
+}
+
+func TestArrivedNeedsWholeFrame(t *testing.T) {
+	var stream bytes.Buffer
+	if err := Write(&stream, Ack{IDs: []model.PhotoID{1, 2, 3}}); err != nil {
+		t.Fatal(err)
+	}
+	frame := stream.Bytes()
+	for cut := 0; cut <= len(frame); cut++ {
+		r := bufio.NewReader(bytes.NewReader(frame[:cut]))
+		if cut > 0 {
+			if _, err := r.Peek(cut); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, want := Arrived(r), cut == len(frame); got != want {
+			t.Fatalf("%d of %d bytes buffered: Arrived = %v, want %v", cut, len(frame), got, want)
+		}
+	}
+}
+
+// TestReadIntoMessagesOwnTheirBytes pins what lets a receiver reuse one
+// frame buffer: no decoded message aliases its frame. Every message type
+// is read through one reused buffer that is scribbled over after each
+// read, and each must still equal a fresh decode of its frame.
+func TestReadIntoMessagesOwnTheirBytes(t *testing.T) {
+	msgs := []Message{
+		Hello{Node: 7, Lambda: 0.5, ChunkSize: MinChunkSize, Window: 8, Flags: FlagResume},
+		HelloAck{Hello: Hello{Node: 2, ChunkSize: MinChunkSize, Window: 4}},
+		MetaSummary{Entries: []metadata.Stamp{{Node: 3, Timestamp: 1}}, Delivered: []model.PhotoID{5, 9}},
+		Metadata{Entries: []metadata.Entry{{Node: 4, Lambda: 0.1, P: 0.2, Timestamp: 3,
+			Photos: model.PhotoList{samplePhoto(4, 1), samplePhoto(4, 2)}}}},
+		PhotoRequest{IDs: []model.PhotoID{11, 12}},
+		ResumeOffer{Entries: []ResumeEntry{{ID: 11, ChunkSize: 4, Count: 3, Total: 11, PayloadCRC: 7, Bitmap: []byte{0b101}}}},
+		Chunk{Photo: samplePhoto(3, 9), Index: 1, Count: 3, ChunkSize: 4, Total: 11, PayloadCRC: 0xCAFE, Data: []byte{4, 5, 6, 7}},
+		ChunkAck{ID: 11, Index: 2},
+		Ack{IDs: []model.PhotoID{11}},
+		Bye{},
+	}
+	var stream bytes.Buffer
+	for _, m := range msgs {
+		if err := Write(&stream, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	frames := bytes.NewReader(stream.Bytes())
+	var buf []byte
+	var got []Message
+	for range msgs {
+		var m Message
+		var err error
+		if m, buf, err = ReadInto(frames, buf); err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, m)
+		for i := range buf[:cap(buf)] {
+			buf[:cap(buf)][i] = 0xFF
+		}
+	}
+	fresh := bytes.NewReader(stream.Bytes())
+	for i := range msgs {
+		want, err := Read(fresh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[i], want) {
+			t.Fatalf("%v decoded through a reused buffer changed when the buffer was overwritten:\n got %+v\nwant %+v",
+				want.Type(), got[i], want)
 		}
 	}
 }
