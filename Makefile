@@ -65,7 +65,7 @@ bench-runner:
 # engine-level Table-I and Fig. 8 (50 photos/h) runs plus the slow-link
 # transfer into BENCH_engine.json.
 bench:
-	$(GO) test -run='^$$' -bench=BenchmarkEvaluator -benchmem -benchtime=500ms ./internal/selection/ \
+	$(GO) test -run='^$$' -bench='BenchmarkEvaluator|BenchmarkSelectForUploadGrowingLedger' -benchmem -benchtime=500ms ./internal/selection/ \
 		| $(GO) run ./cmd/benchjson -o BENCH_selection.json
 	@echo "wrote BENCH_selection.json"
 	$(GO) test -run='^$$' -bench='BenchmarkEngineTable1|BenchmarkEngineFig8Rate50|BenchmarkTransferSlowLink' -benchmem -benchtime=5x . \
@@ -77,7 +77,7 @@ bench:
 # exceeds the threshold. The time threshold is generous because shared CI
 # hardware is noisy; allocs/op is exact and is the real tripwire.
 bench-diff:
-	$(GO) test -run='^$$' -bench=BenchmarkEvaluator -benchmem -benchtime=300ms ./internal/selection/ \
+	$(GO) test -run='^$$' -bench='BenchmarkEvaluator|BenchmarkSelectForUploadGrowingLedger' -benchmem -benchtime=300ms ./internal/selection/ \
 		| $(GO) run ./cmd/benchjson -o .bench_selection_new.json
 	$(GO) run ./cmd/benchjson -diff -threshold 1.6 BENCH_selection.json .bench_selection_new.json
 	$(GO) test -run='^$$' -bench='BenchmarkEngineTable1|BenchmarkEngineFig8Rate50|BenchmarkTransferSlowLink' -benchmem -benchtime=3x . \

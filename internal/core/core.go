@@ -78,6 +78,11 @@ type Scheme struct {
 	// sel is the scheme's selection arena: pools, heaps, residuals, and
 	// scenario buffers are recycled across every contact of the run.
 	sel *selection.Session
+	// up plans gateway uploads. The command center's collection only grows,
+	// so a session kept for uploads alone extends its coverage of it from
+	// one upload to the next instead of rebuilding it; sel's would be
+	// rebuilt by every reallocation in between.
+	up *selection.Session
 	// want is realize's scratch set of selected photo IDs.
 	want map[model.PhotoID]bool
 
@@ -110,6 +115,7 @@ func (s *Scheme) Init(w *sim.World) {
 	s.solo = make(map[model.PhotoID]coverage.Coverage)
 	s.fpc = coverage.NewFootprintCache(w.Map)
 	s.sel = selection.NewSession()
+	s.up = selection.NewSession()
 	s.want = make(map[model.PhotoID]bool)
 	o := w.Obs()
 	s.obsv = o
@@ -236,7 +242,7 @@ func (s *Scheme) ccContact(sess *sim.Session, node model.NodeID) {
 	// Upload photos in marginal-gain order over what the command center
 	// already has (live knowledge during the contact).
 	st := s.w.Storage(node)
-	plan := s.sel.SelectForUpload(s.fpc, s.selCfg(), s.w.CCPhotos(), st.Photos())
+	plan := s.up.SelectForUpload(s.fpc, s.selCfg(), s.w.CCPhotos(), st.Photos())
 	for _, p := range plan {
 		if err := sess.Transfer(model.CommandCenter, p); err != nil {
 			break // budget exhausted; unfinished transfer discarded

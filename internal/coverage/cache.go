@@ -22,6 +22,9 @@ type FootprintCache struct {
 	m   *Map
 	mu  sync.RWMutex
 	fps map[model.PhotoID]Footprint
+	// epoch counts Invalidate calls, so a holder of footprints read
+	// earlier can tell whether any of them may have changed since.
+	epoch uint64
 
 	// hits and misses are optional nil-safe observability counters
 	// (SetMetrics); nil costs only a nil check per lookup.
@@ -95,6 +98,15 @@ func (c *FootprintCache) AppendUseful(dst []Footprint, photos model.PhotoList) [
 	return dst
 }
 
+// Epoch returns the number of Invalidate calls so far. A footprint read
+// from the cache stays the one Of returns for its photo until the epoch
+// moves: read the epoch before the footprints to rely on that.
+func (c *FootprintCache) Epoch() uint64 {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.epoch
+}
+
 // Len returns the number of memoized footprints.
 func (c *FootprintCache) Len() int {
 	c.mu.RLock()
@@ -110,5 +122,6 @@ func (c *FootprintCache) Len() int {
 func (c *FootprintCache) Invalidate(id model.PhotoID) {
 	c.mu.Lock()
 	delete(c.fps, id)
+	c.epoch++
 	c.mu.Unlock()
 }

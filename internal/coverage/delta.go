@@ -109,6 +109,19 @@ func (d *DeltaSet) Begin(m *Map) *State {
 	return d.base
 }
 
+// Resume starts a new life of d on the base its last life filled and
+// returns that base. The scenarios and the committed layer are dropped as
+// ClearScenarios drops them, and the base keeps everything added to it, so
+// the caller can Add more before the first AddScenario. A state is the
+// fold of its Adds in order, so a kept base that gets the Adds a rebuild
+// would make after the kept ones ends as the rebuilt base would. Residuals
+// compiled in the last life are stale once the base grows. Resume is valid
+// only after Begin, while the base is held.
+func (d *DeltaSet) Resume() *State {
+	d.ClearScenarios()
+	return d.base
+}
+
 // ClearScenarios drops every scenario and every commit but keeps the base,
 // so residuals compiled against it stay valid. The next AddScenario starts
 // a new scenario family on the same base.

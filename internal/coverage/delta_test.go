@@ -425,7 +425,7 @@ func TestCommittedLayerMatchesPerOverlayCommit(t *testing.T) {
 
 // TestDeltaSetRefusesScenariosAfterCommit: a scenario built after a Commit
 // would read the committed layer as its own, so building one panics until
-// ClearScenarios starts a new family on the same base.
+// ClearScenarios or Resume starts a new family on the same base.
 func TestDeltaSetRefusesScenariosAfterCommit(t *testing.T) {
 	di := newDeltaInstance(t, 5, 40, 6, 3)
 	defer di.ds.Release()
@@ -463,6 +463,11 @@ func TestDeltaSetRefusesScenariosAfterCommit(t *testing.T) {
 	var r Residual
 	di.ds.CompileResidual(committed, &r)
 	di.ds.AddResidual(si, &r)
+	di.ds.Commit(committed)
+	if di.ds.Resume() != di.ds.Base() || di.ds.Scenarios() != 0 || di.ds.Base().Coverage() != base {
+		t.Fatal("Resume did not keep the base and drop the scenarios")
+	}
+	di.ds.AddScenario(1)
 }
 
 // TestStatePoolRoundtrip checks the Map's state recycler: released states

@@ -287,6 +287,12 @@ type Peer struct {
 	snapEvery  int
 	sinceSnap  int
 
+	// upSel is the session uploads plan on, guarded by upMu: its base keeps
+	// the command center's coverage from one upload to the next, so an
+	// upload adds only the photos delivered since (see selectForUpload).
+	upMu  sync.Mutex
+	upSel *selection.Session
+
 	// Fragment journaling scratch, reused under mu (see addFragments).
 	fragFresh   []bool
 	fragBuf     []byte
@@ -312,6 +318,7 @@ func New(id model.NodeID, m *coverage.Map, capacity int64, opts ...Option) *Peer
 
 		snapEvery: DefaultSnapshotEvery,
 		transfer:  DefaultTransferConfig(),
+		upSel:     selection.NewSession(),
 	}
 	p.rate = metadata.NewRateEstimator()
 	p.table = prophet.NewTable(id, prophet.DefaultConfig())

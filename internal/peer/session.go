@@ -553,7 +553,7 @@ func (s *session) upload(session float64) error {
 			return err
 		}
 	}
-	plan := selection.SelectForUpload(s.p.fpc, s.p.selCfg, ccEntry.Photos, s.st.store.Photos())
+	plan := s.p.selectForUpload(ccEntry.Photos, s.st.store.Photos())
 	var ids []model.PhotoID
 	for _, photo := range plan {
 		ids = append(ids, photo.ID)
@@ -587,6 +587,18 @@ func (s *session) upload(session float64) error {
 		return err
 	}
 	return wire.Write(s.conn, wire.Bye{})
+}
+
+// selectForUpload plans an upload on the peer's own session, which extends
+// the command-center coverage it kept from the last upload. An upload that
+// finds the session busy with another plans on a pooled one instead: the
+// plans are the same either way, only the work differs.
+func (p *Peer) selectForUpload(ccPhotos, photos model.PhotoList) model.PhotoList {
+	if !p.upMu.TryLock() {
+		return selection.SelectForUpload(p.fpc, p.selCfg, ccPhotos, photos)
+	}
+	defer p.upMu.Unlock()
+	return p.upSel.SelectForUpload(p.fpc, p.selCfg, ccPhotos, photos)
 }
 
 // deliveredHeld returns the held photos that appear in the delivered list.

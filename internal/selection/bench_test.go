@@ -152,7 +152,7 @@ func BenchmarkEvaluatorGreedyFill(b *testing.B) {
 			capacity := int64(max(5, len(pool)/3)) * (4 << 20)
 			s := NewSession()
 			fill := func() {
-				ev := s.evaluator(m, sc.cfg, ccFPs, bg)
+				ev := s.fpEvaluator(m, sc.cfg, ccFPs, bg)
 				if sel := GreedyFill(ev, pool, capacity); len(sel) == 0 {
 					b.Fatal("selected nothing")
 				}
@@ -183,7 +183,7 @@ func BenchmarkEvaluatorGainStale(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s := NewSession()
-				ev := s.evaluator(m, sc.cfg, ccFPs, bg)
+				ev := s.fpEvaluator(m, sc.cfg, ccFPs, bg)
 				s.cands.reset()
 				cands := s.heap.items[:0]
 				for _, it := range pool {
@@ -202,5 +202,46 @@ func BenchmarkEvaluatorGainStale(b *testing.B) {
 				ev.Release()
 			}
 		})
+	}
+}
+
+// BenchmarkSelectForUploadGrowingLedger measures a gateway's run of upload
+// contacts on one kept session: each contact plans against the ledger of
+// the last plus the photos it delivered, as a command center's ack ledger
+// grows. One op is the whole run, from an empty ledger to about 400 photos,
+// so the per-op cost shows whether a contact pays for the ledger's growth
+// or for all of it. One untimed run grows the session's storage first.
+func BenchmarkSelectForUploadGrowingLedger(b *testing.B) {
+	const contacts, perContact = 40, 12
+	rng := rand.New(rand.NewSource(5))
+	wl := workload.Default(50, 3600)
+	wl.NumPoIs = 250
+	wl.Region = geo.Square(1500)
+	wl.PhotosPerHour = 1.5 * contacts * perContact
+	var photos model.PhotoList
+	for _, e := range workload.GeneratePhotos(wl, rng) {
+		photos = append(photos, e.Photo)
+	}
+	m := coverage.NewMap(workload.GeneratePoIs(wl, rng), geo.Radians(30))
+	if len(photos) < contacts*perContact {
+		b.Fatalf("workload too small: %d photos", len(photos))
+	}
+	fpc := coverage.NewFootprintCache(m)
+	cfg := DefaultConfig()
+	s := NewSession()
+	ledger := make(model.PhotoList, 0, contacts*perContact)
+	run := func() {
+		ledger = ledger[:0]
+		for c := 0; c < contacts; c++ {
+			held := photos[c*perContact : (c+1)*perContact]
+			plan := s.SelectForUpload(fpc, cfg, ledger, held)
+			ledger = append(ledger, plan...)
+		}
+	}
+	run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
 	}
 }

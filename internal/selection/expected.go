@@ -36,16 +36,21 @@ type Metrics struct {
 	Evaluators *obs.Counter
 	// Scenarios observes the scenario count per evaluator.
 	Scenarios *obs.Histogram
+	// BaseFootprints counts footprints added to evaluator bases: the
+	// command-center ledger's and sure background nodes'. A session that
+	// extends its kept base adds only the ledger's new photos.
+	BaseFootprints *obs.Counter
 }
 
 // ObserverMetrics builds selection metrics bound to an observer's registry
 // (all nil — disabled — when o is nil).
 func ObserverMetrics(o *obs.Observer) Metrics {
 	return Metrics{
-		GainEvals:  o.Counter("selection.gain_evals"),
-		Rounds:     o.Counter("selection.rounds"),
-		Evaluators: o.Counter("selection.evaluators"),
-		Scenarios:  o.Histogram("selection.scenarios"),
+		GainEvals:      o.Counter("selection.gain_evals"),
+		Rounds:         o.Counter("selection.rounds"),
+		Evaluators:     o.Counter("selection.evaluators"),
+		Scenarios:      o.Histogram("selection.scenarios"),
+		BaseFootprints: o.Counter("selection.base_footprints"),
 	}
 }
 
@@ -112,17 +117,15 @@ type Evaluator struct {
 // of their photos. Contact-rate callers should keep a Session instead, which
 // recycles everything an evaluator allocates from contact to contact.
 func NewEvaluator(m *coverage.Map, cfg Config, ccFPs []coverage.Footprint, background []bgNode) *Evaluator {
-	return NewSession().evaluator(m, cfg, ccFPs, background)
+	return NewSession().fpEvaluator(m, cfg, ccFPs, background)
 }
 
-// init (re)builds the session's evaluator in place, starting a new life of
-// its DeltaSet (and so reusing the coverage states of the previous phase).
-func (e *Evaluator) init(m *coverage.Map, cfg Config, ccFPs []coverage.Footprint, background []bgNode) {
+// init (re)builds the session's evaluator in place on the base its caller
+// filled with the command center's footprints (and so reuses the coverage
+// states of the previous phase).
+func (e *Evaluator) init(cfg Config, background []bgNode) {
 	cfg = cfg.normalized()
-	base := e.ds.Begin(m)
-	for _, fp := range ccFPs {
-		base.Add(fp)
-	}
+	base := e.ds.Base()
 	// Nodes that deliver surely belong in the base; nodes that never
 	// deliver or have no useful photos can be dropped.
 	s := e.sess
@@ -132,9 +135,11 @@ func (e *Evaluator) init(m *coverage.Map, cfg Config, ccFPs []coverage.Footprint
 			continue
 		}
 		if b.p >= 1 {
+			s.forgetLedger()
 			for _, fp := range b.fps {
 				base.Add(fp)
 			}
+			cfg.Metrics.BaseFootprints.Add(int64(len(b.fps)))
 			continue
 		}
 		live = append(live, b)
@@ -299,6 +304,7 @@ func (e *Evaluator) Release() {
 	if e.ds.Base() == nil {
 		return
 	}
+	e.sess.forgetLedger()
 	e.ds.Release()
 }
 

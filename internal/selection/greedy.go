@@ -210,14 +210,13 @@ func Reallocate(fpc *coverage.FootprintCache, cfg Config, view []metadata.Entry,
 // selections, but every working buffer — pools, heaps, residual arenas,
 // scenario overlays — comes from the session's recycled storage.
 func (s *Session) Reallocate(fpc *coverage.FootprintCache, cfg Config, view []metadata.Entry, a, b Alloc) Result {
-	m := fpc.Map()
 	s.fps = s.fps[:0]
-	var ccFPs []coverage.Footprint
+	var ledger model.PhotoList
 	bg := s.bg[:0]
 	for _, e := range view {
 		switch {
 		case e.Node.IsCommandCenter():
-			ccFPs = s.footprints(fpc, e.Photos)
+			ledger = e.Photos
 		case e.Node == a.Node || e.Node == b.Node:
 			// The pair's live collections are in the allocs.
 		default:
@@ -234,7 +233,7 @@ func (s *Session) Reallocate(fpc *coverage.FootprintCache, cfg Config, view []me
 		aFirst = false
 	}
 
-	ev := s.evaluator(m, cfg, ccFPs, bg)
+	ev := s.evaluator(fpc, cfg, ledger, bg)
 	firstSel := GreedyFill(ev, pool, first.Capacity)
 
 	// Phase 2's background is phase 1's plus the first node's selection,
@@ -245,7 +244,7 @@ func (s *Session) Reallocate(fpc *coverage.FootprintCache, cfg Config, view []me
 		bg2 := append(s.bg2[:0], bg...)
 		bg2 = append(bg2, firstNode)
 		s.bg2 = bg2
-		ev = s.evaluator(m, cfg, ccFPs, bg2)
+		ev = s.evaluator(fpc, cfg, ledger, bg2)
 	}
 	secondSel := GreedyFill(ev, pool, second.Capacity)
 
@@ -266,10 +265,12 @@ func SelectForUpload(fpc *coverage.FootprintCache, cfg Config, ccPhotos, nodePho
 }
 
 // SelectForUpload is the session form of the package-level SelectForUpload;
-// identical selections from recycled storage.
+// identical selections from recycled storage. A session kept across a
+// node's uploads keeps the command center's coverage too: while ccPhotos
+// only grows by appends, each call adds just the new photos to it.
 func (s *Session) SelectForUpload(fpc *coverage.FootprintCache, cfg Config, ccPhotos, nodePhotos model.PhotoList) model.PhotoList {
 	s.fps = s.fps[:0]
-	ev := s.evaluator(fpc.Map(), cfg, s.footprints(fpc, ccPhotos), nil)
+	ev := s.evaluator(fpc, cfg, ccPhotos, nil)
 	pool := s.BuildPool(fpc, nodePhotos)
 	// Upload capacity is bounded by the contact budget, not storage; pass
 	// the total pool size and let the transfer phase cut it off.

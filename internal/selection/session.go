@@ -6,6 +6,7 @@ import (
 
 	"photodtn/internal/coverage"
 	"photodtn/internal/model"
+	"photodtn/internal/obs"
 )
 
 // Session is a reusable arena for contact-scale selection. A scheme runs a
@@ -28,12 +29,16 @@ import (
 //   - AcquireSession/Release recycle whole sessions through a sync.Pool
 //     (mirroring coverage.AcquireState) for transient callers such as the
 //     package-level Reallocate and SelectForUpload wrappers. Long-lived
-//     owners like core.Scheme simply keep one NewSession for their lifetime.
+//     owners like core.Scheme simply keep their NewSessions for their
+//     lifetime.
 //
 // A session is not tied to a particular map: all cached storage is reset or
 // recompiled per contact, so one session may serve contacts against
 // different coverage maps (a change of map returns the coverage states to
-// the old map's pool).
+// the old map's pool). The one exception is the evaluator's base: when the
+// command-center ledger of a phase starts with the ledger the session's
+// base was filled from, on the same footprint cache, the base is kept and
+// extended by the rest (see ledgerBase).
 type Session struct {
 	ev Evaluator // reusable evaluator shell and its scenario family
 
@@ -53,6 +58,15 @@ type Session struct {
 	rng      *rand.Rand
 	drawSeed int64
 	drawn    []float64
+	// ledgerFPC, ledgerEpoch and ledgerIDs record what the evaluator's base
+	// holds when it holds a command-center ledger and nothing else: the
+	// useful footprints, read from ledgerFPC at ledgerEpoch, of the photos
+	// ledgerIDs names, added in that order. ledgerFPC is nil when there is
+	// no such record. The IDs are the session's own copy, never a caller's
+	// list.
+	ledgerFPC   *coverage.FootprintCache
+	ledgerEpoch uint64
+	ledgerIDs   []model.PhotoID
 }
 
 // NewSession returns an empty session ready for use.
@@ -76,12 +90,82 @@ func (s *Session) Release() {
 }
 
 // evaluator rebuilds the session's evaluator in place for one selection
-// phase. The next call ends that phase: the evaluator returned before must
-// not be used afterwards.
-func (s *Session) evaluator(m *coverage.Map, cfg Config, ccFPs []coverage.Footprint, bg []bgNode) *Evaluator {
+// phase, with the command-center ledger and the background nodes' sure
+// deliveries in its base. The next call ends that phase: the evaluator
+// returned before must not be used afterwards.
+func (s *Session) evaluator(fpc *coverage.FootprintCache, cfg Config, ledger model.PhotoList, bg []bgNode) *Evaluator {
+	s.ledgerBase(fpc, ledger, cfg.Metrics.BaseFootprints)
 	e := &s.ev
-	e.init(m, cfg, ccFPs, bg)
+	e.init(cfg, bg)
 	return e
+}
+
+// fpEvaluator is evaluator with the command center given as footprints
+// instead of a ledger: the base is rebuilt from them, and the session has
+// no ledger record to extend later.
+func (s *Session) fpEvaluator(m *coverage.Map, cfg Config, ccFPs []coverage.Footprint, bg []bgNode) *Evaluator {
+	s.forgetLedger()
+	e := &s.ev
+	base := e.ds.Begin(m)
+	for _, fp := range ccFPs {
+		base.Add(fp)
+	}
+	cfg.Metrics.BaseFootprints.Add(int64(len(ccFPs)))
+	e.init(cfg, bg)
+	return e
+}
+
+// ledgerBase readies the evaluator's base to hold the useful footprints of
+// the ledger's photos, in ledger order, and nothing else. A base is the
+// union of what was added to it, accumulated add by add, so a base that
+// holds a prefix of the ledger and receives the rest in order is the state
+// a rebuild from scratch would make, bit for bit. The command center's
+// ledger only grows by appends, so at contact rate that is the usual case:
+// when the recorded ledger is a prefix of this one, read from the same
+// cache with no invalidation since, only the footprints of the new photos
+// are compiled and added. Anything else starts a new base. Either way the
+// record then names the whole ledger; a later Add of anything else must
+// clear it (forgetLedger).
+func (s *Session) ledgerBase(fpc *coverage.FootprintCache, ledger model.PhotoList, added *obs.Counter) {
+	ds := &s.ev.ds
+	epoch := fpc.Epoch() // before the footprints: see FootprintCache.Epoch
+	var base *coverage.State
+	if s.ledgerFPC == fpc && s.ledgerEpoch == epoch && hasPrefix(ledger, s.ledgerIDs) {
+		base = ds.Resume()
+		ledger = ledger[len(s.ledgerIDs):]
+	} else {
+		base = ds.Begin(fpc.Map())
+		s.ledgerIDs = s.ledgerIDs[:0]
+	}
+	fps := s.footprints(fpc, ledger)
+	for _, fp := range fps {
+		base.Add(fp)
+	}
+	added.Add(int64(len(fps)))
+	for _, p := range ledger {
+		s.ledgerIDs = append(s.ledgerIDs, p.ID)
+	}
+	s.ledgerFPC, s.ledgerEpoch = fpc, epoch
+}
+
+// forgetLedger clears the ledger record: the base is about to hold more
+// than a ledger, or to be given up.
+func (s *Session) forgetLedger() {
+	s.ledgerFPC = nil
+	s.ledgerIDs = s.ledgerIDs[:0]
+}
+
+// hasPrefix reports whether the photos' IDs start with ids.
+func hasPrefix(photos model.PhotoList, ids []model.PhotoID) bool {
+	if len(ids) > len(photos) {
+		return false
+	}
+	for i, id := range ids {
+		if photos[i].ID != id {
+			return false
+		}
+	}
+	return true
 }
 
 // footprints compiles the useful footprints of a collection into the

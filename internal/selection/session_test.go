@@ -33,7 +33,7 @@ func TestGreedyFillSessionReuseMatchesFresh(t *testing.T) {
 				t.Fatalf("%s: fresh session selected nothing", sc.name)
 			}
 
-			evSess := s.evaluator(m, sc.cfg, ccFPs, bg)
+			evSess := s.fpEvaluator(m, sc.cfg, ccFPs, bg)
 			got := GreedyFill(evSess, pool, capacity)
 			assertSameSelection(t, sc.name+"/session", want, got)
 		}
@@ -140,7 +140,7 @@ func TestSessionGreedyFillAllocs(t *testing.T) {
 	capacity := int64(max(5, len(pool)/3)) * (4 << 20)
 	s := NewSession()
 	run := func() int {
-		ev := s.evaluator(m, sc.cfg, ccFPs, bg)
+		ev := s.fpEvaluator(m, sc.cfg, ccFPs, bg)
 		sel := GreedyFill(ev, pool, capacity)
 		return len(sel)
 	}
@@ -188,7 +188,7 @@ func TestExtendMatchesFreshEvaluator(t *testing.T) {
 					scen1 := fresh1.Scenarios()
 					want1 := GreedyFill(fresh1, pool, cap1)
 					fresh1.Release()
-					ev := s.evaluator(m, metered, ccFPs, bg)
+					ev := s.fpEvaluator(m, metered, ccFPs, bg)
 					sel1 := GreedyFill(ev, pool, cap1)
 					if len(want1) == 0 {
 						t.Fatalf("%s: phase 1 selected nothing", label)
@@ -207,7 +207,7 @@ func TestExtendMatchesFreshEvaluator(t *testing.T) {
 						if ev.Expected() != before {
 							t.Fatalf("%s: a refused extend changed the evaluator", label)
 						}
-						ev = s.evaluator(m, metered, ccFPs, bg2)
+						ev = s.fpEvaluator(m, metered, ccFPs, bg2)
 					}
 					if got := reg.Counter("ev").Value(); got != 2 {
 						t.Fatalf("%s: %d evaluators counted, want one per phase", label, got)

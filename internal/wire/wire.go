@@ -27,6 +27,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"sync"
 
 	"photodtn/internal/metadata"
 	"photodtn/internal/model"
@@ -696,12 +697,25 @@ func decodeResumeOffer(b []byte) (ResumeOffer, error) {
 	return out, nil
 }
 
+// framePool recycles the buffers Write builds frames in, across every
+// connection of the process: an io.Writer must not retain the slice it is
+// handed, so a buffer is free again once its Write returns. A buffer that grew past
+// maxPooledFrame is left to the collector.
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledFrame = 1 << 20
+
 // Write serialises one message as a frame (with its checksum trailer).
 // Header, body, and trailer go out in a single Write call: one syscall per
 // frame, and no zero-length body writes (which block forever on fully
 // synchronous transports like net.Pipe).
 func Write(w io.Writer, msg Message) error {
-	frame := msg.appendBody(make([]byte, 5))
+	bp := framePool.Get().(*[]byte)
+	defer framePool.Put(bp)
+	frame := msg.appendBody(append((*bp)[:0], 0, 0, 0, 0, 0))
+	if cap(frame) <= maxPooledFrame {
+		*bp = frame
+	}
 	body := len(frame) - 5
 	if body > MaxFrame {
 		return fmt.Errorf("%w: %d bytes", ErrFrameTooBig, body)

@@ -111,6 +111,38 @@ func TestReservedTypeFour(t *testing.T) {
 	}
 }
 
+// TestWriteAllocs pins Write's steady state: a frame is built in a pooled
+// buffer, so writing a 16 KiB chunk frame or a hello allocates nothing once
+// the pool holds a buffer that fits. The messages are boxed outside the
+// measured function, as a sender's interface value would be.
+func TestWriteAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	data := make([]byte, 16<<10)
+	cases := []struct {
+		name string
+		msg  Message
+	}{
+		{"chunk", Chunk{Photo: samplePhoto(3, 9), Index: 1, Count: 4, ChunkSize: uint32(len(data)),
+			Total: 4 * uint64(len(data)), PayloadCRC: 0xCAFE, Data: data}},
+		{"hello", Hello{Node: 7, Lambda: 0.001, DeliveryProb: 0.4, Time: 1234.5, Nonce: 1,
+			Capacity: 5 << 30, ChunkSize: 64 << 10, Window: 8, Flags: FlagResume}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			allocs := testing.AllocsPerRun(100, func() {
+				if err := Write(io.Discard, tc.msg); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("Write(%v) allocated %v times per frame, want 0", tc.msg.Type(), allocs)
+			}
+		})
+	}
+}
+
 // TestFrameGolden pins the exact bytes of the frames two current peers
 // exchange, so a codec refactor cannot silently change the wire.
 func TestFrameGolden(t *testing.T) {
