@@ -21,6 +21,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 
 	"photodtn/internal/model"
 )
@@ -82,17 +83,32 @@ func ValidityHorizon(lambda, pthld float64) float64 {
 }
 
 // Cache is one node's knowledge about every other node's photos. The zero
-// value is not usable; call NewCache. Cache is not safe for concurrent use.
+// value is not usable; call NewCache. Cache is not safe for concurrent use,
+// but a cache and its clones may each be used by a goroutine of its own.
 //
 // Photo lists are immutable once stored, which lets caches share them:
 //
-//   - Put copies the caller's list on store, so a caller may reuse or
+//   - Put copies the caller's photos on store, so a caller may reuse or
 //     mutate its slice afterwards.
 //   - MergeFrom (gossip) and Clone share the other cache's lists instead of
 //     copying them.
-//   - No cache ever writes into a list it holds. A command-center merge that
-//     learns new photos builds a new list; one that learns nothing keeps the
-//     old one.
+//   - Every list an entry holds is clipped (its capacity is its length), and
+//     no cache ever writes into a list it holds.
+//
+// The command-center entry, the ack ledger, only grows, so the lists of a
+// cache that is cloned grow in place instead. The lists of one lineage are
+// prefixes of one backing array with a little spare room past the end, and
+// a ledgerTail shared by the lineage's holders records how much of the
+// array is written. A merge that learns photos writes them past the end of
+// its list when nothing is written there yet, adopts what is written there
+// when it is the same photos (a contact's clone merged them first, and the
+// commit replays the same merge on the parent), and otherwise copies into
+// a new array, which starts a new lineage. Written photos never change, so
+// every list keeps its contents while others grow past it. A cache that is
+// never cloned (the simulator's) copies into arrays without spare room, as
+// a merge that learns something always did: it merges each delta once, and
+// gossip shares its lists with caches that lag behind, which an array
+// grown in place would pin at its grown size.
 //
 // Lists handed out by Get, Entries and ValidEntries are therefore read-only
 // for their holders too: they may be held by several caches at once.
@@ -101,24 +117,89 @@ type Cache struct {
 	pthld   float64
 	entries map[model.NodeID]Entry
 
-	// ccIndex maps every photo of the command-center entry to its position
-	// in that entry's list, so a merge looks up instead of rebuilding the
-	// union. It is built by the first merge that needs it, and it is nil
-	// whenever the command-center entry is absent or was stored wholesale
-	// since.
-	ccIndex map[model.PhotoID]int32
-	// ccSorted is the command-center entry's photo IDs, sorted and without
-	// repeats: what Delivered returns. It is built by the first Delivered or
-	// Clone that needs it, and from then on every merge that learns a photo
-	// replaces it, never writing into it, so clones share it like the photo
-	// lists. It is nil whenever the entry is absent; a cache that is never
-	// cloned or asked (the simulator's) never builds it.
-	ccSorted []model.PhotoID
+	// ccTail is the lineage the command-center list was cut from, or nil
+	// when it was cut from none (a wholesale store, or the exact copy of a
+	// cache that is never cloned). A merge grows the list in place only
+	// when the list is a prefix of the tail's array; otherwise it copies.
+	ccTail *ledgerTail
+	// ccIndex maps command-center photos to their positions in that
+	// entry's list, so a merge looks up instead of rebuilding the union. It
+	// is nil until the first merge, and whenever the entry is absent or was
+	// stored wholesale since. When ccPartial is false it holds every photo
+	// of the list. When ccPartial is true it holds only the photos merged
+	// since the cache started it, and the rest are looked up in ccSorted: a
+	// clone, whose parent handed it the sorted IDs, never indexes the whole
+	// ledger.
+	ccIndex   map[model.PhotoID]int32
+	ccPartial bool
+	// ccSorted is the sorted IDs, without repeats, of the first ccSortedN
+	// photos of the command-center list; Delivered extends it to the whole
+	// list when asked, and Clone hands it to the clone. Merges never write
+	// into it, so clones share it like the photo lists. It is nil whenever
+	// the entry is absent; a cache that is never cloned or asked (the
+	// simulator's) never builds it.
+	ccSorted  []model.PhotoID
+	ccSortedN int
+	// cloned is set on a cache that was cloned and on its clones: their
+	// command-center copies get spare room to grow in place (see above).
+	cloned bool
 
 	// Optional caps (0 = unlimited), enforced by eviction at Put time.
 	maxEntries int
 	maxBytes   int64
 	bytes      int64
+}
+
+// ledgerTail is the growth state of one command-center lineage: the
+// backing array its lists are cut from, and how much of it is written.
+// Caches on different goroutines may share one, so both fields are read
+// and written under mu; the array's first claimed photos never change.
+type ledgerTail struct {
+	mu      sync.Mutex
+	arr     model.PhotoList // the whole array, spare room included
+	claimed int
+}
+
+// owns reports whether the list is cut from the tail's array.
+func (t *ledgerTail) owns(l model.PhotoList) bool {
+	return len(l) > 0 && &t.arr[0] == &l[0]
+}
+
+// grow makes l, a list the tail owns, followed by the next fresh photos of
+// src (see nextFresh) a list of the lineage. Positions the tail has
+// claimed must already hold exactly those photos; the rest are written,
+// and must fit. It reports false, having written nothing another list
+// can see, when either fails.
+func (t *ledgerTail) grow(l, src model.PhotoList, fresh int, pos map[model.PhotoID]int32) (model.PhotoList, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	n := len(l)
+	if n+fresh > len(t.arr) {
+		return nil, false
+	}
+	k := n
+	for _, p := range src {
+		if !nextFresh(pos, p, k) {
+			continue
+		}
+		if k < t.claimed {
+			if t.arr[k] != p {
+				return nil, false
+			}
+		} else {
+			t.arr[k] = p
+		}
+		k++
+	}
+	t.claimed = max(t.claimed, k)
+	return t.arr[:k:k], true
+}
+
+// nextFresh reports whether p is the photo a merge appends at position k:
+// a learned photo, at its first occurrence in the incoming list.
+func nextFresh(pos map[model.PhotoID]int32, p model.Photo, k int) bool {
+	i, ok := pos[p.ID]
+	return ok && int(i) == k
 }
 
 // entryOverhead approximates one entry's fixed cost next to its photo
@@ -179,7 +260,8 @@ func (c *Cache) delEntry(node model.NodeID) {
 		c.bytes -= entrySize(old)
 		delete(c.entries, node)
 		if node.IsCommandCenter() {
-			c.ccIndex, c.ccSorted = nil, nil
+			c.ccTail, c.ccIndex, c.ccPartial = nil, nil, false
+			c.ccSorted, c.ccSortedN = nil, 0
 		}
 	}
 }
@@ -214,23 +296,26 @@ func (c *Cache) evict() {
 // entries. Command-center entries are merged by union (the command center
 // never drops photos, so any two snapshots of it are consistent). The
 // cache never keeps the caller's slice: it copies whatever it stores.
-func (c *Cache) Put(e Entry) { c.put(e, false) }
+func (c *Cache) Put(e Entry) { c.put(e, nil) }
 
-// put is Put; share stores (or adopts) e.Photos without copying it, for
-// lists that come from another cache and are therefore never written.
-func (c *Cache) put(e Entry, share bool) {
+// put is Put. A non-nil src is the cache e comes from: its lists are never
+// written, so put stores (or adopts) e.Photos without copying, and takes
+// over src's lineage with it.
+func (c *Cache) put(e Entry, src *Cache) {
 	if e.Node == c.owner {
 		return // a node does not cache itself
 	}
 	old, ok := c.entries[e.Node]
 	switch {
 	case !ok, !e.Node.IsCommandCenter() && e.Timestamp > old.Timestamp:
-		if !share {
+		if src == nil {
 			e.Photos = e.Photos.Clone()
+		} else if e.Node.IsCommandCenter() {
+			c.ccTail = src.ccTail
 		}
 		c.setEntry(e)
 	case e.Node.IsCommandCenter():
-		c.setEntry(c.mergeCC(old, e, share))
+		c.setEntry(c.mergeCC(old, e, src))
 	default:
 		return
 	}
@@ -239,63 +324,104 @@ func (c *Cache) put(e Entry, share bool) {
 
 // mergeCC unions the incoming command-center snapshot b into the stored one
 // a: a's photos without duplicates, then b's new photos in b's order, the
-// later timestamp, and zero λ and p. It never writes into a's or b's list.
-// A merge that learns nothing returns a's list itself. One that learns
-// something returns b's list when share allows it and b is exactly that
-// union, and otherwise a new list of exactly the union's length.
-func (c *Cache) mergeCC(a, b Entry, share bool) Entry {
+// later timestamp, and zero λ and p. It never writes into a's or b's list,
+// nor into any photo another list holds. A merge that learns nothing
+// returns a's list itself. One that learns something returns b's list when
+// b comes from src and is exactly that union, and otherwise a's list grown
+// through the shared tail (see Cache).
+func (c *Cache) mergeCC(a, b Entry, src *Cache) Entry {
 	out := Entry{
 		Node:      model.CommandCenter,
 		Photos:    a.Photos,
 		Timestamp: math.Max(a.Timestamp, b.Timestamp),
 	}
 	if c.ccIndex == nil {
-		out.Photos = c.indexCC(a.Photos)
+		if c.ccSorted != nil && c.ccSortedN == len(a.Photos) && len(c.ccSorted) == len(a.Photos) {
+			// The sorted IDs cover the whole list, which has no repeats.
+			c.ccIndex, c.ccPartial = make(map[model.PhotoID]int32), true
+		} else {
+			out.Photos = c.indexCC(a.Photos)
+		}
 	}
 	n := len(out.Photos)
 	// Number b's new photos after a's; a repeat inside b keeps the position
 	// of its first occurrence.
-	track := c.ccSorted != nil
-	var learned []model.PhotoID
 	fresh, first := 0, -1
 	for i, p := range b.Photos {
-		if _, ok := c.ccIndex[p.ID]; !ok {
+		if !c.ccHas(p.ID) {
 			if first < 0 {
 				first = i
 			}
 			c.ccIndex[p.ID] = int32(n + fresh)
 			fresh++
-			if track {
-				learned = append(learned, p.ID)
-			}
 		}
 	}
 	if fresh == 0 {
 		return out
 	}
-	if track {
-		c.ccSorted = mergeSorted(c.ccSorted, learned)
-	}
-	if share && len(b.Photos) == n+fresh && slices.Equal(b.Photos[:n], out.Photos) {
-		out.Photos = b.Photos
+	if src != nil && len(b.Photos) == n+fresh && hasPrefix(b.Photos, out.Photos) {
+		out.Photos, c.ccTail = b.Photos, src.ccTail
 		return out
 	}
-	merged := make(model.PhotoList, n, n+fresh)
-	copy(merged, out.Photos)
-	for _, p := range b.Photos[first:] {
-		if int(c.ccIndex[p.ID]) == len(merged) {
-			merged = append(merged, p)
-		}
-	}
-	out.Photos = merged
+	out.Photos = c.grow(out.Photos, b.Photos[first:], fresh)
 	return out
 }
 
-// indexCC builds ccIndex over the stored command-center list and returns
-// the list without duplicates: the list itself when it has none, else a
-// copy keeping each photo's first occurrence.
+// ccHas reports whether the command-center list holds the photo.
+func (c *Cache) ccHas(id model.PhotoID) bool {
+	if _, ok := c.ccIndex[id]; ok || !c.ccPartial {
+		return ok
+	}
+	_, ok := slices.BinarySearch(c.ccSorted, id)
+	return ok
+}
+
+// hasPrefix reports whether l starts with prefix, comparing nothing when
+// both are cut from the same array.
+func hasPrefix(l, prefix model.PhotoList) bool {
+	return len(prefix) == 0 || &l[0] == &prefix[0] || slices.Equal(l[:len(prefix)], prefix)
+}
+
+// grow returns l followed by the fresh photos of src, growing l's lineage
+// in place when it can and copying into a new lineage otherwise. A cloned
+// cache's new array has spare room of an eighth of its length, so it pays
+// a copy only after its ledger grew by an eighth, and a node holds little
+// slack. Any other cache's copy is exact and starts no lineage.
+func (c *Cache) grow(l, src model.PhotoList, fresh int) model.PhotoList {
+	if t := c.ccTail; t != nil && t.owns(l) {
+		if out, ok := t.grow(l, src, fresh, c.ccIndex); ok {
+			return out
+		}
+	}
+	n := len(l) + fresh
+	spare := 0
+	if c.cloned {
+		spare = n / 8
+	}
+	out := appendFresh(append(make(model.PhotoList, 0, n+spare), l...), src, c.ccIndex)
+	c.ccTail = nil
+	if spare > 0 {
+		c.ccTail = &ledgerTail{arr: out[:cap(out)], claimed: n}
+	}
+	return slices.Clip(out)
+}
+
+// appendFresh appends to dst the fresh photos of src (see nextFresh).
+func appendFresh(dst, src model.PhotoList, pos map[model.PhotoID]int32) model.PhotoList {
+	for _, p := range src {
+		if nextFresh(pos, p, len(dst)) {
+			dst = append(dst, p)
+		}
+	}
+	return dst
+}
+
+// indexCC builds a full ccIndex over the stored command-center list and
+// returns the list without duplicates: the list itself when it has none,
+// else a copy keeping each photo's first occurrence, whose sorted IDs are
+// then rebuilt when next asked for.
 func (c *Cache) indexCC(photos model.PhotoList) model.PhotoList {
-	c.ccIndex = make(map[model.PhotoID]int32, len(photos))
+	c.ccIndex, c.ccPartial = make(map[model.PhotoID]int32, len(photos)), false
 	dup := false
 	for _, p := range photos {
 		if _, ok := c.ccIndex[p.ID]; ok {
@@ -307,6 +433,7 @@ func (c *Cache) indexCC(photos model.PhotoList) model.PhotoList {
 	if !dup {
 		return photos
 	}
+	c.ccSorted, c.ccSortedN = nil, 0
 	out := make(model.PhotoList, 0, len(c.ccIndex))
 	for _, p := range photos {
 		if int(c.ccIndex[p.ID]) == len(out) {
@@ -345,17 +472,21 @@ func mergeSorted(sorted, learned []model.PhotoID) []model.PhotoID {
 }
 
 // Clone returns an independent copy of the cache: same owner, threshold,
-// limits and entries. The photo lists and the sorted delivered IDs are
-// shared, as they are never written; Clone builds the latter first if c
-// lacks it, so that c's later merges keep it current for the next clone.
-// The clone builds its own command-center index when it first needs one.
+// limits and entries. The photo lists, the ledger's lineage and the sorted
+// delivered IDs are shared, as no cache writes what another can see;
+// Clone brings the latter up to date first, so the clone's merges look the
+// ledger up in it instead of indexing the whole ledger again.
 func (c *Cache) Clone() *Cache {
+	c.cloned = true
 	out := &Cache{
 		owner: c.owner, pthld: c.pthld,
 		maxEntries: c.maxEntries, maxBytes: c.maxBytes, bytes: c.bytes,
 		entries:  make(map[model.NodeID]Entry, len(c.entries)),
+		ccTail:   c.ccTail,
 		ccSorted: c.Delivered(),
+		cloned:   true,
 	}
+	out.ccSortedN = c.ccSortedN
 	for node, e := range c.entries {
 		out.entries[node] = e
 	}
@@ -426,7 +557,7 @@ func (c *Cache) MergeFrom(other *Cache) {
 		return
 	}
 	for _, e := range other.entries {
-		c.put(e, true)
+		c.put(e, other)
 	}
 }
 
@@ -472,15 +603,21 @@ func Novel(e Entry, owner model.NodeID, sum []Stamp) bool {
 // Delivered returns the IDs of the photos known to have reached the
 // command center — the acknowledgement view of §III-B — sorted and without
 // repeats, or nil when the cache holds no command-center entry. The list
-// is the cache's own and may be shared with its clones: read-only.
+// is the cache's own and may be shared with its clones: read-only. It is
+// built once and then extended by the photos merged since the last call,
+// in a new list of the ledger's length.
 func (c *Cache) Delivered() []model.PhotoID {
 	e, ok := c.entries[model.CommandCenter]
 	if !ok {
 		return nil
 	}
-	if c.ccSorted == nil {
+	switch {
+	case c.ccSorted == nil:
 		c.ccSorted = sortedIDs(e.Photos)
+	case c.ccSortedN < len(e.Photos):
+		c.ccSorted = mergeSorted(c.ccSorted, e.Photos[c.ccSortedN:].IDs())
 	}
+	c.ccSortedN = len(e.Photos)
 	return c.ccSorted
 }
 
@@ -490,7 +627,7 @@ func (c *Cache) Delivered() []model.PhotoID {
 //
 // Putting the trimmed entry changes a cache exactly as putting the whole
 // one does, provided the cache's command-center entry still holds every
-// photo of delivered. A merge appends the incoming photos its stored list
+// photo of delivered. Lacking never writes into photos. A merge appends the incoming photos its stored list
 // lacks, in incoming order, and takes the later stamp, so the photos
 // Lacking drops are the ones the merge would skip. The entry only grows:
 // eviction and staleness never remove it. A first Put, where no entry is

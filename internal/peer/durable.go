@@ -352,20 +352,16 @@ func (p *Peer) reconcileFragsLocked() error {
 		return nil
 	}
 	slices.Sort(ids)
-	var delivered model.PhotoList
-	if e, ok := p.cache.Get(model.CommandCenter); ok {
-		delivered = e.Photos
-	}
+	delivered := p.cache.Delivered()
 	type drop struct {
 		id     model.PhotoID
 		wasted bool
 	}
 	var drops []drop
 	for _, id := range ids {
-		switch {
-		case p.store.Has(id):
+		if p.store.Has(id) {
 			drops = append(drops, drop{id: id})
-		case delivered.Contains(id):
+		} else if _, ok := slices.BinarySearch(delivered, id); ok {
 			drops = append(drops, drop{id: id, wasted: true})
 		}
 	}

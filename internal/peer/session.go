@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 
 	"photodtn/internal/guard"
@@ -38,6 +39,10 @@ type session struct {
 	now     float64 // peer clock at snapshot time
 	nonce   uint64  // hello nonce, drawn under the peer lock
 	baseGen uint64  // the photo store's generation at snapshot time
+	// baseIDs is the set of photos held at snapshot time. Only the re-plan
+	// of a reallocation reads it, so record builds it with the contact's
+	// one store replace, and contacts that never reallocate (the command
+	// center's) never build it.
 	baseIDs map[model.PhotoID]bool
 
 	ops       []byte // framed sub-records, applied locally as recorded
@@ -72,10 +77,6 @@ func (p *Peer) beginSession() (*session, error) {
 		now:     p.clock(),
 		nonce:   p.rng.Uint64(),
 		baseGen: p.store.Gen(),
-		baseIDs: make(map[model.PhotoID]bool, p.store.Len()),
-	}
-	for _, photo := range p.store.Photos() {
-		s.baseIDs[photo.ID] = true
 	}
 	return s, nil
 }
@@ -103,6 +104,17 @@ func readIn[M wire.Message](s *session) (M, error) {
 // happens now — later protocol steps must see earlier mutations exactly as
 // the serialised protocol did.
 func (s *session) record(kind byte, payload []byte) error {
+	if kind == subStoreReplace && s.baseIDs == nil {
+		// The clone's store is still at the snapshot's generation, so it
+		// still holds the snapshot's photos.
+		if s.st.store.Gen() != s.baseGen {
+			return errors.New("store replace after another store change")
+		}
+		s.baseIDs = make(map[model.PhotoID]bool, s.st.store.Len())
+		for _, photo := range s.st.store.Photos() {
+			s.baseIDs[photo.ID] = true
+		}
+	}
 	if err := s.st.apply(kind, payload); err != nil {
 		return err
 	}
@@ -379,7 +391,7 @@ func (s *session) metadataMsg(session float64, theirs wire.MetaSummary) (md wire
 		Lambda:    s.st.rate.Rate(session),
 		P:         s.deliveryProb(session),
 		Timestamp: session,
-		Photos:    s.st.store.List(),
+		Photos:    s.st.store.Photos(),
 	}}
 	for _, e := range s.st.cache.ValidEntries(session) {
 		if !metadata.Novel(e, s.remote, theirs.Entries) {
@@ -548,7 +560,7 @@ func (s *session) upload(session float64) error {
 	// delivery acknowledgement (§III-B): any held photo it lists already
 	// arrived — through another relay, or in a contact whose ack this node
 	// lost to a crash — so purge it instead of re-reporting it.
-	if purged := s.deliveredHeld(ccEntry.Photos); len(purged) > 0 {
+	if purged := s.deliveredHeld(); len(purged) > 0 {
 		if err := s.record(subAckDelivered, encodeAckDelivered(session, purged)); err != nil {
 			return err
 		}
@@ -601,11 +613,12 @@ func (p *Peer) selectForUpload(ccPhotos, photos model.PhotoList) model.PhotoList
 	return p.upSel.SelectForUpload(p.fpc, p.selCfg, ccPhotos, photos)
 }
 
-// deliveredHeld returns the held photos that appear in the delivered list.
-func (s *session) deliveredHeld(delivered model.PhotoList) model.PhotoList {
+// deliveredHeld returns the held photos the command-center entry lists.
+func (s *session) deliveredHeld() model.PhotoList {
+	delivered := s.st.cache.Delivered()
 	var purged model.PhotoList
 	for _, photo := range s.st.store.Photos() {
-		if delivered.Contains(photo.ID) {
+		if _, ok := slices.BinarySearch(delivered, photo.ID); ok {
 			purged = append(purged, photo)
 		}
 	}

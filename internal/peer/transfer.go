@@ -46,15 +46,25 @@ func payloadFor(id model.PhotoID, n int) []byte {
 	}
 	buf := make([]byte, n)
 	state := uint64(id)*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03
-	var word [8]byte
-	for i := 0; i < n; i += 8 {
-		state ^= state << 13
-		state ^= state >> 7
-		state ^= state << 17
-		binary.LittleEndian.PutUint64(word[:], state)
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		state = xorshift(state)
+		binary.LittleEndian.PutUint64(buf[i:], state)
+	}
+	if i < n {
+		var word [8]byte
+		binary.LittleEndian.PutUint64(word[:], xorshift(state))
 		copy(buf[i:], word[:])
 	}
 	return buf
+}
+
+// xorshift is one step of the payload keystream.
+func xorshift(x uint64) uint64 {
+	x ^= x << 13
+	x ^= x >> 7
+	x ^= x << 17
+	return x
 }
 
 // chunkPlan splits a photo's payload into canonical wire chunks for the
