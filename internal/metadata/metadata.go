@@ -125,13 +125,11 @@ type Cache struct {
 	// ccIndex maps command-center photos to their positions in that
 	// entry's list, so a merge looks up instead of rebuilding the union. It
 	// is nil until the first merge, and whenever the entry is absent or was
-	// stored wholesale since. When ccPartial is false it holds every photo
-	// of the list. When ccPartial is true it holds only the photos merged
-	// since the cache started it, and the rest are looked up in ccSorted: a
-	// clone, whose parent handed it the sorted IDs, never indexes the whole
-	// ledger.
-	ccIndex   map[model.PhotoID]int32
-	ccPartial bool
+	// stored wholesale since. A photo it lacks is in the list only if it is
+	// in ccSorted, so a cache that holds the sorted IDs of its whole list
+	// when it first merges (a clone, whose parent handed them over) starts
+	// an empty index and never indexes the whole ledger.
+	ccIndex map[model.PhotoID]int32
 	// ccSorted is the sorted IDs, without repeats, of the first ccSortedN
 	// photos of the command-center list; Delivered extends it to the whole
 	// list when asked, and Clone hands it to the clone. Merges never write
@@ -260,7 +258,7 @@ func (c *Cache) delEntry(node model.NodeID) {
 		c.bytes -= entrySize(old)
 		delete(c.entries, node)
 		if node.IsCommandCenter() {
-			c.ccTail, c.ccIndex, c.ccPartial = nil, nil, false
+			c.ccTail, c.ccIndex = nil, nil
 			c.ccSorted, c.ccSortedN = nil, 0
 		}
 	}
@@ -338,23 +336,28 @@ func (c *Cache) mergeCC(a, b Entry, src *Cache) Entry {
 	if c.ccIndex == nil {
 		if c.ccSorted != nil && c.ccSortedN == len(a.Photos) && len(c.ccSorted) == len(a.Photos) {
 			// The sorted IDs cover the whole list, which has no repeats.
-			c.ccIndex, c.ccPartial = make(map[model.PhotoID]int32), true
+			c.ccIndex = make(map[model.PhotoID]int32)
 		} else {
 			out.Photos = c.indexCC(a.Photos)
 		}
 	}
 	n := len(out.Photos)
 	// Number b's new photos after a's; a repeat inside b keeps the position
-	// of its first occurrence.
+	// of its first occurrence. A photo the index lacks may still be held:
+	// the sorted IDs stand in for the photos an index started empty lacks.
 	fresh, first := 0, -1
 	for i, p := range b.Photos {
-		if !c.ccHas(p.ID) {
-			if first < 0 {
-				first = i
-			}
-			c.ccIndex[p.ID] = int32(n + fresh)
-			fresh++
+		if _, ok := c.ccIndex[p.ID]; ok {
+			continue
 		}
+		if _, ok := slices.BinarySearch(c.ccSorted, p.ID); ok {
+			continue
+		}
+		if first < 0 {
+			first = i
+		}
+		c.ccIndex[p.ID] = int32(n + fresh)
+		fresh++
 	}
 	if fresh == 0 {
 		return out
@@ -365,15 +368,6 @@ func (c *Cache) mergeCC(a, b Entry, src *Cache) Entry {
 	}
 	out.Photos = c.grow(out.Photos, b.Photos[first:], fresh)
 	return out
-}
-
-// ccHas reports whether the command-center list holds the photo.
-func (c *Cache) ccHas(id model.PhotoID) bool {
-	if _, ok := c.ccIndex[id]; ok || !c.ccPartial {
-		return ok
-	}
-	_, ok := slices.BinarySearch(c.ccSorted, id)
-	return ok
 }
 
 // hasPrefix reports whether l starts with prefix, comparing nothing when
@@ -421,7 +415,7 @@ func appendFresh(dst, src model.PhotoList, pos map[model.PhotoID]int32) model.Ph
 // else a copy keeping each photo's first occurrence, whose sorted IDs are
 // then rebuilt when next asked for.
 func (c *Cache) indexCC(photos model.PhotoList) model.PhotoList {
-	c.ccIndex, c.ccPartial = make(map[model.PhotoID]int32, len(photos)), false
+	c.ccIndex = make(map[model.PhotoID]int32, len(photos))
 	dup := false
 	for _, p := range photos {
 		if _, ok := c.ccIndex[p.ID]; ok {

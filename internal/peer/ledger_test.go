@@ -6,10 +6,12 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"photodtn/internal/metadata"
 	"photodtn/internal/model"
+	"photodtn/internal/wire"
 )
 
 // payloadForByWord is the keystream payloadFor wrote before it put words
@@ -52,10 +54,11 @@ func TestPayloadForMatchesByWord(t *testing.T) {
 // picks exactly the photos a scan of the ledger finds, in store order.
 func TestDeliveredHeldMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
+	matched := 0
 	for round := 0; round < 50; round++ {
-		p := newTestPeer(t, 1, poiMap(), 0)
+		p := newTestPeer(t, 1, poiMap(), 1<<40)
 		var ledger model.PhotoList
-		for i := 0; i < rng.Intn(40); i++ {
+		for range rng.Intn(40) {
 			ph := viewFrom(model.NodeID(2+rng.Intn(4)), uint32(rng.Intn(30)), 0)
 			if rng.Intn(2) == 0 {
 				_ = p.AddPhoto(ph) // a repeat is refused, which is fine
@@ -73,6 +76,7 @@ func TestDeliveredHeldMatchesScan(t *testing.T) {
 			}
 		}
 		got := s.deliveredHeld()
+		matched += len(want)
 		if len(got) != len(want) {
 			t.Fatalf("round %d: purged %v, want %v", round, got.IDs(), want.IDs())
 		}
@@ -81,6 +85,66 @@ func TestDeliveredHeldMatchesScan(t *testing.T) {
 				t.Fatalf("round %d: purged %v, want %v", round, got.IDs(), want.IDs())
 			}
 		}
+	}
+	if matched == 0 {
+		t.Fatal("no round held a delivered photo")
+	}
+}
+
+// TestReconcileFragsMatchesScan: a commit's settling of the reassembly
+// store, which looks delivered photos up in the sorted delivered IDs,
+// drops exactly the partials a scan of the ledger would: those of held
+// photos, and as waste those of delivered ones.
+func TestReconcileFragsMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	drops := 0
+	for round := 0; round < 30; round++ {
+		p := newTestPeer(t, 1, poiMap(), 1<<40)
+		photo := func() model.Photo { return viewFrom(model.NodeID(2+rng.Intn(4)), uint32(rng.Intn(60)), 0) }
+		var ledger model.PhotoList
+		for range rng.Intn(80) {
+			ledger = append(ledger, photo())
+		}
+		p.cache.Put(metadata.Entry{Node: model.CommandCenter, Photos: ledger, Timestamp: 1})
+		for range rng.Intn(10) {
+			_ = p.AddPhoto(photo()) // a repeat is refused, which is fine
+		}
+		var keep []model.PhotoID
+		wasted := 0
+		for range 1 + rng.Intn(20) {
+			ph := photo()
+			if _, err := p.frags.Add(wire.Chunk{Photo: ph, Count: 2, ChunkSize: 4, Total: 8, Data: make([]byte, 4)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, id := range p.frags.IDs() {
+			switch {
+			case p.store.Has(id):
+			case ledger.Contains(id):
+				wasted++
+			default:
+				keep = append(keep, id)
+			}
+		}
+		p.mu.Lock()
+		err := p.reconcileFragsLocked()
+		p.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := p.frags.IDs()
+		slices.Sort(got)
+		slices.Sort(keep)
+		if !slices.Equal(got, keep) {
+			t.Fatalf("round %d: partials left %v, want %v", round, got, keep)
+		}
+		if w := p.TransferStats().WastedBytes; w != int64(wasted)*4 {
+			t.Fatalf("round %d: %d bytes wasted, want %d", round, w, wasted*4)
+		}
+		drops += wasted
+	}
+	if drops == 0 {
+		t.Fatal("no round dropped a delivered photo's partial")
 	}
 }
 
