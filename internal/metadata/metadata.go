@@ -621,11 +621,13 @@ func (c *Cache) Delivered() []model.PhotoID {
 //
 // Putting the trimmed entry changes a cache exactly as putting the whole
 // one does, provided the cache's command-center entry still holds every
-// photo of delivered. Lacking never writes into photos. A merge appends the incoming photos its stored list
+// photo of delivered. A merge appends the incoming photos its stored list
 // lacks, in incoming order, and takes the later stamp, so the photos
 // Lacking drops are the ones the merge would skip. The entry only grows:
 // eviction and staleness never remove it. A first Put, where no entry is
 // stored, has an empty delivered list and so gets the whole list.
+//
+// Lacking never writes into photos, so a caller may pass a list it shares.
 func Lacking(photos model.PhotoList, delivered []model.PhotoID) model.PhotoList {
 	held := func(p model.Photo) bool {
 		_, ok := slices.BinarySearch(delivered, p.ID)
