@@ -62,13 +62,14 @@ bench-runner:
 # bench regenerates the committed performance baselines: the selection
 # micro-benchmarks (construction / Gain / Commit / GreedyFill / stale
 # recompute at several scales) into BENCH_selection.json, and the
-# engine-level Table-I and Fig. 8 (50 photos/h) runs plus the slow-link
-# transfer into BENCH_engine.json.
+# engine-level Table-I and Fig. 8 (50 photos/h) runs, the slow-link
+# transfer and the command center's two-photo chunked upload into
+# BENCH_engine.json.
 bench:
 	$(GO) test -run='^$$' -bench='BenchmarkEvaluator|BenchmarkSelectForUploadGrowingLedger' -benchmem -benchtime=500ms ./internal/selection/ \
 		| $(GO) run ./cmd/benchjson -o BENCH_selection.json
 	@echo "wrote BENCH_selection.json"
-	$(GO) test -run='^$$' -bench='BenchmarkEngineTable1|BenchmarkEngineFig8Rate50|BenchmarkTransferSlowLink' -benchmem -benchtime=5x . \
+	$(GO) test -run='^$$' -bench='BenchmarkEngineTable1|BenchmarkEngineFig8Rate50|BenchmarkTransferSlowLink|BenchmarkIngestUpload' -benchmem -benchtime=5x . \
 		| $(GO) run ./cmd/benchjson -o BENCH_engine.json
 	@echo "wrote BENCH_engine.json"
 
@@ -80,7 +81,7 @@ bench-diff:
 	$(GO) test -run='^$$' -bench='BenchmarkEvaluator|BenchmarkSelectForUploadGrowingLedger' -benchmem -benchtime=300ms ./internal/selection/ \
 		| $(GO) run ./cmd/benchjson -o .bench_selection_new.json
 	$(GO) run ./cmd/benchjson -diff -threshold 1.6 BENCH_selection.json .bench_selection_new.json
-	$(GO) test -run='^$$' -bench='BenchmarkEngineTable1|BenchmarkEngineFig8Rate50|BenchmarkTransferSlowLink' -benchmem -benchtime=3x . \
+	$(GO) test -run='^$$' -bench='BenchmarkEngineTable1|BenchmarkEngineFig8Rate50|BenchmarkTransferSlowLink|BenchmarkIngestUpload' -benchmem -benchtime=3x . \
 		| $(GO) run ./cmd/benchjson -o .bench_engine_new.json
 	$(GO) run ./cmd/benchjson -diff -threshold 1.6 BENCH_engine.json .bench_engine_new.json
 	@rm -f .bench_selection_new.json .bench_engine_new.json
@@ -95,7 +96,8 @@ bench-short:
 bench-all:
 	$(GO) test -run='^$$' -bench=. -benchmem ./...
 
-# Fuzz pass over the wire decoders (corruption hardening), the handshake
+# Fuzz pass over the wire decoders (corruption hardening, and the aliasing
+# chunk decode the receive path uses against the copying one), the handshake
 # (a refused hello gets no answer; agreed parameters stay within both
 # sides' bounds and above the chunk-size floor), the photo-list codec every
 # wire and journal metadata entry decodes through, the contact trace parser
@@ -111,6 +113,7 @@ fuzz:
 	$(GO) test -run=Fuzz -fuzz=FuzzRead -fuzztime=30s ./internal/wire/
 	$(GO) test -run=Fuzz -fuzz=FuzzDecodeMessage -fuzztime=30s ./internal/wire/
 	$(GO) test -run=Fuzz -fuzz=FuzzNegotiate -fuzztime=30s ./internal/wire/
+	$(GO) test -run=Fuzz -fuzz=FuzzChunkAlias -fuzztime=30s ./internal/wire/
 	$(GO) test -run=Fuzz -fuzz=FuzzDecodePhotoList -fuzztime=30s ./internal/model/
 	$(GO) test -run=Fuzz -fuzz=FuzzRead -fuzztime=30s ./internal/trace/
 	$(GO) test -run=Fuzz -fuzz='FuzzReassembly$$' -fuzztime=30s ./internal/transfer/
@@ -124,6 +127,7 @@ fuzz-short:
 	$(GO) test -run=Fuzz -fuzz=FuzzRead -fuzztime=5s ./internal/wire/
 	$(GO) test -run=Fuzz -fuzz=FuzzDecodeMessage -fuzztime=5s ./internal/wire/
 	$(GO) test -run=Fuzz -fuzz=FuzzNegotiate -fuzztime=5s ./internal/wire/
+	$(GO) test -run=Fuzz -fuzz=FuzzChunkAlias -fuzztime=5s ./internal/wire/
 	$(GO) test -run=Fuzz -fuzz=FuzzDecodePhotoList -fuzztime=5s ./internal/model/
 	$(GO) test -run=Fuzz -fuzz=FuzzRead -fuzztime=5s ./internal/trace/
 	$(GO) test -run=Fuzz -fuzz='FuzzReassembly$$' -fuzztime=5s ./internal/transfer/

@@ -16,6 +16,7 @@ import (
 	"photodtn/internal/experiments"
 	"photodtn/internal/faults"
 	"photodtn/internal/geo"
+	"photodtn/internal/guard"
 	"photodtn/internal/metadata"
 	"photodtn/internal/model"
 	"photodtn/internal/obs"
@@ -486,4 +487,71 @@ func BenchmarkTransferSlowLink(b *testing.B) {
 	}
 	b.Run("resume", func(b *testing.B) { run(b, true) })
 	b.Run("discard", func(b *testing.B) { run(b, false) })
+}
+
+// BenchmarkIngestUpload is live-ingest's contact in miniature: per op, a
+// memory-only gateway captures two fresh photos and uploads them over
+// net.Pipe, as 64 KiB payloads in 16 KiB chunks, to a durable, guarded
+// command center. Its allocs/op covers both sides of the contact, through
+// the fragment journal and the reassembly store.
+func BenchmarkIngestUpload(b *testing.B) {
+	const payload, chunk = 64 << 10, 16 << 10
+	// Photo k views PoI k mod n from the aspect 90°·(k/n), so every photo
+	// adds coverage and is uploaded, for the first 4n photos.
+	const n = 8192
+	pois := make([]model.PoI, n)
+	for i := range pois {
+		pois[i] = model.NewPoI(i, geo.Vec{X: float64(i%128) * 1000, Y: float64(i/128) * 1000})
+	}
+	m := coverage.NewMap(pois, geo.Radians(30))
+	now := 1000.0
+	clock := peer.WithClock(func() float64 { return now })
+	common := []peer.Option{clock, peer.WithPayloadBytes(payload),
+		peer.WithTransfer(peer.TransferConfig{ChunkSize: chunk, Resume: true})}
+	cc, err := peer.Open(b.TempDir(), model.CommandCenter, m, 0,
+		append([]peer.Option{peer.WithSeed(1), peer.WithGuard(guard.Config{})}, common...)...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer func() { _ = cc.Close() }()
+	gw := peer.New(1, m, 64<<20, append([]peer.Option{peer.WithSeed(2)}, common...)...)
+	seq := uint32(0)
+	upload := func() {
+		for k := 0; k < 2; k++ {
+			poi, deg := pois[seq%n], 90*float64(seq/n%4)
+			photo := model.Photo{
+				ID: model.MakePhotoID(1, seq), Owner: 1, Location: poi.Location.Add(geo.FromAngle(geo.Radians(deg)).Scale(60)),
+				Range: 120, FOV: geo.Radians(60), Orientation: geo.Radians(deg + 180), Size: 4 << 20,
+			}
+			seq++
+			if err := gw.AddPhoto(photo); err != nil {
+				b.Fatal(err)
+			}
+		}
+		now += 30 // the guard refills a peer's contact bucket at 1/s
+		ca, cb := net.Pipe()
+		errs := make(chan error, 1)
+		go func() {
+			errs <- cc.ContactConn(cb, false)
+			_ = cb.Close()
+		}()
+		errGW := gw.ContactConn(ca, true)
+		_ = ca.Close()
+		if errCC := <-errs; errGW != nil || errCC != nil {
+			b.Fatalf("upload: gateway %v, command center %v", errGW, errCC)
+		}
+		if held := len(gw.Photos()); held != 0 {
+			b.Fatalf("gateway still holds %d photos after the upload", held)
+		}
+	}
+	upload() // warm the pools
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		upload()
+	}
+	b.StopTimer()
+	if got, want := len(cc.Photos()), 2*(b.N+1); got != want {
+		b.Fatalf("command center holds %d photos, want %d", got, want)
+	}
 }

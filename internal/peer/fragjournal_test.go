@@ -231,8 +231,9 @@ func (c *scriptedConn) Write(p []byte) (int, error) {
 
 // ingestChunks returns the chunk plan of a 64 KiB photo in 16 KiB chunks.
 func ingestChunks(owner model.NodeID, seq uint32, deg float64) []wire.Chunk {
-	s := &session{p: &Peer{payload: ingestShapePayload}, wp: wire.Params{ChunkSize: ingestShapeChunk}}
-	return s.chunkPlan(viewFrom(owner, seq, deg))
+	s := &session{wp: wire.Params{ChunkSize: ingestShapeChunk}}
+	photo := viewFrom(owner, seq, deg)
+	return s.chunkPlan(photo, payloadFor(nil, photo.ID, ingestShapePayload))
 }
 
 // receiveScripted runs one receiveChunks leg on p over the encoded msgs,

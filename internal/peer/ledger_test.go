@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
-	"runtime"
 	"slices"
 	"testing"
 
@@ -36,14 +35,27 @@ func payloadForByWord(id model.PhotoID, n int) []byte {
 
 // TestPayloadForMatchesByWord pins the synthetic payload byte for byte:
 // every holder of a photo must produce the same bytes, so a transfer can
-// resume from another relay, and so the keystream can never change.
+// resume from another relay, and so the keystream can never change. The
+// bytes are the same whether payloadFor allocates them or overwrites a
+// reused buffer that still holds other bytes, large enough or not.
 func TestPayloadForMatchesByWord(t *testing.T) {
 	ids := []model.PhotoID{0, 1, model.MakePhotoID(7, 3), math.MaxUint64}
 	for _, id := range ids {
 		for _, n := range []int{-1, 0, 1, 2, 7, 8, 9, 15, 16, 17, 63, 64, 65, 1000, 16 << 10, 64 << 10, 64<<10 + 3} {
-			got, want := payloadFor(id, n), payloadForByWord(id, n)
+			want := payloadForByWord(id, n)
+			got := payloadFor(nil, id, n)
 			if !bytes.Equal(got, want) || (got == nil) != (want == nil) {
 				t.Fatalf("payloadFor(%v, %d) differs from the word-by-word keystream", id, n)
+			}
+			for _, size := range []int{max(n-1, 0), max(n, 0), max(n, 0) + 9, 64<<10 + 8} {
+				dirty := bytes.Repeat([]byte{0xA5}, size)
+				got := payloadFor(dirty, id, n)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("payloadFor into a dirty %d-byte buffer (%v, %d) differs from the word-by-word keystream", size, id, n)
+				}
+				if n > 0 && n <= size && &got[0] != &dirty[0] {
+					t.Fatalf("payloadFor(%v, %d) allocated although the %d-byte buffer fits", id, n, size)
+				}
 			}
 		}
 	}
@@ -162,20 +174,8 @@ func TestBeginSessionBuildsNoLedgerMap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	bytesPerRun := func(f func()) float64 {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-		const runs = 20
-		f()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			f()
-		}
-		runtime.ReadMemStats(&after)
-		return float64(after.TotalAlloc-before.TotalAlloc) / runs
-	}
-	clone := bytesPerRun(func() { p.peerState.clone() })
-	begin := bytesPerRun(func() { mustBegin(t, p) })
+	clone := bytesPerRun(20, func() { p.peerState.clone() })
+	begin := bytesPerRun(20, func() { mustBegin(t, p) })
 	t.Logf("state clone %.0f B, beginSession %.0f B", clone, begin)
 	if begin > clone+2048 {
 		t.Fatalf("beginSession allocates %.0f B at a 10,000-photo command center, %.0f B more than the state clone",

@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"photodtn/internal/guard"
@@ -36,15 +37,17 @@ import (
 	"photodtn/internal/wire"
 )
 
-// payloadFor generates the deterministic synthetic payload of a photo: an
-// xorshift keystream keyed by the photo ID, so every holder produces
+// payloadFor generates the deterministic synthetic payload of a photo, n
+// bytes, into dst's storage (grown when it is too small) and returns it:
+// an xorshift keystream keyed by the photo ID, so every holder produces
 // bit-identical bytes — the cross-holder consistency that lets a transfer
 // started from one relay resume from another with matching checksums.
-func payloadFor(id model.PhotoID, n int) []byte {
+// Every byte is written, so dst may hold anything.
+func payloadFor(dst []byte, id model.PhotoID, n int) []byte {
 	if n <= 0 {
-		return nil
+		return dst[:0]
 	}
-	buf := make([]byte, n)
+	buf := slices.Grow(dst[:0], n)[:n]
 	state := uint64(id)*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03
 	i := 0
 	for ; i+8 <= n; i += 8 {
@@ -67,11 +70,20 @@ func xorshift(x uint64) uint64 {
 	return x
 }
 
+// payloads recycles the sender's payload buffers across contacts: a
+// photo's bytes live from its chunk plan until sendChunks returns, by
+// which time every frame that carried them has been written (wire.Write
+// copies a chunk into its frame).
+var payloads = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledBuf is the largest payload or frame buffer the transfer path
+// pools; larger ones are left to the collector, as in wire's frame pool.
+const maxPooledBuf = 1 << 20
+
 // chunkPlan splits a photo's payload into canonical wire chunks for the
 // session's negotiated chunk size. Data slices alias the payload buffer.
-func (s *session) chunkPlan(photo model.Photo) []wire.Chunk {
+func (s *session) chunkPlan(photo model.Photo, payload []byte) []wire.Chunk {
 	size := int(s.wp.ChunkSize)
-	payload := payloadFor(photo.ID, s.p.payload)
 	total := uint64(len(payload))
 	count := uint32(wire.ChunkCount(int64(total), size))
 	crc := wire.PayloadCRC(payload)
@@ -135,10 +147,19 @@ func (s *session) readOffer(requested []model.PhotoID) (map[model.PhotoID]wire.R
 // resume offer whose geometry matches lets the sender skip the chunks the
 // receiver already holds; the per-contact byte budget truncates the plan —
 // a photo cut mid-stream is not acked, but with resume on its prefix
-// survives at the receiver for the next contact.
+// survives at the receiver for the next contact. The photos' payloads are
+// generated into pooled buffers, which go back to the pool on return.
 func (s *session) sendChunks(ids []model.PhotoID, offers map[model.PhotoID]wire.ResumeEntry) error {
 	p := s.p
 	budget := p.transfer.BudgetBytes
+	var bufs []*[]byte
+	defer func() {
+		for _, bp := range bufs {
+			if cap(*bp) <= maxPooledBuf {
+				payloads.Put(bp)
+			}
+		}
+	}()
 	var plan []wire.Chunk
 	var sent []model.PhotoID
 	var spent int64
@@ -151,7 +172,10 @@ func (s *session) sendChunks(ids []model.PhotoID, offers map[model.PhotoID]wire.
 		if !ok {
 			continue
 		}
-		chunks := s.chunkPlan(photo)
+		bp := payloads.Get().(*[]byte)
+		*bp = payloadFor(*bp, photo.ID, p.payload)
+		bufs = append(bufs, bp)
+		chunks := s.chunkPlan(photo, *bp)
 		missing := chunks
 		if e, ok := offers[id]; ok && len(chunks) > 0 &&
 			e.ChunkSize == chunks[0].ChunkSize && e.Count == chunks[0].Count &&
@@ -285,11 +309,48 @@ type chunkReceipt struct {
 	// pairs seen this contact.
 	want map[model.PhotoID]bool
 	seen map[guard.ChunkKey]bool
-	// Scratch reused across reads and batches: the frame buffer (decoded
-	// chunks own their bytes), the journaled chunks and their outcomes.
-	frame []byte
-	frags []wire.Chunk
-	added []fragAdd
+	*receiveBufs
+}
+
+// receiveBufs is the scratch a chunk stream's receiver reuses across
+// reads and batches: one frame buffer per batch slot, the batch, the
+// journaled chunks and their outcomes. The i-th frame of a batch is read
+// into frames[i], and a chunk's Data aliases its frame
+// (wire.ReadIntoAliased), so every chunk of a batch stays valid until
+// takeChunks returns and the next batch reads into the slots again.
+// Nothing that outlives takeChunks keeps chunk bytes: the journal and the
+// reassembly stores copy them.
+type receiveBufs struct {
+	frames [][]byte
+	batch  []wire.Chunk
+	frags  []wire.Chunk
+	added  []fragAdd
+}
+
+// receiveScratch recycles receiveBufs across contacts.
+var receiveScratch = sync.Pool{New: func() any { return new(receiveBufs) }}
+
+// read reads the next frame into batch slot i.
+func (b *receiveBufs) read(r io.Reader, i int) (wire.Message, error) {
+	if i == len(b.frames) {
+		b.frames = append(b.frames, nil)
+	}
+	msg, buf, err := wire.ReadIntoAliased(r, b.frames[i])
+	b.frames[i] = buf
+	return msg, err
+}
+
+// release drops the chunks' references to the frames, and any frame
+// buffer over maxPooledBuf, then returns the scratch to its pool.
+func (b *receiveBufs) release() {
+	clear(b.batch[:cap(b.batch)])
+	clear(b.frags[:cap(b.frags)])
+	for i, f := range b.frames {
+		if cap(f) > maxPooledBuf {
+			b.frames[i] = nil
+		}
+	}
+	receiveScratch.Put(b)
 }
 
 // receiveChunks opens the next transfer leg and reads the peer's chunk
@@ -307,9 +368,11 @@ type chunkReceipt struct {
 func (s *session) receiveChunks(want []model.PhotoID) (map[model.PhotoID]model.Photo, error) {
 	p := s.p
 	rc := &chunkReceipt{
-		out:   make(map[model.PhotoID]model.Photo),
-		prior: make(map[model.PhotoID]uint32),
+		out:         make(map[model.PhotoID]model.Photo),
+		prior:       make(map[model.PhotoID]uint32),
+		receiveBufs: receiveScratch.Get().(*receiveBufs),
 	}
+	defer rc.release()
 	// Pre-contact progress classifies completions as resumed and feeds the
 	// resume-rate histogram.
 	if s.wp.Resume {
@@ -353,18 +416,15 @@ func (s *session) receiveChunks(want []model.PhotoID) (map[model.PhotoID]model.P
 			readAheads.Put(ra)
 		}
 	}()
-	var batch []wire.Chunk
 	for {
-		var msg wire.Message
-		var err error
-		msg, rc.frame, err = wire.ReadInto(in, rc.frame)
-		batch = batch[:0]
+		msg, err := rc.read(in, 0)
+		rc.batch = rc.batch[:0]
 		for err == nil {
 			c, ok := msg.(wire.Chunk)
 			if !ok {
 				break
 			}
-			batch, msg = append(batch, c), nil
+			rc.batch, msg = append(rc.batch, c), nil
 			if ra == nil && s.journaled(c) {
 				ra = readAheads.Get().(*bufio.Reader)
 				ra.Reset(s.conn)
@@ -373,12 +433,12 @@ func (s *session) receiveChunks(want []model.PhotoID) (map[model.PhotoID]model.P
 			if ra == nil || !wire.Arrived(ra) {
 				break
 			}
-			msg, rc.frame, err = wire.ReadInto(ra, rc.frame)
+			msg, err = rc.read(ra, len(rc.batch))
 		}
 		// The chunks read before a failed or foreign frame count as they
 		// would have one at a time: stored and acked before the abort.
-		if len(batch) > 0 {
-			if err := s.takeChunks(batch, rc); err != nil {
+		if len(rc.batch) > 0 {
+			if err := s.takeChunks(rc.batch, rc); err != nil {
 				return nil, err
 			}
 		}
@@ -556,7 +616,7 @@ func (p *Peer) addFragments(dst []fragAdd, cs []wire.Chunk) ([]fragAdd, error) {
 // finishTransfer settles the session's scratch reassembly state at contact
 // teardown: whatever the local store still tracks — incomplete photos from
 // an aborted or budget-cut transfer — is wasted, exactly the bytes the
-// §III-D discard rule throws away.
+// §III-D discard rule throws away, and its buffers are recycled.
 func (s *session) finishTransfer() {
 	if s.localFrags == nil {
 		return
@@ -565,6 +625,9 @@ func (s *session) finishTransfer() {
 	if wasted := st.FragmentBytes + st.WastedBytes; wasted > 0 {
 		s.p.tWastedLocal.Add(wasted)
 		s.p.cWastedBytes.Add(wasted)
+	}
+	for _, id := range s.localFrags.IDs() {
+		s.localFrags.Drop(id, true)
 	}
 	s.localFrags = nil
 }

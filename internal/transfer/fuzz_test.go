@@ -99,7 +99,7 @@ func FuzzReassembly(f *testing.F) {
 					if err != nil || !res.Complete {
 						t.Fatalf("op %d: complete = %v, err = %v", i, res.Complete, err)
 					}
-					if !bytes.Equal(res.Payload, payload) {
+					if !bytes.Equal(assembled(s, photo.ID), payload) {
 						t.Fatalf("op %d: payload mismatch", i)
 					}
 				case complete: // duplicate after completion
@@ -130,7 +130,7 @@ func FuzzReassembly(f *testing.F) {
 					alt = true
 				}
 				if res.Complete {
-					if !bytes.Equal(res.Payload, altPayload) {
+					if !bytes.Equal(assembled(s, photo.ID), altPayload) {
 						t.Fatalf("op %d: alt payload mismatch", i)
 					}
 					// Leave the complete partial tracked, as the peer does
@@ -193,7 +193,7 @@ func FuzzReassemblyHeld(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		if res, ok := r.Assemble(photo.ID); !ok || !bytes.Equal(res.Payload, payload) {
+		if _, ok := r.Assemble(photo.ID); !ok || !bytes.Equal(assembled(r, photo.ID), payload) {
 			t.Fatal("restored partial does not assemble the source payload")
 		}
 	})

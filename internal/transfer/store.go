@@ -15,6 +15,11 @@
 // across contact disruptions. A peer's snapshot journals the chunks Held
 // returns and recovery hands them back to Add, so a restored partial passes
 // the same checks as one built live.
+//
+// A partial's reassembly buffer comes from a process-wide pool and goes
+// back to it when the partial leaves the store (admitted, wasted or
+// evicted), so the assembled bytes never leave the store: Held copies
+// them, and a completion reports only the photo.
 package transfer
 
 import (
@@ -63,9 +68,41 @@ type partial struct {
 	crc       uint32
 	have      []uint64 // chunk bitmap, LSB-first words
 	haveCount uint32
-	received  int64 // bytes landed so far
-	data      []byte
+	received  int64   // bytes landed so far
+	buf       *[]byte // pooled reassembly buffer; *buf is the payload
 	touched   int64
+}
+
+// bufs recycles reassembly buffers across partials and stores. A buffer
+// taken from it is dirty: it holds some earlier payload's bytes. That is
+// harmless, because a complete partial has had every byte written by
+// exactly one chunk, and the checksum is taken over those bytes alone.
+var bufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledBuf is the largest reassembly buffer the pool keeps; larger
+// ones are left to the collector, as the wire's frame pool does.
+const maxPooledBuf = 1 << 20
+
+// takeBuf returns a buffer of n bytes, from the pool when n is small
+// enough to be pooled.
+func takeBuf(n uint64) *[]byte {
+	if n > maxPooledBuf {
+		b := make([]byte, n)
+		return &b
+	}
+	bp := bufs.Get().(*[]byte)
+	if uint64(cap(*bp)) < n {
+		*bp = make([]byte, n)
+	}
+	*bp = (*bp)[:n]
+	return bp
+}
+
+// releaseBuf returns a buffer to the pool unless it is too big to keep.
+func releaseBuf(bp *[]byte) {
+	if cap(*bp) <= maxPooledBuf {
+		bufs.Put(bp)
+	}
 }
 
 // NewStore returns a store capping tracked partials at maxBytes of
@@ -84,13 +121,9 @@ type AddResult struct {
 	// dropped — its bytes wasted — before this chunk started a new one.
 	Restarted bool
 	// Complete is true when every chunk is present and the whole-photo
-	// checksum verified. Photo and Payload are set.
+	// checksum verified. Photo is set.
 	Complete bool
 	Photo    model.Photo
-	// Payload is the fully assembled payload (only on Complete). The
-	// caller owns the read; the buffer is shared with the store until the
-	// photo is dropped.
-	Payload []byte
 }
 
 // Add unions one chunk into the photo's partial, creating it on first
@@ -119,7 +152,7 @@ func (s *Store) Add(c wire.Chunk) (AddResult, error) {
 			total:     c.Total,
 			crc:       c.PayloadCRC,
 			have:      make([]uint64, (int(c.Count)+63)/64),
-			data:      make([]byte, c.Total),
+			buf:       takeBuf(c.Total),
 		}
 		s.parts[c.Photo.ID] = p
 		s.alloc += int64(c.Total)
@@ -133,20 +166,19 @@ func (s *Store) Add(c wire.Chunk) (AddResult, error) {
 	p.have[word] |= 1 << bit
 	p.haveCount++
 	off := uint64(c.Index) * uint64(c.ChunkSize)
-	copy(p.data[off:], c.Data)
+	copy((*p.buf)[off:], c.Data)
 	p.received += int64(len(c.Data))
 	s.bytes += int64(len(c.Data))
 	s.chunksAdded++
 	res.Fresh = true
 	if p.haveCount == p.count {
-		if wire.PayloadCRC(p.data) != p.crc {
+		if wire.PayloadCRC(*p.buf) != p.crc {
 			s.dropLocked(c.Photo.ID, true)
 			return res, fmt.Errorf("%w: photo %v", ErrChecksum, c.Photo.ID)
 		}
 		s.completed++
 		res.Complete = true
 		res.Photo = p.photo
-		res.Payload = p.data
 	}
 	return res, nil
 }
@@ -284,9 +316,9 @@ func (s *Store) Has(id model.PhotoID, index uint32) bool {
 	return p.have[index/64]&(1<<(index%64)) != 0
 }
 
-// Assemble returns the verified payload of a photo whose partial is
-// already complete — the zero-traffic path when a resume offer advertised
-// a full bitmap. Add verified the payload when its last chunk landed.
+// Assemble reports a photo whose partial is already complete — the
+// zero-traffic path when a resume offer advertised a full bitmap. Add
+// verified the payload when its last chunk landed.
 func (s *Store) Assemble(id model.PhotoID) (AddResult, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -294,13 +326,13 @@ func (s *Store) Assemble(id model.PhotoID) (AddResult, bool) {
 	if p == nil || p.haveCount != p.count {
 		return AddResult{}, false
 	}
-	return AddResult{Complete: true, Photo: p.photo, Payload: p.data}, true
+	return AddResult{Complete: true, Photo: p.photo}, true
 }
 
-// Drop removes a photo's partial. Wasted marks bytes that were received
-// but will never contribute to a delivery (discard, mismatch, eviction);
-// a drop after successful admission passes wasted=false. Returns the
-// number of fragment bytes released.
+// Drop removes a photo's partial and recycles its buffer. Wasted marks
+// bytes that were received but will never contribute to a delivery
+// (discard, mismatch, eviction); a drop after successful admission passes
+// wasted=false. Returns the number of fragment bytes released.
 func (s *Store) Drop(id model.PhotoID, wasted bool) int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -313,6 +345,8 @@ func (s *Store) dropLocked(id model.PhotoID, wasted bool) int64 {
 		return 0
 	}
 	delete(s.parts, id)
+	releaseBuf(p.buf)
+	p.buf = nil
 	s.bytes -= p.received
 	s.alloc -= int64(p.total)
 	if wasted {
@@ -389,7 +423,7 @@ func (s *Store) Held() []wire.Chunk {
 				ChunkSize:  p.chunkSize,
 				Total:      p.total,
 				PayloadCRC: p.crc,
-				Data:       append([]byte(nil), p.data[off:off+chunkLen(i, p.count, p.chunkSize, p.total)]...),
+				Data:       append([]byte(nil), (*p.buf)[off:off+chunkLen(i, p.count, p.chunkSize, p.total)]...),
 			})
 		}
 	}

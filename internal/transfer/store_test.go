@@ -30,6 +30,18 @@ func chunksFor(photo model.Photo, payload []byte, size int) []wire.Chunk {
 	return out
 }
 
+// assembled returns a copy of the photo's reassembled bytes, or nil when
+// the store holds no complete partial of it.
+func assembled(s *Store, id model.PhotoID) []byte {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	p := s.parts[id]
+	if p == nil || p.haveCount != p.count {
+		return nil
+	}
+	return append([]byte(nil), (*p.buf)...)
+}
+
 func testPhoto(seq uint32) model.Photo {
 	return model.Photo{ID: model.MakePhotoID(7, seq), Owner: 7, Size: 4 << 20}
 }
@@ -53,14 +65,14 @@ func TestStoreOutOfOrderAssembly(t *testing.T) {
 		if last := i == len(order)-1; res.Complete != last {
 			t.Fatalf("complete = %v at step %d", res.Complete, i)
 		}
-		if i == len(order)-1 && !bytes.Equal(res.Payload, payload) {
-			t.Fatalf("assembled %q", res.Payload)
+		if got := assembled(s, testPhoto(0).ID); i == len(order)-1 && !bytes.Equal(got, payload) {
+			t.Fatalf("assembled %q", got)
 		}
 	}
 	if st := s.Stats(); st.Completed != 1 || st.Partials != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if res, ok := s.Assemble(testPhoto(0).ID); !ok || !bytes.Equal(res.Payload, payload) {
+	if res, ok := s.Assemble(testPhoto(0).ID); !ok || res.Photo != testPhoto(0) || !bytes.Equal(assembled(s, testPhoto(0).ID), payload) {
 		t.Fatal("assemble of complete partial failed")
 	}
 	s.Drop(testPhoto(0).ID, false)
@@ -198,7 +210,7 @@ func TestStoreHeldRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		if res.Complete {
-			got = res.Payload
+			got = assembled(r, testPhoto(5).ID)
 		}
 	}
 	if !bytes.Equal(got, payload) {

@@ -225,3 +225,56 @@ func FuzzNegotiate(f *testing.F) {
 		}
 	})
 }
+
+// FuzzChunkAlias is a differential over the two chunk decoders: on any
+// body, the aliasing decode that ReadIntoAliased uses and DecodeChunk must
+// fail alike or return the same header and equal Data. The aliasing
+// decode's Data must be the body's own bytes, and DecodeChunk's a copy
+// that survives the body being overwritten.
+func FuzzChunkAlias(f *testing.F) {
+	for _, c := range []Chunk{
+		{Photo: samplePhoto(1, 1), Count: 1, ChunkSize: 4, Total: 2, Data: []byte{9, 9}},
+		{Photo: samplePhoto(5, 0), Index: 2, Count: 3, ChunkSize: 4, Total: 11, PayloadCRC: 3, Data: []byte{1, 2, 3}},
+		{Photo: samplePhoto(5, 1), Index: 0, Count: 3, ChunkSize: 4, Total: 11, PayloadCRC: 3, Data: []byte{1, 2, 3, 4}},
+		{Photo: samplePhoto(6, 0), Count: 1, ChunkSize: 4}, // empty payload
+	} {
+		f.Add(AppendChunk(nil, c))
+	}
+	f.Add([]byte{})
+	f.Add(append(AppendChunk(nil, Chunk{Photo: samplePhoto(2, 2), Count: 1, ChunkSize: 8, Total: 3, Data: []byte{1, 2, 3}}), 0)) // one byte too many
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		copied, errC := DecodeChunk(body)
+		aliased, errA := decodeChunk(body, true)
+		if (errC == nil) != (errA == nil) || errors.Is(errC, ErrBadMessage) != errors.Is(errA, ErrBadMessage) {
+			t.Fatalf("DecodeChunk err %v, aliasing decode err %v", errC, errA)
+		}
+		if errC != nil {
+			if errC.Error() != errA.Error() {
+				t.Fatalf("DecodeChunk err %q, aliasing decode err %q", errC, errA)
+			}
+			return
+		}
+		if !bytes.Equal(copied.Data, aliased.Data) || (copied.Data == nil) != (aliased.Data == nil) {
+			t.Fatalf("data differ: copied %x, aliased %x", copied.Data, aliased.Data)
+		}
+		// Compared as encodings: a photo field may be NaN.
+		hc, ha := copied, aliased
+		hc.Data, ha.Data = nil, nil
+		if !bytes.Equal(AppendChunk(nil, hc), AppendChunk(nil, ha)) {
+			t.Fatalf("headers differ:\ncopied  %+v\naliased %+v", hc, ha)
+		}
+		if n := len(aliased.Data); n > 0 {
+			if &aliased.Data[0] != &body[len(body)-n] || cap(aliased.Data) != n {
+				t.Fatal("aliasing decode's data is not the tail of the body")
+			}
+			want := append([]byte(nil), copied.Data...)
+			for i := range body {
+				body[i] ^= 0xFF
+			}
+			if !bytes.Equal(copied.Data, want) {
+				t.Fatal("DecodeChunk's data changed when the body was overwritten")
+			}
+		}
+	})
+}

@@ -528,8 +528,13 @@ func AppendChunk(dst []byte, c Chunk) []byte {
 
 // DecodeChunk decodes one chunk from b, validating the transfer geometry:
 // the count must be canonical for (Total, ChunkSize), the index in range,
-// and the data length exactly the slice the geometry dictates.
-func DecodeChunk(b []byte) (Chunk, error) {
+// and the data length exactly the slice the geometry dictates. The chunk's
+// Data is a copy: it never aliases b.
+func DecodeChunk(b []byte) (Chunk, error) { return decodeChunk(b, false) }
+
+// decodeChunk is DecodeChunk; with alias set, a non-empty Data is the
+// slice of b that carries it instead of a copy.
+func decodeChunk(b []byte, alias bool) (Chunk, error) {
 	photo, rest, err := model.DecodePhoto(b)
 	if err != nil {
 		return Chunk{}, fmt.Errorf("%w: chunk photo: %v", ErrBadMessage, err)
@@ -556,7 +561,11 @@ func DecodeChunk(b []byte) (Chunk, error) {
 		return Chunk{}, fmt.Errorf("%w: chunk %d carries %d bytes, want %d",
 			ErrBadMessage, c.Index, len(rest), want)
 	}
-	if len(rest) > 0 {
+	switch {
+	case len(rest) == 0:
+	case alias:
+		c.Data = rest[:len(rest):len(rest)]
+	default:
 		c.Data = append([]byte(nil), rest...)
 	}
 	return c, nil
@@ -739,8 +748,22 @@ func Read(r io.Reader) (Message, error) {
 // ReadInto is Read with the frame read into buf's storage, grown when the
 // frame does not fit; it returns the buffer for the caller's next read. No
 // decoded message aliases its frame, so a receiver reading frame after
-// frame can reuse one buffer for all of them.
+// frame can reuse one buffer for all of them. ReadIntoAliased is the
+// variant whose chunks skip the copy of their data.
 func ReadInto(r io.Reader, buf []byte) (Message, []byte, error) {
+	return readInto(r, buf, false)
+}
+
+// ReadIntoAliased is ReadInto, except that a decoded Chunk's Data aliases
+// the returned buffer instead of owning a copy. The chunk's bytes stay
+// valid until that buffer is read into again; a caller that must hold
+// several chunks at once reads each into a buffer of its own. Every other
+// message owns its bytes, exactly as ReadInto's do.
+func ReadIntoAliased(r io.Reader, buf []byte) (Message, []byte, error) {
+	return readInto(r, buf, true)
+}
+
+func readInto(r io.Reader, buf []byte, alias bool) (Message, []byte, error) {
 	if cap(buf) < 5 {
 		buf = make([]byte, 5)
 	}
@@ -763,6 +786,10 @@ func ReadInto(r io.Reader, buf []byte) (Message, []byte, error) {
 	sum := crc32.Checksum(buf[4:end], crcTable)
 	if got := binary.LittleEndian.Uint32(buf[end:]); got != sum {
 		return nil, buf, fmt.Errorf("%w: got %08x, computed %08x", ErrChecksum, got, sum)
+	}
+	if alias && MsgType(buf[4]) == MsgChunk {
+		msg, err := retErr(decodeChunk(buf[5:end], true))
+		return msg, buf, err
 	}
 	msg, err := DecodeBody(MsgType(buf[4]), buf[5:end])
 	return msg, buf, err

@@ -541,3 +541,45 @@ func TestReadIntoMessagesOwnTheirBytes(t *testing.T) {
 		}
 	}
 }
+
+// TestReadIntoAliasedSharesOnlyChunkData: through ReadIntoAliased a
+// chunk's Data is the frame buffer's own bytes, read without a copy, and
+// every other message still owns its bytes when the buffer is overwritten.
+func TestReadIntoAliasedSharesOnlyChunkData(t *testing.T) {
+	chunk := Chunk{Photo: samplePhoto(3, 9), Index: 1, Count: 3, ChunkSize: 4, Total: 11, PayloadCRC: 0xCAFE, Data: []byte{4, 5, 6, 7}}
+	msgs := []Message{
+		Hello{Node: 7, Lambda: 0.5, ChunkSize: MinChunkSize, Window: 8, Flags: FlagResume},
+		ResumeOffer{Entries: []ResumeEntry{{ID: 11, ChunkSize: 4, Count: 3, Total: 11, PayloadCRC: 7, Bitmap: []byte{0b101}}}},
+		chunk,
+		Ack{IDs: []model.PhotoID{11}},
+	}
+	var stream bytes.Buffer
+	for _, m := range msgs {
+		if err := Write(&stream, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	frames := bytes.NewReader(stream.Bytes())
+	var buf []byte
+	for _, want := range msgs {
+		m, b, err := ReadIntoAliased(frames, buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf = b
+		if c, ok := m.(Chunk); ok {
+			if !reflect.DeepEqual(c, chunk) {
+				t.Fatalf("chunk %+v, want %+v", c, chunk)
+			}
+			if &c.Data[0] != &buf[len(buf)-4-len(c.Data)] {
+				t.Fatal("chunk data is a copy, not the frame's bytes")
+			}
+		}
+		for i := range buf[:cap(buf)] {
+			buf[:cap(buf)][i] = 0xFF
+		}
+		if _, ok := m.(Chunk); !ok && !reflect.DeepEqual(m, want) {
+			t.Fatalf("%v changed when the buffer was overwritten: %+v", want.Type(), m)
+		}
+	}
+}
